@@ -2,12 +2,17 @@
 
 Everything here recomputes results from first principles (full enumeration,
 direct linear solves) without touching the library's dynamic programs, so a
-shared bug between implementation and test is structurally impossible.
+shared bug between implementation and test is structurally impossible.  The
+one exception is ``binary_posteriors_reference``: a frozen copy of the plain
+two-state forward-backward loop, kept so that the optimized smoother can be
+required to match it bit for bit.
 """
 
 from itertools import product
 
 import numpy as np
+
+from sdude.errors import ValidationError
 
 
 def schedule_min_by_product(loss_rows, context_ids, m):
@@ -62,3 +67,53 @@ def solve_right_inverse_2x2(pi):
     det = a * d - b * c
     inv = np.array([[d, -b], [-c, a]]) / det
     return inv
+
+
+def binary_posteriors_reference(z, segments, pi, initial):
+    """Scalar-arithmetic forward-backward for two hidden states."""
+    n = z.shape[0]
+    e0 = pi[0, z].tolist()
+    e1 = pi[1, z].tolist()
+    alpha = np.empty((n, 2))
+    a0 = initial[0] * e0[0]
+    a1 = initial[1] * e1[0]
+    s = a0 + a1
+    if s <= 0.0:
+        raise ValidationError("observation has zero probability under the model")
+    a0 /= s
+    a1 /= s
+    alpha[0, 0] = a0
+    alpha[0, 1] = a1
+    seg_iter = [(start, end, p) for start, end, p in segments]
+    si = 0
+    for t in range(1, n):
+        while t + 1 > seg_iter[si][1]:
+            si += 1
+        p = seg_iter[si][2]
+        b0 = (a0 * p[0, 0] + a1 * p[1, 0]) * e0[t]
+        b1 = (a0 * p[0, 1] + a1 * p[1, 1]) * e1[t]
+        s = b0 + b1
+        if s <= 0.0:
+            raise ValidationError("observation has zero probability under the model")
+        a0, a1 = b0 / s, b1 / s
+        alpha[t, 0] = a0
+        alpha[t, 1] = a1
+    beta = np.empty((n, 2))
+    b0 = b1 = 1.0
+    beta[n - 1, 0] = beta[n - 1, 1] = 1.0
+    si = len(seg_iter) - 1
+    for t in range(n - 2, -1, -1):
+        while t + 2 < seg_iter[si][0]:
+            si -= 1
+        p = seg_iter[si][2]
+        w0 = e0[t + 1] * b0
+        w1 = e1[t + 1] * b1
+        c0 = p[0, 0] * w0 + p[0, 1] * w1
+        c1 = p[1, 0] * w0 + p[1, 1] * w1
+        s = c0 + c1
+        b0, b1 = c0 / s, c1 / s
+        beta[t, 0] = b0
+        beta[t, 1] = b1
+    post = alpha * beta
+    post /= post.sum(axis=1, keepdims=True)
+    return post

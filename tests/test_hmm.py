@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import random_full_rank_channel
-from oracles import hmm_posteriors_by_enumeration
+from oracles import binary_posteriors_reference, hmm_posteriors_by_enumeration
 from sdude import (
+    MarkovComponent,
+    PiecewiseSourceSpec,
     SymbolSequence,
+    bsc_channel,
+    build_channel,
+    corrupt,
     fb_posteriors,
     identity_channel,
     map_denoise,
+    sample_piecewise,
+    stationary_distribution,
 )
 from sdude.errors import ValidationError
 
@@ -124,6 +131,79 @@ class TestFbPosteriors:
         post = fb_posteriors(z, [(1, 10**5, symmetric(0.01))], bsc01)
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-9)
         assert np.isfinite(post).all()
+
+
+class TestBinaryPathMatchesReferenceBitwise:
+    """The optimized two-state smoother does the reference loop's arithmetic
+    in the same order, so its posteriors must be equal, not merely close."""
+
+    def test_random_tilings(self):
+        rng = np.random.default_rng(9)
+        for trial in range(1000):
+            n = int(rng.integers(1, 14))
+            num_segments = int(rng.integers(1, min(4, n) + 1))
+            cuts = np.sort(rng.choice(np.arange(1, n), size=num_segments - 1, replace=False))
+            bounds = [0, *cuts.tolist(), n]
+            # Asymmetric chains; cuts may be adjacent, giving length-1 segments.
+            segments = [
+                (a + 1, b, rng.dirichlet([1.0, 1.0], size=2)) for a, b in zip(bounds, bounds[1:])
+            ]
+            ch = random_full_rank_channel(rng, 2, int(rng.integers(2, 4)))
+            z = SymbolSequence(rng.integers(0, ch.noisy_size, size=n), ch.noisy_size)
+            expected = binary_posteriors_reference(
+                z.symbols, segments, ch.pi, stationary_distribution(segments[0][2])
+            )
+            assert np.array_equal(fb_posteriors(z, segments, ch), expected)
+
+    def test_switching_hmm_input(self):
+        # run_switching_hmm_experiment's own draws for seed 1, at the
+        # benchmark's size.
+        seed, n, switch_at = 1, 300000, 150000
+        trans1, trans2 = symmetric(0.01), symmetric(0.2)
+        spec = PiecewiseSourceSpec(
+            components=(MarkovComponent(trans1), MarkovComponent(trans2)),
+            switch_times=(switch_at,),
+            block_labels=(0, 1),
+            continuing=True,
+        )
+        source_seed, channel_seed = np.random.SeedSequence(seed).spawn(2)
+        channel = bsc_channel(0.1)
+        z = corrupt(sample_piecewise(spec, n, source_seed), channel, channel_seed)
+        segments = [(1, switch_at, trans1), (switch_at + 1, n, trans2)]
+        expected = binary_posteriors_reference(
+            z.symbols, segments, channel.pi, stationary_distribution(trans1)
+        )
+        assert np.array_equal(fb_posteriors(z, segments, channel), expected)
+
+
+# Observations that are impossible under the model once products underflow.
+# In the first the smoothed row 0 sums to zero; in the second a backward
+# normalizer is zero.  Both used to come back as NaN rows with a warning.
+ZERO_PROBABILITY_CASES = [
+    (
+        [[1.0, 0.0], [1e-300, 1.0]],
+        [(1, 2, [[1.0, 1e-200], [0.0, 1.0]]), (3, 4, [[1.0, 1e-200], [1e-300, 1.0]])],
+        [0, 0, 0, 0],
+    ),
+    (
+        [[1.0, 1e-160], [0.0, 1.0]],
+        [(1, 1, [[1.0, 0.0], [1e-200, 1.0]]), (2, 4, [[1e-320, 1.0], [1.0, 5e-324]])],
+        [1, 0, 0, 0],
+    ),
+]
+
+
+@pytest.mark.parametrize("pi, segments, symbols", ZERO_PROBABILITY_CASES)
+def test_zero_probability_observation_raises_on_both_paths(pi, segments, symbols):
+    from sdude.hmm import _generic_posteriors, _validate_segments
+
+    ch = build_channel(np.array(pi))
+    z = SymbolSequence(symbols, 2)
+    with pytest.raises(ValidationError, match="zero probability"):
+        fb_posteriors(z, segments, ch)
+    segs = _validate_segments(segments, len(symbols), 2)
+    with pytest.raises(ValidationError, match="zero probability"):
+        _generic_posteriors(z.symbols, segs, ch.pi, stationary_distribution(segs[0][2]))
 
 
 class TestMapDenoise:
