@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from . import evaluation, fileio
-from .contexts import build_partition
 from .core import SymbolSequence, bsc_channel, build_channel
 from .dude import dude_denoise
 from .errors import DenoiseError
@@ -55,8 +54,7 @@ def _cmd_denoise(args) -> int:
     else:
         out, schedule, estimated = sdude_denoise(seq, args.k, args.m, channel, loss)
         if args.emit_schedule:
-            partition = build_partition(seq, args.k)
-            payload = fileio.schedule_to_json(schedule, partition)
+            payload = fileio.schedule_to_json(schedule, schedule.partition)
             payload["estimated_loss"] = estimated
             fileio.atomic_write_text(
                 args.emit_schedule, json.dumps(payload, indent=2, sort_keys=True) + "\n"

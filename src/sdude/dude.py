@@ -6,9 +6,10 @@ with ties going to the smallest rule index.  This equals the count-based
 decision rule applied per position, and is position-invariant within a
 context: equal windows always produce equal reconstructions.
 
-The per-context cost is accumulated in occurrence order with the same
-cumulative-sum kernel as the switching denoiser, so the zero-shift switching
-denoiser reproduces this output bit for bit.
+The decision is the switching kernel's one-level call (no shifts allowed):
+the per-context cost is accumulated in occurrence order exactly as the
+switching denoiser accumulates it, so the zero-shift switching denoiser
+reproduces this output bit for bit by construction.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .contexts import build_partition
 from .core import ChannelModel, LossMatrix, SymbolSequence
 from .estimation import EstimatedLossTable, build_tables
-from .switching import _estimated_rows, _fill_boundary
+from .switching import _fill_boundary, _interior_codes, _solve_chains
 
 
 def dude_denoise(
@@ -38,12 +39,10 @@ def dude_denoise(
     if tables is None:
         tables = build_tables(channel, loss)
     partition = build_partition(z, k)
-    loss_rows = _estimated_rows(z, k, tables)
+    z_int = _interior_codes(z, k, tables)
+    assignment, _, _ = _solve_chains(partition, z_int, tables.ell, 1)
     n = len(z)
     out = np.empty(n, dtype=np.int64)
-    z_int = z.symbols[k : n - k]
-    for _, idx in partition._groups():
-        rule = int(np.argmin(np.cumsum(loss_rows[idx], axis=0)[-1]))
-        out[idx + k] = tables.mappings[rule, z_int[idx]]
+    out[k : n - k] = tables.mappings[assignment, z_int]
     _fill_boundary(out, z.symbols, k, tables.channel.noisy_size, tables.loss.recon_size, boundary)
     return SymbolSequence(out, tables.loss.recon_size)

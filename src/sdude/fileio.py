@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -158,10 +159,13 @@ def read_pbm(path) -> np.ndarray:
     if width < 1 or height < 1:
         raise ValidationError(f"bad PBM dimensions in {path}")
     if magic == b"P1":
-        bits = [c - 48 for c in data[offset:] if c in (48, 49)]
-        if len(bits) < width * height:
+        digits = b"".join(re.sub(rb"#[^\r\n]*", b"", data[offset:]).split())
+        if digits.translate(None, b"01"):
+            raise ValidationError(f"PBM {path} has raster bytes other than 0, 1 and whitespace")
+        if len(digits) < width * height:
             raise ValidationError(f"PBM {path} has too few pixels")
-        return np.array(bits[: width * height], dtype=np.int64).reshape(height, width)
+        bits = np.frombuffer(digits[: width * height], dtype=np.uint8) - 48
+        return bits.astype(np.int64).reshape(height, width)
     if magic == b"P4":
         row_bytes = (width + 7) // 8
         body = data[offset + 1 : offset + 1 + row_bytes * height]
@@ -207,18 +211,27 @@ def save_source_spec(path, spec: PiecewiseSourceSpec) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+# Source-spec component type -> (component class, field holding its parameters).
+_COMPONENT_FIELDS = {"iid": (IIDComponent, "probs"), "markov": (MarkovComponent, "transition")}
+
+
 def load_source_spec(path) -> PiecewiseSourceSpec:
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except ValueError as exc:
+            raise ValidationError(f"source spec {path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValidationError(f"source spec {path} must be a JSON object")
     components = []
     for entry in payload.get("components", []):
-        kind = entry.get("type")
-        if kind == "iid":
-            components.append(IIDComponent(np.asarray(entry["probs"])))
-        elif kind == "markov":
-            components.append(MarkovComponent(np.asarray(entry["transition"])))
-        else:
+        kind = entry.get("type") if isinstance(entry, dict) else None
+        if kind not in _COMPONENT_FIELDS:
             raise ValidationError(f"unknown component type {kind!r} in {path}")
+        component, key = _COMPONENT_FIELDS[kind]
+        if key not in entry:
+            raise ValidationError(f"{kind} component in {path} is missing {key!r}")
+        components.append(component(np.asarray(entry[key])))
     return PiecewiseSourceSpec(
         components=tuple(components),
         switch_times=tuple(payload.get("switch_times", ())),
@@ -229,23 +242,30 @@ def load_source_spec(path) -> PiecewiseSourceSpec:
 
 def schedule_to_json(schedule: SwitchingSchedule, partition: ContextPartition) -> dict:
     """Schedule as per-context runs: each run starts at a 1-based position."""
+    # Interior indices grouped by context, chronological within each context.
+    order = partition._order
+    assigned = schedule.assignment[order]
+    starts_run = np.zeros(assigned.shape[0], dtype=bool)
+    starts_run[1:] = assigned[1:] != assigned[:-1]
+    starts_run[partition._starts] = True
+    run_starts = np.flatnonzero(starts_run)
+    positions = (order[run_starts] + partition.k + 1).tolist()
+    rules = assigned[run_starts].tolist()
+    bounds = np.searchsorted(run_starts, partition._starts).tolist() + [run_starts.shape[0]]
     contexts = []
-    for cid, idx in partition._groups():
-        assigned = schedule.assignment[idx]
-        runs = [{"position": int(idx[0]) + partition.k + 1, "denoiser": int(assigned[0])}]
-        for i in range(1, assigned.shape[0]):
-            if assigned[i] != assigned[i - 1]:
-                runs.append(
-                    {"position": int(idx[i]) + partition.k + 1, "denoiser": int(assigned[i])}
-                )
+    for i, cid in enumerate(partition._unique_ids.tolist()):
+        lo, hi = bounds[i], bounds[i + 1]
         left, right = partition.context_symbols(cid)
         contexts.append(
             {
-                "context_id": int(cid),
+                "context_id": cid,
                 "left": list(left),
                 "right": list(right),
                 "switches": int(schedule.per_context_switches[cid]),
-                "runs": runs,
+                "runs": [
+                    {"position": p, "denoiser": d}
+                    for p, d in zip(positions[lo:hi], rules[lo:hi])
+                ],
             }
         )
     return {

@@ -20,19 +20,20 @@ from .contexts import build_partition
 from .core import Alphabets, LossMatrix, SymbolSequence, all_denoiser_mappings
 from .errors import TooLarge, ValidationError
 from .estimation import EstimatedLossTable
-from .switching import SwitchingSchedule, _run_fused
+from .switching import SwitchingSchedule, _solve_chains
 
 BRUTE_FORCE_BUDGET = 10**6
 
 
-def _true_loss_rows(
+def _true_loss_table(
     x: SymbolSequence, z: SymbolSequence, k: int, lam: np.ndarray, mappings: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, table) with table[codes[t], j] = lam[x_t, mappings[j, z_t]] at interior t."""
     n = len(z)
-    x_int = x.symbols[k : n - k]
-    z_int = z.symbols[k : n - k]
-    # rows[t, j] = lam[x_t, mappings[j, z_t]]
-    return lam[x_int[:, None], mappings[:, z_int].T]
+    noisy = mappings.shape[1]
+    codes = x.symbols[k : n - k] * noisy + z.symbols[k : n - k]
+    table = lam[:, mappings.T].reshape(lam.shape[0] * noisy, mappings.shape[0])
+    return codes, table
 
 
 def genie_min_loss(
@@ -56,12 +57,17 @@ def genie_min_loss(
         raise ValidationError(f"shift budget m must be a nonnegative integer, got {m!r}")
     partition = build_partition(z, k)
     mappings = all_denoiser_mappings(Alphabets(lam.shape[0], z.alphabet_size, lam.shape[1]))
-    loss_rows = _true_loss_rows(x, z, k, lam, mappings)
+    codes, table = _true_loss_table(x, z, k, lam, mappings)
     longest = int(partition._counts.max())
     levels = min(int(m), longest - 1) + 1
-    assignment, per_context, forward_min = _run_fused(partition, loss_rows, int(m), levels=levels)
+    assignment, per_context, forward_min = _solve_chains(partition, codes, table, levels)
     schedule = SwitchingSchedule(
-        n=len(z), k=int(k), m=int(m), assignment=assignment, per_context_switches=per_context
+        n=len(z),
+        k=int(k),
+        m=int(m),
+        assignment=assignment,
+        per_context_switches=per_context,
+        partition=partition,
     )
     return forward_min / partition.num_interior, schedule
 
@@ -117,7 +123,8 @@ def brute_force_min(
     if mode == "estimated":
         loss_rows = tables.ell[z.symbols[k : len(z) - k]]
     else:
-        loss_rows = _true_loss_rows(x, z, k, tables.loss.lam, tables.mappings)
+        codes, table = _true_loss_table(x, z, k, tables.loss.lam, tables.mappings)
+        loss_rows = table[codes]
     num_rules = loss_rows.shape[1]
     totals = []
     for _, idx in partition._groups():

@@ -10,9 +10,18 @@ backward pass walks each context chain from its last occurrence to its first,
 following the stored matrices to recover an optimal schedule, preferring
 fewer shifts on exact ties.
 
-Chains for distinct contexts are independent; each chain is processed with
-vectorized cumulative sums and running minima, so time and memory are
-O(m * n) overall.
+Chains for distinct contexts are independent, so one kernel, ``_solve_chains``,
+runs both passes for many chains at once.  It groups the chains into batches
+of similar length (power-of-two buckets, each batch padded after the chains'
+ends to its longest member) and lays each batch out rules-major as
+(rules, chains, L).  The forward pass is a few whole-batch scans along the
+chain axis per level; the backward walk takes one step per level for the
+whole batch.  Padding never enters a scan of a real occurrence and the
+cumulative sums keep each chain's summation order, so every value equals the
+chain-at-a-time recursion bit for bit.  The plain sliding-window denoiser is
+the kernel's one-level call and the genie runs it on the true loss.  Time is
+O(m * n); memory is one batch of DP values, at most about ``_BATCH_FLOATS``
+floats unless a single chain is longer.
 """
 
 from __future__ import annotations
@@ -27,8 +36,13 @@ from .core import ChannelModel, LossMatrix, SymbolSequence
 from .errors import RangeError, TooLarge, ValidationError
 from .estimation import EstimatedLossTable, build_tables
 
-# Hard cap on the DP state (position x level x rule float64 entries, ~2 GB).
+# Hard cap on the DP values held at once (float64 entries, ~2 GB): one chain's
+# level x rule x occurrence values, or the whole staged arena.
 MAX_ARENA_ENTRIES = 250_000_000
+# DP entries (level x rule x chain x padded occurrence) one batch of chains
+# holds (~2 MB): large enough that short chains share one set of numpy calls;
+# larger batches ran no faster and raised the peak resident set.
+_BATCH_FLOATS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -44,6 +58,8 @@ class SwitchingSchedule:
     m: int
     assignment: np.ndarray
     per_context_switches: dict[int, int] = field(repr=False)
+    # The partition the schedule was solved on, kept so callers need not rebuild it.
+    partition: ContextPartition | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.assignment.flags.writeable = False
@@ -90,130 +106,178 @@ class DPState:
         return self.values[t - self.k - 1].copy()
 
 
-def _forward_chain(w: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """DP values along one context chain.
+def _batches(partition: ContextPartition, levels: int, num_rules: int):
+    """Yield (chains, lengths, pos) for batches of context chains.
 
-    w holds the per-occurrence loss rows (length L, one entry per rule).
-    Returns (M, argm) with M of shape (levels, L, N) and argm the per-row
-    argmin indices.  Row i of M allows at most i shifts.  The recursion per
-    level i >= 1 is, at a repeat occurrence,
-        M[i, p] = w[p] + min(M[i, p-1], min_j M[i-1, p-1, j])
-    and M[i, 0] = w[0]; it is evaluated through cumulative sums S and the
-    shifted running minimum of min_j M[i-1] - S, which reproduces the
-    recursion while keeping every chain pass a vectorized scan.
+    ``chains`` indexes the partition's occurring contexts, ``lengths`` holds
+    their chain lengths (ascending) and ``pos[c, p]`` is the 0-based interior
+    index of occurrence p of chain c.  Each batch comes from one power-of-two
+    length bucket, is padded to its longest member by repeating each chain's
+    last occurrence, and holds at most ``_BATCH_FLOATS`` DP entries unless a
+    single chain needs more.
     """
-    L = w.shape[0]
-    S = np.cumsum(w, axis=0)
-    M = np.empty((levels,) + w.shape, dtype=np.float64)
-    M[0] = S
-    if levels > 1:
-        best_prev = M[0].min(axis=1)
-        for i in range(1, levels):
-            level = M[i]
-            level[0] = w[0]
-            if L > 1:
-                floor = np.minimum.accumulate(best_prev[: L - 1, None] - S[: L - 1], axis=0)
-                level[1:] = S[1:] + np.minimum(0.0, floor)
-            best_prev = level.min(axis=1)
-    return M, M.argmin(axis=2)
+    counts = partition._counts
+    if levels * num_rules * int(counts.max()) > MAX_ARENA_ENTRIES:
+        raise TooLarge("DP state of the longest context chain exceeds the memory budget")
+    by_length = np.argsort(counts, kind="stable")
+    sorted_counts = counts[by_length]
+    lo, width = 0, 1
+    while lo < by_length.size:
+        hi = int(np.searchsorted(sorted_counts, width, side="right"))
+        cap = max(1, _BATCH_FLOATS // (levels * num_rules * width))
+        for s in range(lo, hi, cap):
+            chains = by_length[s : min(s + cap, hi)]
+            lengths = counts[chains]
+            steps = np.minimum(np.arange(lengths[-1]), lengths[:, None] - 1)
+            yield chains, lengths, partition._order[partition._starts[chains, None] + steps]
+        lo, width = hi, 2 * width
 
 
-def _backward_chain(M: np.ndarray, argm: np.ndarray) -> tuple[np.ndarray, int]:
-    """Recover one chain's optimal rule run from its forward values.
+def _forward_batch(w: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """DP values of a batch of chains laid out rules-major.
 
-    Walking from the last occurrence toward the first with current row r and
-    rule q, a shift is recorded at occurrence p exactly when the forward
-    recursion's shift branch was strictly better there:
-    M[r-1, p-1, best] < M[r, p-1, q].  Both quantities are stored forward
-    values, so the test reproduces the forward decisions bit for bit (a
-    subtraction of the current loss would reintroduce rounding and could
-    turn exact ties into spurious shifts).  Ties keep the current rule, so
-    the schedule uses as few shifts as possible.  Runs between shifts are
-    located with one vector comparison per shift.
+    w has shape (N, chains, L): w[j, c, p] is the loss of rule j at
+    occurrence p of chain c.  Returns (M, best) with M of shape
+    (levels, N, chains, L) and best[i] = min_j M[i, j], so that level i of
+    chain c at occurrence p allows at most i shifts.  The recursion per level
+    i >= 1 is, at a repeat occurrence,
+        M[i, :, p] = w[:, p] + min(M[i, :, p-1], best[i-1, p-1])
+    and M[i, :, 0] = w[:, 0]; it is evaluated through cumulative sums S and
+    the shifted running minimum of best[i-1] - S, which reproduces the
+    recursion while keeping every pass a whole-batch scan along the
+    occurrence axis.  That running minimum starts at best[i-1, 0] - S[:, 0]
+    <= 0, so it never exceeds the stay branch's offset 0 and needs no
+    clamping.  Values at padded occurrences are never read back into a real
+    one.
     """
-    levels, L, _ = M.shape
-    assign = np.empty(L, dtype=np.int64)
+    num_rules, chains, L = w.shape
+    M = np.empty((levels, num_rules, chains, L))
+    best = np.empty((levels, chains, L))
+    S = np.cumsum(w, axis=2, out=M[0])
+    np.minimum.reduce(S, axis=0, out=best[0])
+    floor = np.empty((num_rules, chains, L - 1))
+    for i in range(1, levels):
+        level = M[i]
+        level[:, :, 0] = w[:, :, 0]
+        if L > 1:
+            np.subtract(best[i - 1, None, :, : L - 1], S[:, :, : L - 1], out=floor)
+            np.minimum.accumulate(floor, axis=2, out=floor)
+            np.add(S[:, :, 1:], floor, out=level[:, :, 1:])
+        np.minimum.reduce(level, axis=0, out=best[i])
+    return M, best
+
+
+def _backward_batch(
+    M: np.ndarray, best: np.ndarray, last: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Recover every chain's optimal rule runs from its forward values.
+
+    ``last[c]`` is the final occurrence of chain c.  Walking from the last
+    occurrence toward the first with current level r and rule q, a shift is
+    recorded at occurrence p exactly when the forward recursion's shift
+    branch was strictly better there: best[r-1, p-1] < M[r, q, p-1].  Both
+    quantities are stored forward values, so the test reproduces the forward
+    decisions bit for bit (a subtraction of the current loss would
+    reintroduce rounding and could turn exact ties into spurious shifts).
+    Ties keep the current rule, so the schedule uses as few shifts as
+    possible.  Every step lowers r by one, so the walk is one vector step per
+    level for the whole batch; the new rule is an argmin over the rules at
+    the chosen occurrence only.  Returns the (chains, L) rule assignment,
+    whose slots past a chain's end repeat the rule of its last run, and the
+    shifts used per chain.
+    """
+    levels, _, chains, L = M.shape
+    cols = np.arange(L)
+    rows = np.arange(chains)
     r = levels - 1
-    q = int(argm[r, L - 1])
-    upper = L - 1
-    switches = 0
-    while upper > 0 and r > 0:
-        switch_branch = M[r - 1, :upper, :].min(axis=1)
-        stay_branch = M[r, :upper, q]
-        hits = np.nonzero(switch_branch < stay_branch)[0]
-        if hits.size == 0:
-            break
-        p = int(hits[-1]) + 1
-        assign[p : upper + 1] = q
+    q = M[r][:, rows, last].argmin(axis=0)
+    upper = last.copy()
+    switches = np.zeros(chains, dtype=np.int64)
+    run_start = np.zeros((chains, L), dtype=bool)
+    run_rule = np.empty((chains, L), dtype=np.int64)
+    active = np.flatnonzero(upper > 0)
+    while r > 0 and active.size:
+        stay = M[r][q[active], active]
+        hits = (best[r - 1, active] < stay) & (cols < upper[active, None])
+        found = hits.any(axis=1)
+        active = active[found]
+        p = L - np.argmax(hits[found, ::-1], axis=1)
+        run_start[active, p] = True
+        run_rule[active, p] = q[active]
         r -= 1
-        q = int(argm[r, p - 1])
-        upper = p - 1
-        switches += 1
-    assign[: upper + 1] = q
-    return assign, switches
+        q[active] = M[r][:, active, p - 1].argmin(axis=0)
+        upper[active] = p - 1
+        switches[active] += 1
+        active = active[p > 1]
+    run_start[:, 0] = True
+    run_rule[:, 0] = q
+    run_of = np.where(run_start, cols, 0)
+    np.maximum.accumulate(run_of, axis=1, out=run_of)
+    return np.take_along_axis(run_rule, run_of, axis=1), switches
+
+
+def _solve_chains(
+    partition: ContextPartition, codes: np.ndarray, table: np.ndarray, levels: int
+) -> tuple[np.ndarray, dict[int, int], float]:
+    """Both passes for every context chain of the partition.
+
+    The loss row at 0-based interior index t is ``table[codes[t]]`` (one
+    entry per rule); level i of the DP allows at most i shifts.  Returns the
+    per-position rule assignment, the shifts used per context (ascending
+    context id) and the unnormalized minimum cumulative loss.
+    """
+    rules_major = np.ascontiguousarray(table.T)
+    assignment = np.empty(partition.num_interior, dtype=np.int64)
+    switches = np.zeros(partition._counts.size, dtype=np.int64)
+    mins = []
+    for chains, lengths, pos in _batches(partition, levels, table.shape[1]):
+        M, best = _forward_batch(rules_major[:, codes[pos]], levels)
+        last = lengths - 1
+        mins.extend(best[-1, np.arange(chains.size), last].tolist())
+        assign, switches[chains] = _backward_batch(M, best, last)
+        # A padded slot repeats its chain's last position and carries the rule
+        # of the last run, so writing it again stores the same value.
+        assignment[pos] = assign
+    per_context = dict(zip(partition._unique_ids.tolist(), switches.tolist()))
+    return assignment, per_context, math.fsum(mins)
 
 
 def _run_forward(
-    partition: ContextPartition, loss_rows: np.ndarray, m: int, levels: int | None = None
+    partition: ContextPartition, codes: np.ndarray, table: np.ndarray, levels: int
 ) -> tuple[np.ndarray, float, dict[int, int]]:
-    """Fill the DP arena for every context chain; return (arena, min, T-map)."""
-    n_int, num_rules = loss_rows.shape
-    if levels is None:
-        levels = m + 1
-    if n_int * levels * (num_rules + 1) > MAX_ARENA_ENTRIES:
+    """Fill the per-position DP arena for every chain; return (arena, min, T-map)."""
+    num_rules = table.shape[1]
+    if partition.num_interior * levels * (num_rules + 1) > MAX_ARENA_ENTRIES:
         raise TooLarge("DP arena exceeds the memory budget; reduce m or the rule count")
-    values = np.empty((n_int, levels, num_rules + 1), dtype=np.float64)
+    rules_major = np.ascontiguousarray(table.T)
+    values = np.empty((partition.num_interior, levels, num_rules + 1))
     mins = []
-    last_occurrence = {}
-    for cid, idx in partition._groups():
-        M, argm = _forward_chain(loss_rows[idx], levels)
-        values[idx, :, :num_rules] = M.transpose(1, 0, 2)
-        values[idx, :, num_rules] = argm.T
-        mins.append(float(M[-1, -1].min()))
-        last_occurrence[cid] = int(idx[-1]) + partition.k + 1
+    for chains, lengths, pos in _batches(partition, levels, num_rules):
+        M, best = _forward_batch(rules_major[:, codes[pos]], levels)
+        mins.extend(best[-1, np.arange(chains.size), lengths - 1].tolist())
+        real = np.arange(pos.shape[1]) < lengths[:, None]
+        block = M.transpose(2, 3, 0, 1)[real]
+        at = pos[real]
+        values[at, :, :num_rules] = block
+        values[at, :, num_rules] = block.argmin(axis=2)
+    ends = partition._order[partition._starts + partition._counts - 1] + partition.k + 1
+    last_occurrence = dict(zip(partition._unique_ids.tolist(), ends.tolist()))
     return values, math.fsum(mins), last_occurrence
 
 
 def _run_backward(
-    partition: ContextPartition, values: np.ndarray, loss_rows: np.ndarray
+    partition: ContextPartition, values: np.ndarray
 ) -> tuple[np.ndarray, dict[int, int]]:
-    n_int, num_rules = loss_rows.shape
-    assignment = np.empty(n_int, dtype=np.int64)
-    per_context = {}
-    for cid, idx in partition._groups():
-        block = values[idx]
-        M = np.ascontiguousarray(block[:, :, :num_rules].transpose(1, 0, 2))
-        argm = block[:, :, num_rules].T.astype(np.int64)
-        assign, switches = _backward_chain(M, argm)
-        assignment[idx] = assign
-        per_context[cid] = switches
-    return assignment, per_context
-
-
-def _run_fused(
-    partition: ContextPartition, loss_rows: np.ndarray, m: int, levels: int | None = None
-) -> tuple[np.ndarray, dict[int, int], float]:
-    """Both passes per context chain, skipping the per-position matrix arena.
-
-    Produces exactly the schedule and minimum that forward_pass followed by
-    backward_pass produce; the chains are simply consumed one at a time
-    instead of being staged in the shared arena.
-    """
-    n_int, num_rules = loss_rows.shape
-    if levels is None:
-        levels = m + 1
-    if n_int * levels * (num_rules + 1) > MAX_ARENA_ENTRIES:
-        raise TooLarge("DP state exceeds the memory budget; reduce m or the rule count")
-    assignment = np.empty(n_int, dtype=np.int64)
-    per_context = {}
-    mins = []
-    for cid, idx in partition._groups():
-        M, argm = _forward_chain(loss_rows[idx], levels)
-        mins.append(float(M[-1, -1].min()))
-        assign, switches = _backward_chain(M, argm)
-        assignment[idx] = assign
-        per_context[cid] = switches
-    return assignment, per_context, math.fsum(mins)
+    """Walk every chain back through the stored arena; return (assignment, switches)."""
+    _, levels, width = values.shape
+    assignment = np.empty(partition.num_interior, dtype=np.int64)
+    switches = np.zeros(partition._counts.size, dtype=np.int64)
+    for chains, lengths, pos in _batches(partition, levels, width - 1):
+        M = np.ascontiguousarray(values[pos, :, : width - 1].transpose(2, 3, 0, 1))
+        last = lengths - 1
+        assign, switches[chains] = _backward_batch(M, M.min(axis=1), last)
+        assignment[pos] = assign
+    return assignment, dict(zip(partition._unique_ids.tolist(), switches.tolist()))
 
 
 def _check_m(m: int, n_int: int) -> None:
@@ -221,24 +285,25 @@ def _check_m(m: int, n_int: int) -> None:
         raise RangeError(f"shift budget m must satisfy 0 <= m <= {n_int // 2}, got {m!r}")
 
 
-def _estimated_rows(z: SymbolSequence, k: int, tables: EstimatedLossTable) -> np.ndarray:
+def _interior_codes(z: SymbolSequence, k: int, tables: EstimatedLossTable) -> np.ndarray:
+    """Interior noisy symbols: the rows of ``tables.ell`` that score each position."""
     if z.alphabet_size != tables.channel.noisy_size:
         raise ValidationError("sequence alphabet does not match the channel's noisy alphabet")
-    return tables.ell[z.symbols[k : len(z) - k]]
+    return z.symbols[k : len(z) - k]
 
 
 def forward_pass(z: SymbolSequence, k: int, m: int, tables: EstimatedLossTable) -> DPState:
     """First pass: fill the per-position DP matrices for the estimated loss."""
     partition = build_partition(z, k)
     _check_m(m, partition.num_interior)
-    loss_rows = _estimated_rows(z, k, tables)
-    values, forward_min, last_occurrence = _run_forward(partition, loss_rows, m)
+    z_int = _interior_codes(z, k, tables)
+    values, forward_min, last_occurrence = _run_forward(partition, z_int, tables.ell, m + 1)
     return DPState(
         n=len(z),
         k=int(k),
         m=int(m),
         partition=partition,
-        loss_rows=loss_rows,
+        loss_rows=tables.ell[z_int],
         values=values,
         forward_min=forward_min,
         last_occurrence=last_occurrence,
@@ -265,14 +330,31 @@ def backward_pass(
         raise ValidationError("m does not match the forward pass")
     if tables is not None and tables.ell.shape[1] != state.num_rules:
         raise ValidationError("tables do not match the forward pass")
-    assignment, per_context = _run_backward(state.partition, state.values, state.loss_rows)
+    assignment, per_context = _run_backward(state.partition, state.values)
     return SwitchingSchedule(
         n=state.n,
         k=state.k,
         m=state.m,
         assignment=assignment,
         per_context_switches=per_context,
+        partition=state.partition,
     )
+
+
+def _table_sum(table: np.ndarray, codes: np.ndarray, assignment: np.ndarray) -> float:
+    """Correctly rounded sum of table[codes[t], assignment[t]] over all t.
+
+    Equal to math.fsum over the picked entries, since both round the exact
+    sum once; it counts how often each table entry is picked instead of
+    visiting every position, and adds the counted entries exactly as
+    integer multiples of a common power-of-two unit.
+    """
+    uses = np.bincount(codes * table.shape[1] + assignment, minlength=table.size)
+    picked = np.flatnonzero(uses)
+    ratios = [value.as_integer_ratio() for value in table.ravel()[picked].tolist()]
+    unit = max(den for _, den in ratios)
+    counts = uses[picked].tolist()
+    return sum(num * (unit // den) * c for (num, den), c in zip(ratios, counts)) / unit
 
 
 def _fill_boundary(
@@ -318,17 +400,21 @@ def sdude_denoise(
         tables = build_tables(channel, loss)
     partition = build_partition(z, k)
     _check_m(m, partition.num_interior)
-    loss_rows = _estimated_rows(z, k, tables)
-    assignment, per_context, _ = _run_fused(partition, loss_rows, m)
+    z_int = _interior_codes(z, k, tables)
+    assignment, per_context, _ = _solve_chains(partition, z_int, tables.ell, m + 1)
     schedule = SwitchingSchedule(
-        n=len(z), k=int(k), m=int(m), assignment=assignment, per_context_switches=per_context
+        n=len(z),
+        k=int(k),
+        m=int(m),
+        assignment=assignment,
+        per_context_switches=per_context,
+        partition=partition,
     )
-    n, n_int = len(z), partition.num_interior
-    z_int = z.symbols[k : n - k]
+    n = len(z)
     out = np.empty(n, dtype=np.int64)
-    out[k : n - k] = tables.mappings[schedule.assignment, z_int]
+    out[k : n - k] = tables.mappings[assignment, z_int]
     _fill_boundary(out, z.symbols, k, tables.channel.noisy_size, tables.loss.recon_size, boundary)
-    estimated = math.fsum(loss_rows[np.arange(n_int), schedule.assignment]) / n_int
+    estimated = _table_sum(tables.ell, z_int, assignment) / partition.num_interior
     return (
         SymbolSequence(out, tables.loss.recon_size),
         schedule,

@@ -3,11 +3,14 @@
 Everything here recomputes results from first principles (full enumeration,
 direct linear solves) without touching the library's dynamic programs, so a
 shared bug between implementation and test is structurally impossible.  The
-one exception is ``binary_posteriors_reference``: a frozen copy of the plain
-two-state forward-backward loop, kept so that the optimized smoother can be
-required to match it bit for bit.
+exceptions are frozen copies of earlier, plainer implementations, kept so
+that the optimized ones can be required to match them bit for bit:
+``binary_posteriors_reference`` (the two-state forward-backward loop),
+``fused_reference`` (the switching DP run one context chain at a time) and
+``schedule_to_json_reference`` (the per-position schedule dump).
 """
 
+import math
 from itertools import product
 
 import numpy as np
@@ -117,3 +120,112 @@ def binary_posteriors_reference(z, segments, pi, initial):
     post = alpha * beta
     post /= post.sum(axis=1, keepdims=True)
     return post
+
+
+def _forward_chain(w, levels):
+    """DP values along one context chain.
+
+    w holds the per-occurrence loss rows (length L, one entry per rule).
+    Returns (M, argm) with M of shape (levels, L, N) and argm the per-row
+    argmin indices.  Row i of M allows at most i shifts.  The recursion per
+    level i >= 1 is, at a repeat occurrence,
+        M[i, p] = w[p] + min(M[i, p-1], min_j M[i-1, p-1, j])
+    and M[i, 0] = w[0]; it is evaluated through cumulative sums S and the
+    shifted running minimum of min_j M[i-1] - S, which reproduces the
+    recursion while keeping every chain pass a vectorized scan.
+    """
+    L = w.shape[0]
+    S = np.cumsum(w, axis=0)
+    M = np.empty((levels,) + w.shape, dtype=np.float64)
+    M[0] = S
+    if levels > 1:
+        best_prev = M[0].min(axis=1)
+        for i in range(1, levels):
+            level = M[i]
+            level[0] = w[0]
+            if L > 1:
+                floor = np.minimum.accumulate(best_prev[: L - 1, None] - S[: L - 1], axis=0)
+                level[1:] = S[1:] + np.minimum(0.0, floor)
+            best_prev = level.min(axis=1)
+    return M, M.argmin(axis=2)
+
+
+def _backward_chain(M, argm):
+    """Recover one chain's optimal rule run from its forward values.
+
+    Walking from the last occurrence toward the first with current row r and
+    rule q, a shift is recorded at occurrence p exactly when the forward
+    recursion's shift branch was strictly better there:
+    M[r-1, p-1, best] < M[r, p-1, q].  Ties keep the current rule.
+    """
+    levels, L, _ = M.shape
+    assign = np.empty(L, dtype=np.int64)
+    r = levels - 1
+    q = int(argm[r, L - 1])
+    upper = L - 1
+    switches = 0
+    while upper > 0 and r > 0:
+        switch_branch = M[r - 1, :upper, :].min(axis=1)
+        stay_branch = M[r, :upper, q]
+        hits = np.nonzero(switch_branch < stay_branch)[0]
+        if hits.size == 0:
+            break
+        p = int(hits[-1]) + 1
+        assign[p : upper + 1] = q
+        r -= 1
+        q = int(argm[r, p - 1])
+        upper = p - 1
+        switches += 1
+    assign[: upper + 1] = q
+    return assign, switches
+
+
+def fused_reference(partition, loss_rows, m, levels=None):
+    """Both switching-DP passes, one context chain at a time.
+
+    The library's former production implementation, kept without its
+    memory-budget check.  loss_rows: (n_int, N) per-position losses.
+    Returns (assignment, per-context switches, unnormalized minimum).
+    """
+    n_int, num_rules = loss_rows.shape
+    if levels is None:
+        levels = m + 1
+    assignment = np.empty(n_int, dtype=np.int64)
+    per_context = {}
+    mins = []
+    for cid, idx in partition._groups():
+        M, argm = _forward_chain(loss_rows[idx], levels)
+        mins.append(float(M[-1, -1].min()))
+        assign, switches = _backward_chain(M, argm)
+        assignment[idx] = assign
+        per_context[cid] = switches
+    return assignment, per_context, math.fsum(mins)
+
+
+def schedule_to_json_reference(schedule, partition):
+    """Schedule as per-context runs, found by a per-position comparison loop."""
+    contexts = []
+    for cid, idx in partition._groups():
+        assigned = schedule.assignment[idx]
+        runs = [{"position": int(idx[0]) + partition.k + 1, "denoiser": int(assigned[0])}]
+        for i in range(1, assigned.shape[0]):
+            if assigned[i] != assigned[i - 1]:
+                runs.append(
+                    {"position": int(idx[i]) + partition.k + 1, "denoiser": int(assigned[i])}
+                )
+        left, right = partition.context_symbols(cid)
+        contexts.append(
+            {
+                "context_id": int(cid),
+                "left": list(left),
+                "right": list(right),
+                "switches": int(schedule.per_context_switches[cid]),
+                "runs": runs,
+            }
+        )
+    return {
+        "n": schedule.n,
+        "k": schedule.k,
+        "m": schedule.m,
+        "contexts": contexts,
+    }

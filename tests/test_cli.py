@@ -162,6 +162,25 @@ class TestCliBehavior:
         assert "error" in capsys.readouterr().err
 
 
+    def test_pbm_with_stray_raster_bytes_is_an_error_without_output(self, tmp_path, capsys):
+        src = tmp_path / "bad.pbm"
+        src.write_bytes(b"P1\n4 1\n0 1 x 1 0\n")
+        out = tmp_path / "never.pbm"
+        code = main(
+            [
+                "denoise",
+                "--input", str(src),
+                "--output", str(out),
+                "--format", "pbm",
+                "--channel", "bsc:0.1",
+                "--k", "0",
+            ]
+        )
+        assert code == 1
+        assert not out.exists()
+        assert "bad.pbm" in capsys.readouterr().err
+
+
 class TestExperimentCommands:
     def test_two_block_writes_json_and_csv(self, tmp_path):
         base = tmp_path / "report"

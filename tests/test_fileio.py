@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from oracles import schedule_to_json_reference
 from sdude import IIDComponent, MarkovComponent, PiecewiseSourceSpec, SymbolSequence
 from sdude import fileio
 from sdude.errors import ValidationError
@@ -101,6 +104,19 @@ class TestPbm:
         with pytest.raises(ValidationError):
             fileio.read_pbm(path)
 
+    @pytest.mark.parametrize("raster", [b"0 x 1 2 1 junk\n", b"0 1\n1 0 2\n", b"01\n1\x000\n"])
+    def test_ascii_raster_rejects_other_bytes(self, tmp_path, raster):
+        # These used to read as a valid image with the stray bytes skipped.
+        path = tmp_path / "bad.pbm"
+        path.write_bytes(b"P1\n3 1\n" + raster)
+        with pytest.raises(ValidationError, match="bad.pbm"):
+            fileio.read_pbm(path)
+
+    def test_ascii_raster_whitespace_and_comments(self, tmp_path):
+        path = tmp_path / "ok.pbm"
+        path.write_bytes(b"P1\n3 2 # size\n0 1\t1\r\n# row two\n100\n")
+        np.testing.assert_array_equal(fileio.read_pbm(path), [[0, 1, 1], [1, 0, 0]])
+
 
 class TestSourceSpecJson:
     def test_round_trip(self, tmp_path):
@@ -124,6 +140,24 @@ class TestSourceSpecJson:
         )
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"components": [{"type": "iid"}]}',
+            '{"components": [{"type": "markov", "probs": [0.5, 0.5]}]}',
+            '{"components": [{"type": "iid", "probs": [0.5, 0.5]}',
+            "[1, 2]",
+            '{"components": [3]}',
+        ],
+    )
+    def test_malformed_spec_is_a_validation_error(self, tmp_path, text):
+        # Missing keys and bad JSON used to leak KeyError and JSONDecodeError.
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="spec.json"):
+            fileio.load_source_spec(path)
+
+
 class TestScheduleJson:
     def test_runs_capture_switches(self):
         from sdude import build_partition, bsc_channel, hamming_loss, sdude_denoise
@@ -139,3 +173,19 @@ class TestScheduleJson:
             {"position": 1, "denoiser": 0},
             {"position": 4, "denoiser": 3},
         ]
+
+    @pytest.mark.parametrize("k, m", [(0, 3), (2, 2), (4, 1), (7, 1)])
+    def test_matches_per_position_loop(self, k, m):
+        from sdude import bsc_channel, hamming_loss, sdude_denoise
+
+        rng = np.random.default_rng(20 + k)
+        flips = np.r_[rng.random(2500) < 0.02, rng.random(2500) < 0.3]
+        x = np.cumsum(flips) % 2
+        z = SymbolSequence(x ^ (rng.random(5000) < 0.1), 2)
+        _, schedule, _ = sdude_denoise(z, k, m, bsc_channel(0.1), hamming_loss(2))
+        got = fileio.schedule_to_json(schedule, schedule.partition)
+        want = schedule_to_json_reference(schedule, schedule.partition)
+        assert schedule.total_switches > 0
+        assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(
+            want, indent=2, sort_keys=True
+        )
