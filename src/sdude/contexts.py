@@ -48,7 +48,6 @@ class ContextPartition:
         self._unique_ids = unique_ids
         self._starts = starts
         self._counts = counts
-        self._slice_of = {int(c): i for i, c in enumerate(unique_ids)}
 
     @property
     def num_interior(self) -> int:
@@ -66,8 +65,9 @@ class ContextPartition:
 
     def occurrences(self, context_id: int) -> np.ndarray:
         """1-based positions where the context occurs, strictly increasing."""
-        i = self._slice_of.get(int(context_id))
-        if i is None:
+        cid = int(context_id)
+        i = int(np.searchsorted(self._unique_ids, cid))
+        if i == self._unique_ids.size or int(self._unique_ids[i]) != cid:
             return np.empty(0, dtype=np.int64)
         s = self._starts[i]
         idx = self._order[s : s + self._counts[i]]

@@ -231,6 +231,8 @@ def bsc_channel(delta: float) -> ChannelModel:
 
 def identity_channel(size: int) -> ChannelModel:
     """Noiseless channel on an alphabet of the given size."""
+    if int(size) < 1:
+        raise ValidationError(f"alphabet size must be at least 1, got {size}")
     return build_channel(np.eye(int(size)))
 
 
@@ -238,6 +240,8 @@ def hamming_loss(clean_size: int, recon_size: int | None = None) -> LossMatrix:
     """0/1 loss: zero on the diagonal, one elsewhere."""
     if recon_size is None:
         recon_size = clean_size
+    if min(int(clean_size), int(recon_size)) < 1:
+        raise ValidationError(f"alphabet sizes must be at least 1, got {clean_size}, {recon_size}")
     lam = np.ones((int(clean_size), int(recon_size)))
     np.fill_diagonal(lam, 0.0)
     return build_loss(lam)

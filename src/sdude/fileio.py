@@ -50,9 +50,25 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _read_tokens(path, what: str) -> list[str]:
+    """Whitespace-separated tokens of a UTF-8 text file."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read().split()
+    except UnicodeDecodeError:
+        raise ValidationError(f"{what} {path} is not UTF-8 text") from None
+
+
+def _spec_number(spec: str, parse):
+    """The number after the colon of a "<name>:<number>" spec."""
+    try:
+        return parse(spec.split(":", 1)[1])
+    except ValueError:
+        raise ValidationError(f"bad number in {spec!r}") from None
+
+
 def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as handle:
-        tokens = handle.read().split()
+    tokens = _read_tokens(path, "matrix file")
     if len(tokens) < 2:
         raise ValidationError(f"matrix file {path} is missing its 'rows cols' header")
     try:
@@ -77,10 +93,10 @@ def save_matrix(path, matrix) -> None:
 def channel_from_spec(spec: str, size: int | None = None) -> ChannelModel:
     """Build a channel from "bsc:<delta>", "identity[:<size>]", or a matrix file path."""
     if spec.startswith("bsc:"):
-        return bsc_channel(float(spec[4:]))
+        return bsc_channel(_spec_number(spec, float))
     if spec == "identity" or spec.startswith("identity:"):
         if ":" in spec:
-            size = int(spec.split(":", 1)[1])
+            size = _spec_number(spec, int)
         if size is None:
             raise ValidationError("identity channel needs a size (identity:<n>)")
         return identity_channel(size)
@@ -91,7 +107,7 @@ def loss_from_spec(spec: str, clean_size: int | None = None, recon_size: int | N
     """Build a loss from "hamming[:<size>]" or a matrix file path."""
     if spec == "hamming" or spec.startswith("hamming:"):
         if ":" in spec:
-            clean_size = int(spec.split(":", 1)[1])
+            clean_size = _spec_number(spec, int)
         if clean_size is None:
             raise ValidationError("hamming loss needs a size (hamming:<n>)")
         return hamming_loss(clean_size, recon_size)
@@ -111,8 +127,7 @@ def write_raw_sequence(path, seq: SymbolSequence) -> None:
 
 
 def read_text_sequence(path, alphabet_size: int) -> SymbolSequence:
-    with open(path, "r", encoding="utf-8") as handle:
-        tokens = handle.read().split()
+    tokens = _read_tokens(path, "sequence file")
     try:
         values = np.array([int(tok) for tok in tokens], dtype=np.int64)
     except ValueError as exc:

@@ -7,8 +7,8 @@ M_t(i, j) for j <= N is the minimum unnormalized cumulative estimated loss
 over the occurrences of t's context up to and including t, using at most i-1
 shifts and currently applying rule j; column N+1 stores the row argmin.  The
 backward pass walks each context chain from its last occurrence to its first,
-following the stored matrices to recover an optimal schedule, preferring
-fewer shifts on exact ties.
+following the chain's forward matrices to recover an optimal schedule,
+preferring fewer shifts on exact ties.
 
 Chains for distinct contexts are independent, so one kernel, ``_solve_chains``,
 runs both passes for many chains at once.  It groups the chains into batches
@@ -19,7 +19,9 @@ chain axis per level; the backward walk takes one step per level for the
 whole batch.  Padding never enters a scan of a real occurrence and the
 cumulative sums keep each chain's summation order, so every value equals the
 chain-at-a-time recursion bit for bit.  The plain sliding-window denoiser is
-the kernel's one-level call and the genie runs it on the true loss.  Time is
+the kernel's one-level call and the genie runs it on the true loss;
+``forward_pass``/``backward_pass`` are thin wrappers over it, and
+``sdude_denoise`` runs through them.  Time is
 O(m * n); memory is one batch of DP values, at most about ``_BATCH_FLOATS``
 floats unless a single chain is longer.
 """
@@ -36,8 +38,8 @@ from .core import ChannelModel, LossMatrix, SymbolSequence
 from .errors import RangeError, TooLarge, ValidationError
 from .estimation import EstimatedLossTable, build_tables
 
-# Hard cap on the DP values held at once (float64 entries, ~2 GB): one chain's
-# level x rule x occurrence values, or the whole staged arena.
+# Hard cap on the DP values of the longest context chain (float64 entries,
+# ~2 GB): its level x rule x occurrence values are held at once.
 MAX_ARENA_ENTRIES = 250_000_000
 # DP entries (level x rule x chain x padded occurrence) one batch of chains
 # holds (~2 MB): large enough that short chains share one set of numpy calls;
@@ -77,33 +79,50 @@ class SwitchingSchedule:
 
 @dataclass(eq=False)
 class DPState:
-    """Forward-pass output: the stored per-position DP matrices.
+    """Forward-pass output: the solved DP of every context chain.
 
-    ``values`` has shape (n - 2k, m + 1, N + 1); the last column holds the
-    per-row argmin (as a float).  ``forward_min`` is the unnormalized minimum
-    cumulative estimated loss over the schedule class.  ``last_occurrence``
-    maps each occurring context id to its final 1-based interior position
-    (the state of the time pointer after the pass).
+    ``forward_min`` is the unnormalized minimum cumulative estimated loss over
+    the schedule class; ``assignment`` and ``per_context_switches`` are the
+    optimal schedule that ``backward_pass`` hands out.  No per-position
+    matrix is stored: ``matrix_at(t)`` recomputes the one chain that holds t.
     """
 
     n: int
     k: int
     m: int
     partition: ContextPartition
-    loss_rows: np.ndarray
-    values: np.ndarray
+    codes: np.ndarray
+    ell: np.ndarray
     forward_min: float
-    last_occurrence: dict[int, int]
+    assignment: np.ndarray
+    per_context_switches: dict[int, int]
 
     @property
     def num_rules(self) -> int:
-        return self.loss_rows.shape[1]
+        return self.ell.shape[1]
+
+    @property
+    def loss_rows(self) -> np.ndarray:
+        """Estimated loss of every rule at every interior position."""
+        return self.ell[self.codes]
+
+    @property
+    def last_occurrence(self) -> dict[int, int]:
+        """Each occurring context id's final 1-based interior position."""
+        p = self.partition
+        ends = p._order[p._starts + p._counts - 1] + p.k + 1
+        return dict(zip(p._unique_ids.tolist(), ends.tolist()))
 
     def matrix_at(self, t: int) -> np.ndarray:
-        """Copy of M_t (rows: allowed shifts + 1; last column: row argmin)."""
-        if not self.k + 1 <= t <= self.n - self.k:
-            raise RangeError(f"position {t} outside interior {self.k + 1}..{self.n - self.k}")
-        return self.values[t - self.k - 1].copy()
+        """M_t (rows: allowed shifts + 1; last column: row argmin as a float).
+
+        Recomputed from the occurrences of t's context up to and including t.
+        """
+        chain = self.partition.occurrences(self.partition.context_of(t))
+        idx = chain[: np.searchsorted(chain, t) + 1] - self.k - 1
+        M, _ = _forward_batch(self.ell.T[:, self.codes[idx]][:, None], self.m + 1)
+        values = M[:, :, 0, -1]
+        return np.column_stack((values, values.argmin(axis=1)))
 
 
 def _batches(partition: ContextPartition, levels: int, num_rules: int):
@@ -242,49 +261,6 @@ def _solve_chains(
     return assignment, per_context, math.fsum(mins)
 
 
-def _run_forward(
-    partition: ContextPartition, codes: np.ndarray, table: np.ndarray, levels: int
-) -> tuple[np.ndarray, float, dict[int, int]]:
-    """Fill the per-position DP arena for every chain; return (arena, min, T-map)."""
-    num_rules = table.shape[1]
-    if partition.num_interior * levels * (num_rules + 1) > MAX_ARENA_ENTRIES:
-        raise TooLarge("DP arena exceeds the memory budget; reduce m or the rule count")
-    rules_major = np.ascontiguousarray(table.T)
-    values = np.empty((partition.num_interior, levels, num_rules + 1))
-    mins = []
-    for chains, lengths, pos in _batches(partition, levels, num_rules):
-        M, best = _forward_batch(rules_major[:, codes[pos]], levels)
-        mins.extend(best[-1, np.arange(chains.size), lengths - 1].tolist())
-        real = np.arange(pos.shape[1]) < lengths[:, None]
-        block = M.transpose(2, 3, 0, 1)[real]
-        at = pos[real]
-        values[at, :, :num_rules] = block
-        values[at, :, num_rules] = block.argmin(axis=2)
-    ends = partition._order[partition._starts + partition._counts - 1] + partition.k + 1
-    last_occurrence = dict(zip(partition._unique_ids.tolist(), ends.tolist()))
-    return values, math.fsum(mins), last_occurrence
-
-
-def _run_backward(
-    partition: ContextPartition, values: np.ndarray
-) -> tuple[np.ndarray, dict[int, int]]:
-    """Walk every chain back through the stored arena; return (assignment, switches)."""
-    _, levels, width = values.shape
-    assignment = np.empty(partition.num_interior, dtype=np.int64)
-    switches = np.zeros(partition._counts.size, dtype=np.int64)
-    for chains, lengths, pos in _batches(partition, levels, width - 1):
-        M = np.ascontiguousarray(values[pos, :, : width - 1].transpose(2, 3, 0, 1))
-        last = lengths - 1
-        assign, switches[chains] = _backward_batch(M, M.min(axis=1), last)
-        assignment[pos] = assign
-    return assignment, dict(zip(partition._unique_ids.tolist(), switches.tolist()))
-
-
-def _check_m(m: int, n_int: int) -> None:
-    if not isinstance(m, (int, np.integer)) or not 0 <= m <= n_int // 2:
-        raise RangeError(f"shift budget m must satisfy 0 <= m <= {n_int // 2}, got {m!r}")
-
-
 def _interior_codes(z: SymbolSequence, k: int, tables: EstimatedLossTable) -> np.ndarray:
     """Interior noisy symbols: the rows of ``tables.ell`` that score each position."""
     if z.alphabet_size != tables.channel.noisy_size:
@@ -293,20 +269,24 @@ def _interior_codes(z: SymbolSequence, k: int, tables: EstimatedLossTable) -> np
 
 
 def forward_pass(z: SymbolSequence, k: int, m: int, tables: EstimatedLossTable) -> DPState:
-    """First pass: fill the per-position DP matrices for the estimated loss."""
+    """First pass: solve the DP of every context chain for the estimated loss."""
     partition = build_partition(z, k)
-    _check_m(m, partition.num_interior)
-    z_int = _interior_codes(z, k, tables)
-    values, forward_min, last_occurrence = _run_forward(partition, z_int, tables.ell, m + 1)
+    if not isinstance(m, (int, np.integer)) or not 0 <= m <= partition.num_interior // 2:
+        raise RangeError(
+            f"shift budget m must satisfy 0 <= m <= {partition.num_interior // 2}, got {m!r}"
+        )
+    codes = _interior_codes(z, k, tables)
+    assignment, per_context, forward_min = _solve_chains(partition, codes, tables.ell, m + 1)
     return DPState(
         n=len(z),
         k=int(k),
         m=int(m),
         partition=partition,
-        loss_rows=tables.ell[z_int],
-        values=values,
+        codes=codes,
+        ell=tables.ell,
         forward_min=forward_min,
-        last_occurrence=last_occurrence,
+        assignment=assignment,
+        per_context_switches=per_context,
     )
 
 
@@ -317,7 +297,7 @@ def backward_pass(
     m: int | None = None,
     tables: EstimatedLossTable | None = None,
 ) -> SwitchingSchedule:
-    """Second pass: extract an optimal schedule from the stored matrices.
+    """Second pass: the optimal schedule the forward pass solved for.
 
     The state is self-contained; the optional arguments are consistency
     checks against the inputs the forward pass was run with.
@@ -330,13 +310,12 @@ def backward_pass(
         raise ValidationError("m does not match the forward pass")
     if tables is not None and tables.ell.shape[1] != state.num_rules:
         raise ValidationError("tables do not match the forward pass")
-    assignment, per_context = _run_backward(state.partition, state.values)
     return SwitchingSchedule(
         n=state.n,
         k=state.k,
         m=state.m,
-        assignment=assignment,
-        per_context_switches=per_context,
+        assignment=state.assignment,
+        per_context_switches=state.per_context_switches,
         partition=state.partition,
     )
 
@@ -398,25 +377,12 @@ def sdude_denoise(
     """
     if tables is None:
         tables = build_tables(channel, loss)
-    partition = build_partition(z, k)
-    _check_m(m, partition.num_interior)
-    z_int = _interior_codes(z, k, tables)
-    assignment, per_context, _ = _solve_chains(partition, z_int, tables.ell, m + 1)
-    schedule = SwitchingSchedule(
-        n=len(z),
-        k=int(k),
-        m=int(m),
-        assignment=assignment,
-        per_context_switches=per_context,
-        partition=partition,
-    )
+    state = forward_pass(z, k, m, tables)
+    schedule = backward_pass(state)
+    codes, assignment = state.codes, schedule.assignment
     n = len(z)
     out = np.empty(n, dtype=np.int64)
-    out[k : n - k] = tables.mappings[assignment, z_int]
+    out[k : n - k] = tables.mappings[assignment, codes]
     _fill_boundary(out, z.symbols, k, tables.channel.noisy_size, tables.loss.recon_size, boundary)
-    estimated = _table_sum(tables.ell, z_int, assignment) / partition.num_interior
-    return (
-        SymbolSequence(out, tables.loss.recon_size),
-        schedule,
-        estimated,
-    )
+    estimated = _table_sum(tables.ell, codes, assignment) / codes.size
+    return SymbolSequence(out, tables.loss.recon_size), schedule, estimated

@@ -180,6 +180,36 @@ class TestCliBehavior:
         assert not out.exists()
         assert "bad.pbm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--channel", "bsc:abc"], "bsc:abc"),
+            (["--channel", "identity:x"], "identity:x"),
+            (["--loss", "hamming:x"], "hamming:x"),
+            (["--channel", "BAD"], "bad.txt"),
+            (["--format", "text", "--input", "BAD"], "bad.txt"),
+            (["--channel", "identity:0"], "at least 1"),
+            (["--loss", "hamming:0"], "at least 1"),
+        ],
+        ids=["bsc", "identity", "hamming", "matrix-file", "text-input", "identity-0", "hamming-0"],
+    )
+    def test_malformed_spec_or_text_file_is_an_error_without_output(
+        self, tmp_path, capsys, flags, named
+    ):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"2 2\n0.9 0.1 \xff\xfe 0.9\n")
+        src = tmp_path / "in.raw"
+        src.write_bytes(bytes([0, 1, 1, 0]))
+        out = tmp_path / "never.out"
+        options = {"--input": str(src), "--channel": "bsc:0.1", "--loss": "hamming"}
+        options.update(zip(flags[::2], [str(bad) if v == "BAD" else v for v in flags[1::2]]))
+        argv = ["denoise", "--output", str(out), "--k", "0"]
+        argv += [token for pair in options.items() for token in pair]
+        assert main(argv) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("sdude: error:") and named in err
+
 
 class TestExperimentCommands:
     def test_two_block_writes_json_and_csv(self, tmp_path):

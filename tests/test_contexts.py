@@ -42,6 +42,14 @@ def test_unknown_context_counts_zero():
     np.testing.assert_array_equal(count_vector(part, z, 99), [0, 0])
 
 
+@pytest.mark.parametrize("context_id", [-1, 1, 2, 4, 2**70])
+def test_absent_or_out_of_range_context_has_no_occurrences(context_id):
+    # Only the ids 0 (window 0,0) and 3 (window 1,1) occur.
+    part = build_partition(SymbolSequence([0, 1, 0, 1, 0], 2), 1)
+    occurrences = part.occurrences(context_id)
+    assert occurrences.size == 0 and occurrences.dtype == np.int64
+
+
 def test_too_short_rejected():
     with pytest.raises(SequenceTooShort):
         build_partition(SymbolSequence([0, 1], 2), 1)

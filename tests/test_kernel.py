@@ -22,6 +22,7 @@ from sdude import (
     SymbolSequence,
     Alphabets,
     all_denoiser_mappings,
+    backward_pass,
     brute_force_min,
     bsc_channel,
     build_loss,
@@ -144,14 +145,16 @@ class TestWrappers:
             expected = tables01.mappings[assignment, z.symbols[k : 4000 - k]]
             assert np.array_equal(out.symbols[k : 4000 - k], expected)
 
-    def test_staged_arena_matches_chain_reference(self, tables01):
+    def test_matrix_at_matches_chain_reference(self, tables01):
         rng = np.random.default_rng(8)
         z = SymbolSequence(rng.integers(0, 2, size=400), 2)
         state = forward_pass(z, 2, 3, tables01)
         for _, idx in state.partition._groups():
             M, argm = _forward_chain(state.loss_rows[idx], 4)
-            assert np.array_equal(state.values[idx, :, :4], M.transpose(1, 0, 2))
-            assert np.array_equal(state.values[idx, :, 4], argm.T)
+            for p, i in enumerate(idx.tolist()):
+                matrix = state.matrix_at(i + 3)
+                assert np.array_equal(matrix[:, :4], M[:, p])
+                assert np.array_equal(matrix[:, 4], argm[:, p])
 
 
 class TestMemoryBudget:
@@ -164,6 +167,19 @@ class TestMemoryBudget:
         assert int(partition._counts.max()) * 8 < 5000 < 2000 * 8
         monkeypatch.setattr(switching, "MAX_ARENA_ENTRIES", 5000)
         assert_matches_reference(partition, z.symbols[2:2002], tables01.ell, 2)
+
+    def test_forward_pass_needs_only_the_chain_budget(self, monkeypatch, tables01):
+        # The limit lies between the longest chain's 600 * 2 * 4 DP values and
+        # the 2000 * 2 * 5 a whole-sequence matrix store would take.
+        rng = np.random.default_rng(9)
+        z = SymbolSequence(rng.integers(0, 2, size=2004), 2)
+        monkeypatch.setattr(switching, "MAX_ARENA_ENTRIES", 5000)
+        state = forward_pass(z, 2, 1, tables01)
+        schedule = backward_pass(state)
+        want = fused_reference(state.partition, state.loss_rows, 1)
+        assert np.array_equal(schedule.assignment, want[0])
+        assert schedule.per_context_switches == want[1]
+        assert state.forward_min == want[2]
 
     def test_over_budget_chain_refused(self, monkeypatch, bsc01, hamming2):
         z = SymbolSequence(np.zeros(1000, dtype=np.int64), 2)

@@ -240,8 +240,8 @@ class TestSdudeDenoise:
             sdude_denoise(SymbolSequence([0, 1, 0, 1], 2), 0, 5, bsc01, hamming2)
 
     def test_matches_staged_two_pass_bitwise(self, bsc01, hamming2, tables01):
-        # The fused per-context route and the stored-matrix route must agree
-        # exactly: same schedule, same minimum.
+        # sdude_denoise and the public two-pass wrappers it runs through must
+        # agree exactly: same schedule, same minimum.
         rng = np.random.default_rng(12)
         for trial in range(10):
             n = int(rng.integers(20, 300))
