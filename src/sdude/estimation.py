@@ -84,7 +84,9 @@ def bayes_response(zeta, loss_cols) -> int:
     """Index of the action minimizing zeta . column; ties go to the smallest index.
 
     zeta need not be a probability vector, and the argmin is invariant under
-    positive scaling of zeta.
+    positive scaling of zeta in exact arithmetic.  In floating point a
+    subnormal entry can underflow to zero once scaled, which can change the
+    argmin: ``[0, 5e-324]`` gives 1, but the same vector scaled by 0.5 gives 0.
     """
     zeta = np.asarray(zeta, dtype=np.float64)
     loss_cols = np.asarray(loss_cols, dtype=np.float64)

@@ -107,6 +107,28 @@ class EvalReport:
         return matches[0]
 
 
+def _ratio(ber: float, delta: float) -> float:
+    """Bit error rate as a ratio to the channel parameter, 0 for a noiseless channel."""
+    return round(ber / delta, 4) if delta > 0 else 0.0
+
+
+def _scored(name, x, out, loss, delta, k, m, seed, **extra) -> DenoiserResult:
+    """One denoiser's row; with k 0 or None the interior is the whole sequence."""
+    full = cumulative_loss(x, out, loss)
+    interior = full if not k else cumulative_loss(x, out, loss, k + 1, len(x) - k)
+    return DenoiserResult(
+        name=name,
+        k=k,
+        m=m,
+        seed=seed,
+        full_loss=full,
+        interior_loss=interior,
+        ber=full,
+        ratio_to_delta=_ratio(full, delta),
+        **extra,
+    )
+
+
 def two_block_sequence(n: int) -> SymbolSequence:
     """The piecewise-constant sequence: n//2 zeros followed by ones."""
     x = np.zeros(n, dtype=np.int64)
@@ -127,7 +149,6 @@ def run_two_block_experiment(
     x = two_block_sequence(n)
     seeds = tuple(int(s) for s in seeds)
     results = []
-    bers = {"dude": [], "sdude": []}
     headline = []
     for seed in seeds:
         z = corrupt(x, channel, seed)
@@ -147,25 +168,14 @@ def run_two_block_experiment(
         )[0]
         headline.append({"seed": seed, "zero_order_genie": d_0m})
         for name, out, est in (("dude", dude_out, None), ("sdude", sdude_out, estimated)):
-            full = cumulative_loss(x, out, loss)
-            interior = cumulative_loss(x, out, loss, k + 1, n - k)
-            bers[name].append(full)
             results.append(
-                DenoiserResult(
-                    name=name,
-                    k=k,
-                    m=0 if name == "dude" else m,
-                    seed=seed,
-                    full_loss=full,
-                    interior_loss=interior,
-                    estimated_loss=est,
-                    genie_loss=targets[name],
-                    ber=full,
-                    ratio_to_delta=round(full / delta, 4) if delta > 0 else 0.0,
+                _scored(
+                    name, x, out, loss, delta, k, 0 if name == "dude" else m, seed,
+                    estimated_loss=est, genie_loss=targets[name],
                 )
             )
     for name in ("dude", "sdude"):
-        mean_ber = math.fsum(bers[name]) / len(seeds)
+        mean_ber = math.fsum(r.ber for r in results if r.name == name) / len(seeds)
         results.append(
             DenoiserResult(
                 name=name,
@@ -173,7 +183,7 @@ def run_two_block_experiment(
                 m=0 if name == "dude" else m,
                 seed=None,
                 ber=mean_ber,
-                ratio_to_delta=round(mean_ber / delta, 4) if delta > 0 else 0.0,
+                ratio_to_delta=_ratio(mean_ber, delta),
             )
         )
     return EvalReport(
@@ -214,48 +224,33 @@ def run_switching_hmm_experiment(
         block_labels=(0, 1),
         continuing=True,
     )
-    ss = np.random.SeedSequence(int(seed))
+    seed = int(seed)
+    ss = np.random.SeedSequence(seed)
     source_seed, channel_seed = ss.spawn(2)
     x = sample_piecewise(spec, n, source_seed)
     channel = bsc_channel(delta)
     loss = hamming_loss(2)
     tables = build_tables(channel, loss)
     z = corrupt(x, channel, channel_seed)
-    results = []
-
-    def add(name, out, k=None, m=None, estimated=None):
-        ber = cumulative_loss(x, out, loss)
-        interior = ber if k in (None, 0) else cumulative_loss(x, out, loss, k + 1, n - k)
-        results.append(
-            DenoiserResult(
-                name=name,
-                k=k,
-                m=m,
-                seed=int(seed),
-                full_loss=ber,
-                interior_loss=interior,
-                estimated_loss=estimated,
-                ber=ber,
-                ratio_to_delta=round(ber / delta, 4) if delta > 0 else 0.0,
-            )
-        )
-
     segments = [(1, int(switch_at), trans1), (int(switch_at) + 1, n, trans2)]
     posteriors = fb_posteriors(z, segments, channel)
-    add("fb-genie", map_denoise(posteriors, loss))
-    for k in k_list:
-        add("dude", dude_denoise(z, int(k), channel, loss, tables=tables), k=int(k), m=0)
-        for m in m_list:
-            if int(m) == 0:
+    results = [_scored("fb-genie", x, map_denoise(posteriors, loss), loss, delta, None, None, seed)]
+    for k in map(int, k_list):
+        out = dude_denoise(z, k, channel, loss, tables=tables)
+        results.append(_scored("dude", x, out, loss, delta, k, 0, seed))
+        for m in map(int, m_list):
+            if m == 0:
                 continue
-            out, _, estimated = sdude_denoise(z, int(k), int(m), channel, loss, tables=tables)
-            add("sdude", out, k=int(k), m=int(m), estimated=estimated)
+            out, _, estimated = sdude_denoise(z, k, m, channel, loss, tables=tables)
+            results.append(
+                _scored("sdude", x, out, loss, delta, k, m, seed, estimated_loss=estimated)
+            )
     return EvalReport(
         experiment="switching-hmm",
         n=int(n),
         channel=f"bsc:{delta}",
         loss="hamming",
-        seeds=(int(seed),),
+        seeds=(seed,),
         delta=float(delta),
         results=tuple(results),
         sweep=(

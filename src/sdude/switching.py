@@ -18,12 +18,14 @@ ends to its longest member) and lays each batch out rules-major as
 chain axis per level; the backward walk takes one step per level for the
 whole batch.  Padding never enters a scan of a real occurrence and the
 cumulative sums keep each chain's summation order, so every value equals the
-chain-at-a-time recursion bit for bit.  The plain sliding-window denoiser is
-the kernel's one-level call and the genie runs it on the true loss;
-``forward_pass``/``backward_pass`` are thin wrappers over it, and
-``sdude_denoise`` runs through them.  Time is
-O(m * n); memory is one batch of DP values, at most about ``_BATCH_FLOATS``
-floats unless a single chain is longer.
+chain-at-a-time recursion bit for bit.  ``forward_pass`` runs the kernel
+once and returns a ``DPState`` holding the solved ``SwitchingSchedule``;
+``backward_pass`` checks its inputs against that state and hands the
+schedule out.  ``sdude_denoise`` runs through both and fills in the boundary;
+the plain sliding-window denoiser is its m = 0 call, and the genie runs the
+kernel on the true loss.  Time is O(m * n); memory is one batch of DP
+values, at most about ``_BATCH_FLOATS`` floats unless a single chain is
+longer.
 """
 
 from __future__ import annotations
@@ -81,25 +83,20 @@ class SwitchingSchedule:
 class DPState:
     """Forward-pass output: the solved DP of every context chain.
 
-    ``forward_min`` is the unnormalized minimum cumulative estimated loss over
-    the schedule class; ``assignment`` and ``per_context_switches`` are the
-    optimal schedule that ``backward_pass`` hands out.  No per-position
-    matrix is stored: ``matrix_at(t)`` recomputes the one chain that holds t.
+    ``schedule`` is the optimal schedule that ``backward_pass`` hands out and
+    ``forward_min`` the unnormalized minimum cumulative estimated loss it
+    attains.  No per-position matrix is stored: ``matrix_at(t)`` recomputes
+    the one chain that holds t.
     """
 
-    n: int
-    k: int
-    m: int
-    partition: ContextPartition
+    schedule: SwitchingSchedule
     codes: np.ndarray
     ell: np.ndarray
     forward_min: float
-    assignment: np.ndarray
-    per_context_switches: dict[int, int]
 
     @property
-    def num_rules(self) -> int:
-        return self.ell.shape[1]
+    def partition(self) -> ContextPartition:
+        return self.schedule.partition
 
     @property
     def loss_rows(self) -> np.ndarray:
@@ -119,8 +116,8 @@ class DPState:
         Recomputed from the occurrences of t's context up to and including t.
         """
         chain = self.partition.occurrences(self.partition.context_of(t))
-        idx = chain[: np.searchsorted(chain, t) + 1] - self.k - 1
-        M, _ = _forward_batch(self.ell.T[:, self.codes[idx]][:, None], self.m + 1)
+        idx = chain[: np.searchsorted(chain, t) + 1] - self.schedule.k - 1
+        M, _ = _forward_batch(self.ell.T[:, self.codes[idx]][:, None], self.schedule.m + 1)
         values = M[:, :, 0, -1]
         return np.column_stack((values, values.argmin(axis=1)))
 
@@ -261,13 +258,6 @@ def _solve_chains(
     return assignment, per_context, math.fsum(mins)
 
 
-def _interior_codes(z: SymbolSequence, k: int, tables: EstimatedLossTable) -> np.ndarray:
-    """Interior noisy symbols: the rows of ``tables.ell`` that score each position."""
-    if z.alphabet_size != tables.channel.noisy_size:
-        raise ValidationError("sequence alphabet does not match the channel's noisy alphabet")
-    return z.symbols[k : len(z) - k]
-
-
 def forward_pass(z: SymbolSequence, k: int, m: int, tables: EstimatedLossTable) -> DPState:
     """First pass: solve the DP of every context chain for the estimated loss."""
     partition = build_partition(z, k)
@@ -275,19 +265,20 @@ def forward_pass(z: SymbolSequence, k: int, m: int, tables: EstimatedLossTable) 
         raise RangeError(
             f"shift budget m must satisfy 0 <= m <= {partition.num_interior // 2}, got {m!r}"
         )
-    codes = _interior_codes(z, k, tables)
+    if z.alphabet_size != tables.channel.noisy_size:
+        raise ValidationError("sequence alphabet does not match the channel's noisy alphabet")
+    # The interior noisy symbols are the rows of ``tables.ell`` that score each position.
+    codes = z.symbols[k : len(z) - k]
     assignment, per_context, forward_min = _solve_chains(partition, codes, tables.ell, m + 1)
-    return DPState(
+    schedule = SwitchingSchedule(
         n=len(z),
         k=int(k),
         m=int(m),
-        partition=partition,
-        codes=codes,
-        ell=tables.ell,
-        forward_min=forward_min,
         assignment=assignment,
         per_context_switches=per_context,
+        partition=partition,
     )
+    return DPState(schedule=schedule, codes=codes, ell=tables.ell, forward_min=forward_min)
 
 
 def backward_pass(
@@ -302,22 +293,16 @@ def backward_pass(
     The state is self-contained; the optional arguments are consistency
     checks against the inputs the forward pass was run with.
     """
-    if z is not None and len(z) != state.n:
+    schedule = state.schedule
+    if z is not None and len(z) != schedule.n:
         raise ValidationError("sequence length does not match the forward pass")
-    if k is not None and k != state.k:
+    if k is not None and k != schedule.k:
         raise ValidationError("k does not match the forward pass")
-    if m is not None and m != state.m:
+    if m is not None and m != schedule.m:
         raise ValidationError("m does not match the forward pass")
-    if tables is not None and tables.ell.shape[1] != state.num_rules:
+    if tables is not None and tables.ell.shape[1] != state.ell.shape[1]:
         raise ValidationError("tables do not match the forward pass")
-    return SwitchingSchedule(
-        n=state.n,
-        k=state.k,
-        m=state.m,
-        assignment=state.assignment,
-        per_context_switches=state.per_context_switches,
-        partition=state.partition,
-    )
+    return schedule
 
 
 def _table_sum(table: np.ndarray, codes: np.ndarray, assignment: np.ndarray) -> float:
@@ -336,30 +321,6 @@ def _table_sum(table: np.ndarray, codes: np.ndarray, assignment: np.ndarray) -> 
     return sum(num * (unit // den) * c for (num, den), c in zip(ratios, counts)) / unit
 
 
-def _fill_boundary(
-    out: np.ndarray, z: np.ndarray, k: int, noisy: int, recon: int, boundary: int | None
-) -> None:
-    """Boundary positions copy the noisy symbol when index-compatible, else 0.
-
-    An explicit boundary symbol overrides the default.
-    """
-    if k == 0:
-        return
-    n = out.shape[0]
-    if boundary is None:
-        if recon >= noisy:
-            out[:k] = z[:k]
-            out[n - k :] = z[n - k :]
-        else:
-            out[:k] = 0
-            out[n - k :] = 0
-    else:
-        if not 0 <= boundary < recon:
-            raise RangeError(f"boundary symbol {boundary} outside the reconstruction alphabet")
-        out[:k] = boundary
-        out[n - k :] = boundary
-
-
 def sdude_denoise(
     z: SymbolSequence,
     k: int,
@@ -373,16 +334,26 @@ def sdude_denoise(
 
     Returns the reconstruction, the schedule, and the normalized minimum
     cumulative estimated loss it attains (which may be negative).  With
-    m = 0 the output coincides with the non-shifting sliding-window denoiser.
+    m = 0 this is the non-shifting sliding-window denoiser.
+
+    Boundary positions (t <= k and t > n-k) copy the noisy symbol when the
+    reconstruction alphabet is at least as large as the noisy one, else emit
+    symbol 0; an explicit ``boundary`` symbol overrides that when k > 0.
     """
     if tables is None:
         tables = build_tables(channel, loss)
     state = forward_pass(z, k, m, tables)
     schedule = backward_pass(state)
     codes, assignment = state.codes, schedule.assignment
-    n = len(z)
-    out = np.empty(n, dtype=np.int64)
+    n, recon = len(z), tables.loss.recon_size
+    if k > 0 and boundary is not None:
+        if not 0 <= boundary < recon:
+            raise RangeError(f"boundary symbol {boundary} outside the reconstruction alphabet")
+        out = np.full(n, boundary, dtype=np.int64)
+    elif recon >= tables.channel.noisy_size:
+        out = z.symbols.copy()
+    else:
+        out = np.zeros(n, dtype=np.int64)
     out[k : n - k] = tables.mappings[assignment, codes]
-    _fill_boundary(out, z.symbols, k, tables.channel.noisy_size, tables.loss.recon_size, boundary)
     estimated = _table_sum(tables.ell, codes, assignment) / codes.size
-    return SymbolSequence(out, tables.loss.recon_size), schedule, estimated
+    return SymbolSequence(out, recon), schedule, estimated

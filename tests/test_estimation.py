@@ -81,7 +81,9 @@ class TestBayesResponse:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.lists(st.floats(-100, 100), min_size=2, max_size=2),
+        # Subnormal entries can underflow to zero once scaled, which changes
+        # the argmin (bayes_response([0, 5e-324]) is 1, at scale 0.5 it is 0).
+        st.lists(st.floats(-100, 100, allow_subnormal=False), min_size=2, max_size=2),
         st.floats(0.001, 1000.0),
     )
     def test_scale_invariance(self, zeta, scale):

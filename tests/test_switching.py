@@ -84,6 +84,12 @@ class TestBackwardPass:
         with pytest.raises(RangeError):
             schedule.denoiser_at(7)
 
+    def test_hands_out_the_schedule_the_forward_pass_solved(self, tables01):
+        z = SymbolSequence([0, 1, 0, 1, 0, 1], 2)
+        state = forward_pass(z, 0, 1, tables01)
+        assert backward_pass(state, z, 0, 1, tables01) is state.schedule
+        assert state.partition is state.schedule.partition
+
     def test_matrix_accessor_bounds(self, tables01):
         z = SymbolSequence([0, 1, 0, 1, 0], 2)
         state = forward_pass(z, 1, 1, tables01)
