@@ -2,9 +2,9 @@
 
 The package provides the count-based sliding-window denoiser, its shifting
 generalization driven by a two-pass dynamic program over switching rule
-schedules, hindsight (genie) targets with exhaustive oracles, stochastic
-source and channel simulators, an exact smoothing baseline for switching
-hidden Markov processes, and reproducible experiment harnesses.
+schedules, hindsight (genie) targets solved by the same dynamic program,
+stochastic source and channel simulators, an exact smoothing baseline for
+switching hidden Markov processes, and reproducible experiment harnesses.
 """
 
 from .contexts import ContextPartition, build_partition, count_vector
@@ -12,16 +12,11 @@ from .core import (
     Alphabets,
     ChannelModel,
     LossMatrix,
-    SingleSymbolDenoiser,
     SymbolSequence,
     all_denoiser_mappings,
-    apply_denoiser,
-    as_sequence,
     bsc_channel,
     build_channel,
     build_loss,
-    denoiser_from_index,
-    denoiser_index,
     hamming_loss,
     identity_channel,
 )
@@ -51,7 +46,7 @@ from .evaluation import (
     run_two_block_experiment,
     two_block_sequence,
 )
-from .genie import brute_force_min, genie_min_loss
+from .genie import genie_min_loss
 from .hmm import fb_posteriors, map_denoise
 from .sources import (
     IIDComponent,
@@ -64,7 +59,6 @@ from .sources import (
 from .switching import (
     DPState,
     SwitchingSchedule,
-    backward_pass,
     forward_pass,
     sdude_denoise,
 )
@@ -87,20 +81,15 @@ __all__ = [
     "RangeError",
     "RankError",
     "SequenceTooShort",
-    "SingleSymbolDenoiser",
     "SwitchingSchedule",
     "SymbolSequence",
     "TooLarge",
     "ValidationError",
     "all_denoiser_mappings",
-    "apply_denoiser",
-    "as_sequence",
     "b_h_mapping",
     "b_h_rule",
-    "backward_pass",
     "bayes_envelope",
     "bayes_response",
-    "brute_force_min",
     "bsc_channel",
     "build_channel",
     "build_loss",
@@ -110,8 +99,6 @@ __all__ = [
     "corrupt",
     "count_vector",
     "cumulative_loss",
-    "denoiser_from_index",
-    "denoiser_index",
     "dude_denoise",
     "fb_posteriors",
     "forward_pass",

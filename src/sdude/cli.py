@@ -54,12 +54,18 @@ def _cmd_denoise(args) -> int:
     else:
         out, schedule, estimated = sdude_denoise(seq, args.k, args.m, channel, loss)
         if args.emit_schedule:
-            payload = fileio.schedule_to_json(schedule, schedule.partition)
+            payload = fileio.schedule_to_json(schedule)
             payload["estimated_loss"] = estimated
             fileio.atomic_write_text(
                 args.emit_schedule, json.dumps(payload, indent=2, sort_keys=True) + "\n"
             )
-    _write_output(args.output, args.format, out, shape)
+    try:
+        _write_output(args.output, args.format, out, shape)
+    except BaseException:
+        # No partial output: the schedule goes when the output cannot be written.
+        if args.emit_schedule:
+            os.remove(args.emit_schedule)
+        raise
     return 0
 
 

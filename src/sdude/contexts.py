@@ -85,12 +85,6 @@ class ContextPartition:
         digits.reverse()
         return tuple(digits[: self.k]), tuple(digits[self.k :])
 
-    def _groups(self):
-        """Yield (context_id, 0-based interior indices in chronological order)."""
-        for i, cid in enumerate(self._unique_ids):
-            s = self._starts[i]
-            yield int(cid), self._order[s : s + self._counts[i]]
-
 
 def build_partition(z: SymbolSequence, k: int) -> ContextPartition:
     """Group the interior positions of z by their two-sided order-k context."""

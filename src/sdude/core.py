@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeError, RankError, ValidationError
+from .errors import RankError, ValidationError
 
 # Tolerance for the stochastic and right-inverse identities.
 ATOL = 1e-9
@@ -72,15 +72,6 @@ class SymbolSequence:
 
     def __len__(self) -> int:
         return int(self.symbols.shape[0])
-
-
-def as_sequence(values, alphabet_size: int) -> SymbolSequence:
-    """Coerce an array-like of integers into a SymbolSequence."""
-    if isinstance(values, SymbolSequence):
-        if values.alphabet_size == alphabet_size:
-            return values
-        return SymbolSequence(values.symbols, alphabet_size)
-    return SymbolSequence(np.asarray(values), alphabet_size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,44 +159,6 @@ def build_loss(lam) -> LossMatrix:
         raise ValidationError("loss entries must be finite and nonnegative")
     lam.flags.writeable = False
     return LossMatrix(lam=lam)
-
-
-@dataclass(frozen=True)
-class SingleSymbolDenoiser:
-    """One rule z -> xhat, identified by its digit-encoded index."""
-
-    index: int
-    mapping: tuple[int, ...]
-
-    def __call__(self, z: int) -> int:
-        return apply_denoiser(self, z)
-
-
-def denoiser_from_index(index: int, alphabets: Alphabets) -> SingleSymbolDenoiser:
-    """Decode a rule from its index: mapping[z] = (index // recon**z) % recon."""
-    n_total = alphabets.num_denoisers
-    if not 0 <= index < n_total:
-        raise RangeError(f"denoiser index {index} out of range 0..{n_total - 1}")
-    recon = alphabets.recon_size
-    mapping = tuple((index // recon**z) % recon for z in range(alphabets.noisy_size))
-    return SingleSymbolDenoiser(index=int(index), mapping=mapping)
-
-
-def denoiser_index(mapping, alphabets: Alphabets) -> int:
-    """Inverse of :func:`denoiser_from_index`."""
-    mapping = tuple(int(v) for v in mapping)
-    if len(mapping) != alphabets.noisy_size:
-        raise ValidationError("mapping length must equal the noisy alphabet size")
-    recon = alphabets.recon_size
-    if any(not 0 <= v < recon for v in mapping):
-        raise RangeError("mapping values must lie in the reconstruction alphabet")
-    return sum(v * recon**z for z, v in enumerate(mapping))
-
-
-def apply_denoiser(s: SingleSymbolDenoiser, z: int) -> int:
-    if not 0 <= z < len(s.mapping):
-        raise RangeError(f"noisy symbol {z} out of range 0..{len(s.mapping) - 1}")
-    return s.mapping[z]
 
 
 def all_denoiser_mappings(alphabets: Alphabets) -> np.ndarray:

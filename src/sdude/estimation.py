@@ -41,14 +41,6 @@ class EstimatedLossTable:
     def num_rules(self) -> int:
         return self.ell.shape[1]
 
-    @property
-    def alphabets(self) -> Alphabets:
-        return Alphabets(
-            clean_size=self.channel.clean_size,
-            noisy_size=self.channel.noisy_size,
-            recon_size=self.loss.recon_size,
-        )
-
 
 def build_tables(channel: ChannelModel, loss: LossMatrix) -> EstimatedLossTable:
     """Tabulate rho and ell for every single-symbol rule."""

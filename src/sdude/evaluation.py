@@ -148,6 +148,8 @@ def run_two_block_experiment(
     tables = build_tables(channel, loss)
     x = two_block_sequence(n)
     seeds = tuple(int(s) for s in seeds)
+    if not seeds:
+        raise ValidationError("the two-block experiment needs at least one seed")
     results = []
     headline = []
     for seed in seeds:
@@ -279,6 +281,8 @@ def concentration_sweep(
     sweep rows report the mean and max of the interior true-loss gap.
     ``x_provider`` is "two-block" or a callable n -> SymbolSequence.
     """
+    if trials < 1:
+        raise ValidationError(f"need at least one trial per n, got {trials}")
     if loss is None:
         loss = hamming_loss(channel.clean_size)
     if x_provider == "two-block":

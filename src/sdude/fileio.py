@@ -1,4 +1,4 @@
-"""On-disk formats: matrices, symbol sequences, PBM bitmaps, JSON specs.
+"""On-disk formats: matrices, symbol sequences, PBM bitmaps, schedule dumps.
 
 Matrix files are plain text: a first line "rows cols" followed by row-major
 whitespace-separated decimals.  Sequences are stored either raw (one symbol
@@ -9,14 +9,12 @@ covers both the ASCII (P1) and packed (P4) variants with 0 = white and
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import tempfile
 
 import numpy as np
 
-from .contexts import ContextPartition
 from .core import (
     ChannelModel,
     LossMatrix,
@@ -28,7 +26,6 @@ from .core import (
     identity_channel,
 )
 from .errors import ValidationError
-from .sources import IIDComponent, MarkovComponent, PiecewiseSourceSpec
 from .switching import SwitchingSchedule
 
 
@@ -117,7 +114,7 @@ def loss_from_spec(spec: str, clean_size: int | None = None, recon_size: int | N
 def read_raw_sequence(path, alphabet_size: int) -> SymbolSequence:
     with open(path, "rb") as handle:
         data = np.frombuffer(handle.read(), dtype=np.uint8)
-    return SymbolSequence(data.astype(np.int64), alphabet_size)
+    return SymbolSequence(data, alphabet_size)
 
 
 def write_raw_sequence(path, seq: SymbolSequence) -> None:
@@ -177,9 +174,9 @@ def read_pbm(path) -> np.ndarray:
         digits = b"".join(re.sub(rb"#[^\r\n]*", b"", data[offset:]).split())
         if digits.translate(None, b"01"):
             raise ValidationError(f"PBM {path} has raster bytes other than 0, 1 and whitespace")
-        if len(digits) < width * height:
-            raise ValidationError(f"PBM {path} has too few pixels")
-        bits = np.frombuffer(digits[: width * height], dtype=np.uint8) - 48
+        if len(digits) != width * height:
+            raise ValidationError(f"PBM {path} holds {len(digits)} pixels, not {width}x{height}")
+        bits = np.frombuffer(digits, dtype=np.uint8) - 48
         return bits.astype(np.int64).reshape(height, width)
     if magic == b"P4":
         row_bytes = (width + 7) // 8
@@ -208,55 +205,9 @@ def write_pbm(path, image: np.ndarray, packed: bool = True) -> None:
         atomic_write_bytes(path, header + ("\n".join(lines) + "\n").encode())
 
 
-def save_source_spec(path, spec: PiecewiseSourceSpec) -> None:
-    components = []
-    for comp in spec.components:
-        if isinstance(comp, IIDComponent):
-            components.append({"type": "iid", "probs": comp.probs.tolist()})
-        elif isinstance(comp, MarkovComponent):
-            components.append({"type": "markov", "transition": comp.transition.tolist()})
-        else:
-            raise ValidationError(f"unknown component type {type(comp).__name__}")
-    payload = {
-        "components": components,
-        "switch_times": list(spec.switch_times),
-        "block_labels": list(spec.block_labels),
-        "continuing": spec.continuing,
-    }
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-# Source-spec component type -> (component class, field holding its parameters).
-_COMPONENT_FIELDS = {"iid": (IIDComponent, "probs"), "markov": (MarkovComponent, "transition")}
-
-
-def load_source_spec(path) -> PiecewiseSourceSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except ValueError as exc:
-            raise ValidationError(f"source spec {path} is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ValidationError(f"source spec {path} must be a JSON object")
-    components = []
-    for entry in payload.get("components", []):
-        kind = entry.get("type") if isinstance(entry, dict) else None
-        if kind not in _COMPONENT_FIELDS:
-            raise ValidationError(f"unknown component type {kind!r} in {path}")
-        component, key = _COMPONENT_FIELDS[kind]
-        if key not in entry:
-            raise ValidationError(f"{kind} component in {path} is missing {key!r}")
-        components.append(component(np.asarray(entry[key])))
-    return PiecewiseSourceSpec(
-        components=tuple(components),
-        switch_times=tuple(payload.get("switch_times", ())),
-        block_labels=tuple(payload.get("block_labels", (0,))),
-        continuing=bool(payload.get("continuing", False)),
-    )
-
-
-def schedule_to_json(schedule: SwitchingSchedule, partition: ContextPartition) -> dict:
+def schedule_to_json(schedule: SwitchingSchedule) -> dict:
     """Schedule as per-context runs: each run starts at a 1-based position."""
+    partition = schedule.partition
     # Interior indices grouped by context, chronological within each context.
     order = partition._order
     assigned = schedule.assignment[order]

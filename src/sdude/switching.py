@@ -11,21 +11,20 @@ following the chain's forward matrices to recover an optimal schedule,
 preferring fewer shifts on exact ties.
 
 Chains for distinct contexts are independent, so one kernel, ``_solve_chains``,
-runs both passes for many chains at once.  It groups the chains into batches
-of similar length (power-of-two buckets, each batch padded after the chains'
-ends to its longest member) and lays each batch out rules-major as
-(rules, chains, L).  The forward pass is a few whole-batch scans along the
-chain axis per level; the backward walk takes one step per level for the
-whole batch.  Padding never enters a scan of a real occurrence and the
-cumulative sums keep each chain's summation order, so every value equals the
-chain-at-a-time recursion bit for bit.  ``forward_pass`` runs the kernel
-once and returns a ``DPState`` holding the solved ``SwitchingSchedule``;
-``backward_pass`` checks its inputs against that state and hands the
-schedule out.  ``sdude_denoise`` runs through both and fills in the boundary;
-the plain sliding-window denoiser is its m = 0 call, and the genie runs the
-kernel on the true loss.  Time is O(m * n); memory is one batch of DP
-values, at most about ``_BATCH_FLOATS`` floats unless a single chain is
-longer.
+runs both passes for many chains at once and returns the finished
+``SwitchingSchedule``.  It groups the chains into batches of similar length
+(power-of-two buckets, each batch padded after the chains' ends to its
+longest member) and lays each batch out rules-major as (rules, chains, L).
+The forward pass is a few whole-batch scans along the chain axis per level;
+the backward walk takes one step per level for the whole batch.  Padding
+never enters a scan of a real occurrence and the cumulative sums keep each
+chain's summation order, so every value equals the chain-at-a-time recursion
+bit for bit.  ``forward_pass`` runs the kernel once and returns a ``DPState``
+holding the schedule; ``sdude_denoise`` maps it to the output and fills in
+the boundary.  The plain sliding-window denoiser is its m = 0 call, and the
+genie runs the kernel on the true loss.  Time is O(m * n); memory is one
+batch of DP values, at most about ``_BATCH_FLOATS`` floats unless a single
+chain is longer.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .estimation import EstimatedLossTable, build_tables
 
 # Hard cap on the DP values of the longest context chain (float64 entries,
 # ~2 GB): its level x rule x occurrence values are held at once.
-MAX_ARENA_ENTRIES = 250_000_000
+MAX_CHAIN_ENTRIES = 250_000_000
 # DP entries (level x rule x chain x padded occurrence) one batch of chains
 # holds (~2 MB): large enough that short chains share one set of numpy calls;
 # larger batches ran no faster and raised the peak resident set.
@@ -63,7 +62,7 @@ class SwitchingSchedule:
     assignment: np.ndarray
     per_context_switches: dict[int, int] = field(repr=False)
     # The partition the schedule was solved on, kept so callers need not rebuild it.
-    partition: ContextPartition | None = field(default=None, repr=False, compare=False)
+    partition: ContextPartition = field(repr=False, compare=False)
 
     def __post_init__(self):
         self.assignment.flags.writeable = False
@@ -83,10 +82,10 @@ class SwitchingSchedule:
 class DPState:
     """Forward-pass output: the solved DP of every context chain.
 
-    ``schedule`` is the optimal schedule that ``backward_pass`` hands out and
-    ``forward_min`` the unnormalized minimum cumulative estimated loss it
-    attains.  No per-position matrix is stored: ``matrix_at(t)`` recomputes
-    the one chain that holds t.
+    ``schedule`` is the optimal schedule and ``forward_min`` the
+    unnormalized minimum cumulative estimated loss it attains.  No
+    per-position matrix is stored: ``matrix_at(t)`` recomputes the one chain
+    that holds t.
     """
 
     schedule: SwitchingSchedule
@@ -97,18 +96,6 @@ class DPState:
     @property
     def partition(self) -> ContextPartition:
         return self.schedule.partition
-
-    @property
-    def loss_rows(self) -> np.ndarray:
-        """Estimated loss of every rule at every interior position."""
-        return self.ell[self.codes]
-
-    @property
-    def last_occurrence(self) -> dict[int, int]:
-        """Each occurring context id's final 1-based interior position."""
-        p = self.partition
-        ends = p._order[p._starts + p._counts - 1] + p.k + 1
-        return dict(zip(p._unique_ids.tolist(), ends.tolist()))
 
     def matrix_at(self, t: int) -> np.ndarray:
         """M_t (rows: allowed shifts + 1; last column: row argmin as a float).
@@ -133,7 +120,7 @@ def _batches(partition: ContextPartition, levels: int, num_rules: int):
     single chain needs more.
     """
     counts = partition._counts
-    if levels * num_rules * int(counts.max()) > MAX_ARENA_ENTRIES:
+    if levels * num_rules * int(counts.max()) > MAX_CHAIN_ENTRIES:
         raise TooLarge("DP state of the longest context chain exceeds the memory budget")
     by_length = np.argsort(counts, kind="stable")
     sorted_counts = counts[by_length]
@@ -233,14 +220,15 @@ def _backward_batch(
 
 
 def _solve_chains(
-    partition: ContextPartition, codes: np.ndarray, table: np.ndarray, levels: int
-) -> tuple[np.ndarray, dict[int, int], float]:
+    partition: ContextPartition, codes: np.ndarray, table: np.ndarray, m: int, levels: int
+) -> tuple[SwitchingSchedule, float]:
     """Both passes for every context chain of the partition.
 
     The loss row at 0-based interior index t is ``table[codes[t]]`` (one
-    entry per rule); level i of the DP allows at most i shifts.  Returns the
-    per-position rule assignment, the shifts used per context (ascending
-    context id) and the unnormalized minimum cumulative loss.
+    entry per rule); level i of the DP allows at most i shifts, and the
+    ``levels`` solved are enough for the shift budget ``m`` the schedule
+    records.  Returns the schedule (shifts per context in ascending context
+    id) and the unnormalized minimum cumulative loss it attains.
     """
     rules_major = np.ascontiguousarray(table.T)
     assignment = np.empty(partition.num_interior, dtype=np.int64)
@@ -254,12 +242,19 @@ def _solve_chains(
         # A padded slot repeats its chain's last position and carries the rule
         # of the last run, so writing it again stores the same value.
         assignment[pos] = assign
-    per_context = dict(zip(partition._unique_ids.tolist(), switches.tolist()))
-    return assignment, per_context, math.fsum(mins)
+    schedule = SwitchingSchedule(
+        n=partition.n,
+        k=partition.k,
+        m=int(m),
+        assignment=assignment,
+        per_context_switches=dict(zip(partition._unique_ids.tolist(), switches.tolist())),
+        partition=partition,
+    )
+    return schedule, math.fsum(mins)
 
 
 def forward_pass(z: SymbolSequence, k: int, m: int, tables: EstimatedLossTable) -> DPState:
-    """First pass: solve the DP of every context chain for the estimated loss."""
+    """Solve every context chain's DP for the estimated loss, schedule included."""
     partition = build_partition(z, k)
     if not isinstance(m, (int, np.integer)) or not 0 <= m <= partition.num_interior // 2:
         raise RangeError(
@@ -269,40 +264,8 @@ def forward_pass(z: SymbolSequence, k: int, m: int, tables: EstimatedLossTable) 
         raise ValidationError("sequence alphabet does not match the channel's noisy alphabet")
     # The interior noisy symbols are the rows of ``tables.ell`` that score each position.
     codes = z.symbols[k : len(z) - k]
-    assignment, per_context, forward_min = _solve_chains(partition, codes, tables.ell, m + 1)
-    schedule = SwitchingSchedule(
-        n=len(z),
-        k=int(k),
-        m=int(m),
-        assignment=assignment,
-        per_context_switches=per_context,
-        partition=partition,
-    )
+    schedule, forward_min = _solve_chains(partition, codes, tables.ell, m, m + 1)
     return DPState(schedule=schedule, codes=codes, ell=tables.ell, forward_min=forward_min)
-
-
-def backward_pass(
-    state: DPState,
-    z: SymbolSequence | None = None,
-    k: int | None = None,
-    m: int | None = None,
-    tables: EstimatedLossTable | None = None,
-) -> SwitchingSchedule:
-    """Second pass: the optimal schedule the forward pass solved for.
-
-    The state is self-contained; the optional arguments are consistency
-    checks against the inputs the forward pass was run with.
-    """
-    schedule = state.schedule
-    if z is not None and len(z) != schedule.n:
-        raise ValidationError("sequence length does not match the forward pass")
-    if k is not None and k != schedule.k:
-        raise ValidationError("k does not match the forward pass")
-    if m is not None and m != schedule.m:
-        raise ValidationError("m does not match the forward pass")
-    if tables is not None and tables.ell.shape[1] != state.ell.shape[1]:
-        raise ValidationError("tables do not match the forward pass")
-    return schedule
 
 
 def _table_sum(table: np.ndarray, codes: np.ndarray, assignment: np.ndarray) -> float:
@@ -343,7 +306,7 @@ def sdude_denoise(
     if tables is None:
         tables = build_tables(channel, loss)
     state = forward_pass(z, k, m, tables)
-    schedule = backward_pass(state)
+    schedule = state.schedule
     codes, assignment = state.codes, schedule.assignment
     n, recon = len(z), tables.loss.recon_size
     if k > 0 and boundary is not None:

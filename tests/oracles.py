@@ -8,14 +8,27 @@ that the optimized ones can be required to match them bit for bit:
 ``binary_posteriors_reference`` (the two-state forward-backward loop),
 ``fused_reference`` (the switching DP run one context chain at a time) and
 ``schedule_to_json_reference`` (the per-position schedule dump).
+``brute_force_min`` enumerates the schedule class itself, so it checks the
+estimated-loss dynamic program and the genie alike.
 """
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
-from sdude.errors import ValidationError
+from sdude import build_partition
+from sdude.errors import TooLarge, ValidationError
+from sdude.genie import _true_loss_table
+
+BRUTE_FORCE_BUDGET = 10**6
+
+
+def context_groups(partition):
+    """Yield (context_id, 0-based interior indices in chronological order)."""
+    for i, cid in enumerate(partition._unique_ids):
+        s = partition._starts[i]
+        yield int(cid), partition._order[s : s + partition._counts[i]]
 
 
 def schedule_min_by_product(loss_rows, context_ids, m):
@@ -193,7 +206,7 @@ def fused_reference(partition, loss_rows, m, levels=None):
     assignment = np.empty(n_int, dtype=np.int64)
     per_context = {}
     mins = []
-    for cid, idx in partition._groups():
+    for cid, idx in context_groups(partition):
         M, argm = _forward_chain(loss_rows[idx], levels)
         mins.append(float(M[-1, -1].min()))
         assign, switches = _backward_chain(M, argm)
@@ -205,7 +218,7 @@ def fused_reference(partition, loss_rows, m, levels=None):
 def schedule_to_json_reference(schedule, partition):
     """Schedule as per-context runs, found by a per-position comparison loop."""
     contexts = []
-    for cid, idx in partition._groups():
+    for cid, idx in context_groups(partition):
         assigned = schedule.assignment[idx]
         runs = [{"position": int(idx[0]) + partition.k + 1, "denoiser": int(assigned[0])}]
         for i in range(1, assigned.shape[0]):
@@ -229,3 +242,72 @@ def schedule_to_json_reference(schedule, partition):
         "m": schedule.m,
         "contexts": contexts,
     }
+
+
+def _enumeration_size(length: int, budget: int, num_rules: int) -> int:
+    cap = min(budget, length - 1)
+    return sum(
+        math.comb(length - 1, j) * num_rules * (num_rules - 1) ** j for j in range(cap + 1)
+    )
+
+
+def _min_over_runs(seg_sums: np.ndarray) -> float:
+    """Exhaustive minimum over rule runs with distinct adjacent rules."""
+    num_segments, num_rules = seg_sums.shape
+    best = math.inf
+    stack = [(0, j, float(seg_sums[0, j])) for j in range(num_rules)]
+    while stack:
+        seg, rule, total = stack.pop()
+        if seg == num_segments - 1:
+            if total < best:
+                best = total
+            continue
+        for nxt in range(num_rules):
+            if nxt != rule:
+                stack.append((seg + 1, nxt, total + float(seg_sums[seg + 1, nxt])))
+    return best
+
+
+def brute_force_min(z, k, m, tables, mode="estimated", x=None):
+    """Exact unnormalized minimum over the schedule class by enumeration.
+
+    mode "estimated" scores with the observable estimated loss; mode "true"
+    requires the clean sequence and scores with the actual loss.  Every
+    placement of up to min(n(c), m) shifts within each context chain is
+    enumerated, with runs of identical adjacent rules collapsed; the
+    per-context enumeration is refused above BRUTE_FORCE_BUDGET candidates.
+    """
+    if mode not in ("estimated", "true"):
+        raise ValidationError(f"mode must be 'estimated' or 'true', got {mode!r}")
+    if mode == "true":
+        if x is None:
+            raise ValidationError("mode 'true' requires the clean sequence")
+        if len(x) != len(z):
+            raise ValidationError(f"clean and noisy lengths differ ({len(x)} != {len(z)})")
+    partition = build_partition(z, k)
+    if mode == "estimated":
+        loss_rows = tables.ell[z.symbols[k : len(z) - k]]
+    else:
+        codes, table = _true_loss_table(x, z, k, tables.loss.lam, tables.mappings)
+        loss_rows = table[codes]
+    num_rules = loss_rows.shape[1]
+    totals = []
+    for _, idx in context_groups(partition):
+        w = loss_rows[idx]
+        length = w.shape[0]
+        budget = min(length, int(m))
+        if _enumeration_size(length, budget, num_rules) > BRUTE_FORCE_BUDGET:
+            raise TooLarge("per-context schedule enumeration exceeds the budget")
+        prefix = np.vstack([np.zeros((1, num_rules)), np.cumsum(w, axis=0)])
+        best = float(prefix[length].min())  # zero shifts
+        for j in range(1, min(budget, length - 1) + 1):
+            for cuts in combinations(range(1, length), j):
+                bounds = (0,) + cuts + (length,)
+                seg_sums = np.array(
+                    [prefix[bounds[i + 1]] - prefix[bounds[i]] for i in range(j + 1)]
+                )
+                candidate = _min_over_runs(seg_sums)
+                if candidate < best:
+                    best = candidate
+        totals.append(best)
+    return math.fsum(totals)

@@ -7,10 +7,9 @@ import time
 
 import numpy as np
 
-from oracles import hmm_posteriors_by_enumeration
+from oracles import brute_force_min, hmm_posteriors_by_enumeration
 from sdude import (
     SymbolSequence,
-    brute_force_min,
     bsc_channel,
     build_channel,
     build_loss,

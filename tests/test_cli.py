@@ -180,6 +180,26 @@ class TestCliBehavior:
         assert not out.exists()
         assert "bad.pbm" in capsys.readouterr().err
 
+    def test_failed_output_write_leaves_no_schedule(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        fileio.write_text_sequence(src, SymbolSequence([0, 0, 0, 1, 1, 1], 2))
+        sched_path = tmp_path / "schedule.json"
+        code = main(
+            [
+                "denoise",
+                "--input", str(src),
+                "--output", str(tmp_path / "absent" / "out.txt"),
+                "--format", "text",
+                "--channel", "bsc:0.1",
+                "--k", "0",
+                "--m", "1",
+                "--emit-schedule", str(sched_path),
+            ]
+        )
+        assert code == 1
+        assert "error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt"]
+
     @pytest.mark.parametrize(
         "flags, named",
         [
@@ -272,3 +292,11 @@ class TestExperimentCommands:
         main(args + ["--out", str(tmp_path / "b")])
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["two-block", "concentration"])
+    def test_zero_trials_is_an_error_without_report(self, tmp_path, capsys, command):
+        base = tmp_path / "report"
+        code = main(["experiment", command, "--trials", "0", "--out", str(base)])
+        assert code == 1
+        assert "sdude: error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -8,16 +8,13 @@ from sdude import (
     Alphabets,
     SymbolSequence,
     all_denoiser_mappings,
-    apply_denoiser,
     bsc_channel,
     build_channel,
     build_loss,
-    denoiser_from_index,
-    denoiser_index,
     hamming_loss,
     identity_channel,
 )
-from sdude.errors import RangeError, RankError, ValidationError
+from sdude.errors import RankError, ValidationError
 
 
 class TestBuildChannel:
@@ -89,40 +86,25 @@ class TestSymbolSequence:
 class TestDenoiserIndexing:
     def test_binary_rules_match_named_set(self):
         # The four binary rules: always-0, flip, say-what-you-see, always-1.
-        alphabets = Alphabets(2, 2, 2)
-        assert denoiser_from_index(0, alphabets).mapping == (0, 0)
-        assert denoiser_from_index(1, alphabets).mapping == (1, 0)
-        assert denoiser_from_index(2, alphabets).mapping == (0, 1)
-        assert denoiser_from_index(3, alphabets).mapping == (1, 1)
-
-    def test_apply(self):
-        alphabets = Alphabets(2, 2, 2)
-        say = denoiser_from_index(2, alphabets)
-        flip = denoiser_from_index(1, alphabets)
-        zero = denoiser_from_index(0, alphabets)
-        assert apply_denoiser(say, 1) == 1
-        assert apply_denoiser(flip, 1) == 0
-        assert apply_denoiser(zero, 1) == 0
-        with pytest.raises(RangeError):
-            apply_denoiser(say, 2)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(RangeError):
-            denoiser_from_index(4, Alphabets(2, 2, 2))
-        with pytest.raises(RangeError):
-            denoiser_from_index(-1, Alphabets(2, 2, 2))
+        table = all_denoiser_mappings(Alphabets(2, 2, 2))
+        assert tuple(table[0]) == (0, 0)
+        assert tuple(table[1]) == (1, 0)
+        assert tuple(table[2]) == (0, 1)
+        assert tuple(table[3]) == (1, 1)
+        assert table.shape == (4, 2)
 
     @pytest.mark.parametrize("noisy,recon", [(2, 2), (3, 2), (2, 3), (12, 2), (6, 4)])
     def test_encoding_is_a_bijection(self, noisy, recon):
         alphabets = Alphabets(2, noisy, recon)
         assert alphabets.num_denoisers <= 4096
+        # Row j is the rule with index j = sum(mapping[z] * recon**z).
         seen = set()
         table = all_denoiser_mappings(alphabets)
-        for index in range(alphabets.num_denoisers):
-            rule = denoiser_from_index(index, alphabets)
-            assert denoiser_index(rule.mapping, alphabets) == index
-            assert tuple(table[index]) == rule.mapping
-            seen.add(rule.mapping)
+        assert table.shape == (alphabets.num_denoisers, noisy)
+        for index, mapping in enumerate(table.tolist()):
+            assert all(0 <= v < recon for v in mapping)
+            assert sum(v * recon**z for z, v in enumerate(mapping)) == index
+            seen.add(tuple(mapping))
         assert len(seen) == alphabets.num_denoisers
 
 

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import schedule_min_by_product
+from oracles import brute_force_min, schedule_min_by_product
 from sdude import (
     SymbolSequence,
-    brute_force_min,
     build_partition,
     cumulative_loss,
     genie_min_loss,

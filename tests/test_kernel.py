@@ -15,15 +15,13 @@ from hypothesis import strategies as st
 
 import sdude.switching as switching
 from conftest import random_full_rank_channel
-from oracles import _forward_chain, fused_reference
+from oracles import _forward_chain, brute_force_min, context_groups, fused_reference
 from sdude import (
     MarkovComponent,
     PiecewiseSourceSpec,
     SymbolSequence,
     Alphabets,
     all_denoiser_mappings,
-    backward_pass,
-    brute_force_min,
     bsc_channel,
     build_loss,
     build_partition,
@@ -40,12 +38,11 @@ from sdude.switching import _solve_chains
 
 
 def assert_matches_reference(partition, codes, table, levels):
-    got = _solve_chains(partition, codes, table, levels)
+    schedule, forward_min = _solve_chains(partition, codes, table, levels - 1, levels)
     want = fused_reference(partition, table[codes], levels - 1, levels)
-    assert np.array_equal(got[0], want[0])
-    assert got[1] == want[1]
-    assert got[2] == want[2]
-    return got
+    assert np.array_equal(schedule.assignment, want[0])
+    assert schedule.per_context_switches == want[1]
+    assert forward_min == want[2]
 
 
 def random_table(rng, rows, num_rules, style):
@@ -149,8 +146,9 @@ class TestWrappers:
         rng = np.random.default_rng(8)
         z = SymbolSequence(rng.integers(0, 2, size=400), 2)
         state = forward_pass(z, 2, 3, tables01)
-        for _, idx in state.partition._groups():
-            M, argm = _forward_chain(state.loss_rows[idx], 4)
+        loss_rows = tables01.ell[state.codes]
+        for _, idx in context_groups(state.partition):
+            M, argm = _forward_chain(loss_rows[idx], 4)
             for p, i in enumerate(idx.tolist()):
                 matrix = state.matrix_at(i + 3)
                 assert np.array_equal(matrix[:, :4], M[:, p])
@@ -165,7 +163,7 @@ class TestMemoryBudget:
         z = SymbolSequence(rng.integers(0, 2, size=2004), 2)
         partition = build_partition(z, 2)
         assert int(partition._counts.max()) * 8 < 5000 < 2000 * 8
-        monkeypatch.setattr(switching, "MAX_ARENA_ENTRIES", 5000)
+        monkeypatch.setattr(switching, "MAX_CHAIN_ENTRIES", 5000)
         assert_matches_reference(partition, z.symbols[2:2002], tables01.ell, 2)
 
     def test_forward_pass_needs_only_the_chain_budget(self, monkeypatch, tables01):
@@ -173,20 +171,20 @@ class TestMemoryBudget:
         # the 2000 * 2 * 5 a whole-sequence matrix store would take.
         rng = np.random.default_rng(9)
         z = SymbolSequence(rng.integers(0, 2, size=2004), 2)
-        monkeypatch.setattr(switching, "MAX_ARENA_ENTRIES", 5000)
+        monkeypatch.setattr(switching, "MAX_CHAIN_ENTRIES", 5000)
         state = forward_pass(z, 2, 1, tables01)
-        schedule = backward_pass(state)
-        want = fused_reference(state.partition, state.loss_rows, 1)
+        schedule = state.schedule
+        want = fused_reference(state.partition, tables01.ell[state.codes], 1)
         assert np.array_equal(schedule.assignment, want[0])
         assert schedule.per_context_switches == want[1]
         assert state.forward_min == want[2]
 
     def test_over_budget_chain_refused(self, monkeypatch, bsc01, hamming2):
         z = SymbolSequence(np.zeros(1000, dtype=np.int64), 2)
-        monkeypatch.setattr(switching, "MAX_ARENA_ENTRIES", 1000 * 2 * 4 - 1)
+        monkeypatch.setattr(switching, "MAX_CHAIN_ENTRIES", 1000 * 2 * 4 - 1)
         with pytest.raises(TooLarge):
             switching.sdude_denoise(z, 0, 1, bsc01, hamming2)
-        monkeypatch.setattr(switching, "MAX_ARENA_ENTRIES", 1000 * 2 * 4)
+        monkeypatch.setattr(switching, "MAX_CHAIN_ENTRIES", 1000 * 2 * 4)
         switching.sdude_denoise(z, 0, 1, bsc01, hamming2)
 
 
@@ -201,7 +199,7 @@ class TestMemoryBudget:
     m=st.integers(0, 3),
 )
 def test_dp_equals_brute_force(seed, clean, extra, recon, n, k, m):
-    # Estimated mode through the staged passes and the denoiser, true mode
+    # Estimated mode through the forward pass and the denoiser, true mode
     # through the genie; both against exhaustive enumeration.
     if n <= 2 * k or m > (n - 2 * k) // 2:
         return

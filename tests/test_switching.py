@@ -6,7 +6,6 @@ import pytest
 from oracles import schedule_min_by_product
 from sdude import (
     SymbolSequence,
-    backward_pass,
     build_partition,
     build_tables,
     forward_pass,
@@ -63,18 +62,11 @@ class TestForwardPass:
         with pytest.raises(RangeError):
             forward_pass(z, 0, -1, tables01)
 
-    def test_time_pointer_tracks_last_occurrence(self, tables01):
-        z = SymbolSequence([0, 1, 0, 1, 0], 2)
-        state = forward_pass(z, 1, 1, tables01)
-        part = state.partition
-        assert state.last_occurrence[part.context_of(4)] == 4
-        assert state.last_occurrence[part.context_of(3)] == 3
-
 
 class TestBackwardPass:
     def test_switch_example_schedule(self, tables01):
         z = SymbolSequence([0, 0, 0, 1, 1, 1], 2)
-        schedule = backward_pass(forward_pass(z, 0, 1, tables01))
+        schedule = forward_pass(z, 0, 1, tables01).schedule
         np.testing.assert_array_equal(
             schedule.assignment, [ALWAYS0] * 3 + [ALWAYS1] * 3
         )
@@ -83,12 +75,6 @@ class TestBackwardPass:
         assert schedule.denoiser_at(6) == ALWAYS1
         with pytest.raises(RangeError):
             schedule.denoiser_at(7)
-
-    def test_hands_out_the_schedule_the_forward_pass_solved(self, tables01):
-        z = SymbolSequence([0, 1, 0, 1, 0, 1], 2)
-        state = forward_pass(z, 0, 1, tables01)
-        assert backward_pass(state, z, 0, 1, tables01) is state.schedule
-        assert state.partition is state.schedule.partition
 
     def test_matrix_accessor_bounds(self, tables01):
         z = SymbolSequence([0, 1, 0, 1, 0], 2)
@@ -99,22 +85,10 @@ class TestBackwardPass:
         with pytest.raises(RangeError):
             state.matrix_at(5)
 
-    def test_consistency_checks_against_mismatched_inputs(self, tables01):
-        z = SymbolSequence([0, 1, 0, 1, 0, 1], 2)
-        state = forward_pass(z, 0, 1, tables01)
-        from sdude.errors import ValidationError
-
-        with pytest.raises(ValidationError):
-            backward_pass(state, k=1)
-        with pytest.raises(ValidationError):
-            backward_pass(state, m=2)
-        with pytest.raises(ValidationError):
-            backward_pass(state, z=SymbolSequence([0, 1], 2))
-
     def test_constant_sequence_never_switches(self, tables01):
         z = SymbolSequence([1] * 12, 2)
         for m in (0, 1, 2, 3):
-            schedule = backward_pass(forward_pass(z, 0, m, tables01))
+            schedule = forward_pass(z, 0, m, tables01).schedule
             assert schedule.total_switches == 0
             assert len(set(schedule.assignment.tolist())) == 1
 
@@ -128,9 +102,10 @@ class TestBackwardPass:
             m = int(rng.integers(0, min(4, (n - 2 * k) // 2) + 1))
             z = SymbolSequence(rng.integers(0, 2, size=n), 2)
             state = forward_pass(z, k, m, tables01)
-            schedule = backward_pass(state)
+            schedule = state.schedule
+            loss_rows = tables01.ell[state.codes]
             realized = math.fsum(
-                state.loss_rows[np.arange(state.partition.num_interior), schedule.assignment]
+                loss_rows[np.arange(state.partition.num_interior), schedule.assignment]
             )
             assert abs(realized - state.forward_min) < 1e-9
 
@@ -144,7 +119,7 @@ class TestBackwardPass:
                 continue
             z = SymbolSequence(rng.integers(0, 2, size=n), 2)
             state = forward_pass(z, k, m, tables01)
-            schedule = backward_pass(state)
+            schedule = state.schedule
             part = state.partition
             for cid in part.occurring_contexts():
                 occ = part.occurrences(cid) - (k + 1)
@@ -206,7 +181,7 @@ class TestMixedAlphabets:
             expected = schedule_min_by_product(w, ids, m)
             state = forward_pass(z, k, m, tables)
             assert state.forward_min == pytest.approx(expected, abs=1e-12)
-            schedule = backward_pass(state)
+            schedule = state.schedule
             realized = math.fsum(w[np.arange(n - 2 * k), schedule.assignment])
             assert abs(realized - state.forward_min) < 1e-9
             checked += 1
@@ -246,8 +221,8 @@ class TestSdudeDenoise:
             sdude_denoise(SymbolSequence([0, 1, 0, 1], 2), 0, 5, bsc01, hamming2)
 
     def test_matches_staged_two_pass_bitwise(self, bsc01, hamming2, tables01):
-        # sdude_denoise and the public two-pass wrappers it runs through must
-        # agree exactly: same schedule, same minimum.
+        # sdude_denoise and the forward pass it runs through must agree
+        # exactly: same schedule, same minimum.
         rng = np.random.default_rng(12)
         for trial in range(10):
             n = int(rng.integers(20, 300))
@@ -257,7 +232,7 @@ class TestSdudeDenoise:
             m = int(rng.integers(0, min(3, (n - 2 * k) // 2) + 1))
             z = SymbolSequence(rng.integers(0, 2, size=n), 2)
             state = forward_pass(z, k, m, tables01)
-            staged = backward_pass(state)
+            staged = state.schedule
             _, fused, estimated = sdude_denoise(z, k, m, bsc01, hamming2, tables=tables01)
             np.testing.assert_array_equal(staged.assignment, fused.assignment)
             assert staged.per_context_switches == fused.per_context_switches
