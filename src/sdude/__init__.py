@@ -46,7 +46,7 @@ from .evaluation import (
     run_two_block_experiment,
     two_block_sequence,
 )
-from .genie import genie_min_loss
+from .genie import genie_min_loss, genie_min_losses
 from .hmm import fb_posteriors, map_denoise
 from .sources import (
     IIDComponent,
@@ -61,6 +61,7 @@ from .switching import (
     SwitchingSchedule,
     forward_pass,
     sdude_denoise,
+    sdude_denoise_each,
 )
 
 __version__ = "0.1.0"
@@ -103,6 +104,7 @@ __all__ = [
     "fb_posteriors",
     "forward_pass",
     "genie_min_loss",
+    "genie_min_losses",
     "hamming_loss",
     "identity_channel",
     "map_denoise",
@@ -110,6 +112,7 @@ __all__ = [
     "run_two_block_experiment",
     "sample_piecewise",
     "sdude_denoise",
+    "sdude_denoise_each",
     "stationary_distribution",
     "two_block_sequence",
 ]

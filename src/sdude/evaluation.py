@@ -4,7 +4,10 @@ Reports carry, per denoiser, the normalized true loss over the full sequence
 and over the interior positions, the estimated loss where one exists, the
 hindsight target, and the bit error rate as a ratio to the channel parameter
 where applicable.  Given identical seeds a harness produces byte-identical
-reports.
+reports.  Each harness partitions a noisy sequence once per k and solves it
+once per loss: the plain and the shifting denoiser are budgets 0 and m of one
+estimated-loss solve, and their hindsight targets budgets 0 and m of one
+true-loss solve.
 """
 
 from __future__ import annotations
@@ -18,14 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contexts import build_partition
 from .core import ChannelModel, LossMatrix, SymbolSequence, bsc_channel, hamming_loss
-from .dude import dude_denoise
 from .errors import RangeError, ValidationError
 from .estimation import build_tables
-from .genie import genie_min_loss
+from .genie import genie_min_loss, genie_min_losses
 from .hmm import fb_posteriors, map_denoise
 from .sources import MarkovComponent, PiecewiseSourceSpec, corrupt, sample_piecewise
-from .switching import sdude_denoise
+from .switching import sdude_denoise_each
 
 
 def cumulative_loss(
@@ -154,12 +157,14 @@ def run_two_block_experiment(
     headline = []
     for seed in seeds:
         z = corrupt(x, channel, seed)
-        dude_out = dude_denoise(z, k, channel, loss, tables=tables)
-        sdude_out, schedule, estimated = sdude_denoise(z, k, m, channel, loss, tables=tables)
-        targets = {
-            "dude": genie_min_loss(x, z, k, 0, loss)[0],
-            "sdude": genie_min_loss(x, z, k, m, loss)[0],
-        }
+        partition = build_partition(z, k)
+        (dude_out, _, _), (sdude_out, _, estimated) = sdude_denoise_each(
+            z, k, (0, m), channel, loss, tables=tables, partition=partition
+        )
+        (dude_target, _), (sdude_target, _) = genie_min_losses(
+            x, z, k, (0, m), loss, partition=partition
+        )
+        targets = {"dude": dude_target, "sdude": sdude_target}
         # Best zero-order shifting performance on the shared interior.
         d_0m = targets["sdude"] if k == 0 else genie_min_loss(
             SymbolSequence(x.symbols[k : n - k], 2),
@@ -237,13 +242,13 @@ def run_switching_hmm_experiment(
     segments = [(1, int(switch_at), trans1), (int(switch_at) + 1, n, trans2)]
     posteriors = fb_posteriors(z, segments, channel)
     results = [_scored("fb-genie", x, map_denoise(posteriors, loss), loss, delta, None, None, seed)]
+    budgets = [m for m in map(int, m_list) if m != 0]
     for k in map(int, k_list):
-        out = dude_denoise(z, k, channel, loss, tables=tables)
+        (out, _, _), *shifting = sdude_denoise_each(
+            z, k, (0, *budgets), channel, loss, tables=tables
+        )
         results.append(_scored("dude", x, out, loss, delta, k, 0, seed))
-        for m in map(int, m_list):
-            if m == 0:
-                continue
-            out, _, estimated = sdude_denoise(z, k, m, channel, loss, tables=tables)
+        for m, (out, _, estimated) in zip(budgets, shifting):
             results.append(
                 _scored("sdude", x, out, loss, delta, k, m, seed, estimated_loss=estimated)
             )
@@ -298,9 +303,12 @@ def concentration_sweep(
         gaps = []
         for trial in range(trials):
             z = corrupt(x, channel, np.random.SeedSequence((int(seed), ni, trial)))
-            out, _, _ = sdude_denoise(z, k, m, channel, loss, tables=tables)
+            partition = build_partition(z, k)
+            [(out, _, _)] = sdude_denoise_each(
+                z, k, (m,), channel, loss, tables=tables, partition=partition
+            )
             true_loss = cumulative_loss(x, out, loss, k + 1, len(x) - k)
-            genie_val, _ = genie_min_loss(x, z, k, m, loss)
+            [(genie_val, _)] = genie_min_losses(x, z, k, (m,), loss, partition=partition)
             gaps.append(true_loss - genie_val)
         rows.append(
             {

@@ -133,7 +133,8 @@ def read_text_sequence(path, alphabet_size: int) -> SymbolSequence:
 
 
 def write_text_sequence(path, seq: SymbolSequence) -> None:
-    atomic_write_text(path, " ".join(str(int(v)) for v in seq.symbols) + "\n")
+    """Symbols as space-separated decimals and a final newline."""
+    atomic_write_text(path, " ".join(map(str, seq.symbols.tolist())) + "\n")
 
 
 def _pbm_header_tokens(data: bytes):
@@ -180,9 +181,12 @@ def read_pbm(path) -> np.ndarray:
         return bits.astype(np.int64).reshape(height, width)
     if magic == b"P4":
         row_bytes = (width + 7) // 8
-        body = data[offset + 1 : offset + 1 + row_bytes * height]
-        if len(body) < row_bytes * height:
-            raise ValidationError(f"PBM {path} has too few pixel bytes")
+        body = data[offset + 1 :]
+        if len(body) != row_bytes * height:
+            raise ValidationError(
+                f"PBM {path} holds {len(body)} pixel bytes, not {row_bytes * height}"
+                f" for {width}x{height}"
+            )
         rows = np.frombuffer(body, dtype=np.uint8).reshape(height, row_bytes)
         bits = np.unpackbits(rows, axis=1)[:, :width]
         return bits.astype(np.int64)

@@ -4,17 +4,19 @@ The genie runs the same per-context switching dynamic program as the
 denoiser but scores each position with the true loss lam(x_t, s(z_t))
 instead of the observable estimate, yielding the minimum normalized
 cumulative loss over the schedule class (with m = 0, the best non-shifting
-sliding-window performance).
+sliding-window performance).  One solve serves every budget: the forward
+pass runs once to the deepest budget's level, and each budget walks back
+from its own, giving the same bits as a solve of that budget alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .contexts import build_partition
+from .contexts import ContextPartition
 from .core import Alphabets, LossMatrix, SymbolSequence, all_denoiser_mappings
 from .errors import ValidationError
-from .switching import SwitchingSchedule, _solve_chains
+from .switching import SwitchingSchedule, _partition_for, _solve_chains
 
 
 def _true_loss_table(
@@ -26,6 +28,38 @@ def _true_loss_table(
     codes = x.symbols[k : n - k] * noisy + z.symbols[k : n - k]
     table = lam[:, mappings.T].reshape(lam.shape[0] * noisy, mappings.shape[0])
     return codes, table
+
+
+def genie_min_losses(
+    x: SymbolSequence,
+    z: SymbolSequence,
+    k: int,
+    budgets,
+    loss: LossMatrix,
+    partition: ContextPartition | None = None,
+) -> list[tuple[float, SwitchingSchedule]]:
+    """``genie_min_loss`` for each shift budget in ``budgets``, from one solve.
+
+    A prebuilt order-k ``partition`` of z may be passed to skip building one.
+    """
+    if len(x) != len(z):
+        raise ValidationError(f"clean and noisy lengths differ ({len(x)} != {len(z)})")
+    lam = loss.lam
+    if x.alphabet_size > lam.shape[0]:
+        raise ValidationError("clean alphabet exceeds the loss matrix rows")
+    budgets = tuple(budgets)
+    if not budgets:
+        raise ValidationError("need at least one shift budget")
+    for m in budgets:
+        if not isinstance(m, (int, np.integer)) or m < 0:
+            raise ValidationError(f"shift budget m must be a nonnegative integer, got {m!r}")
+    partition = _partition_for(z, k, partition)
+    mappings = all_denoiser_mappings(Alphabets(lam.shape[0], z.alphabet_size, lam.shape[1]))
+    codes, table = _true_loss_table(x, z, k, lam, mappings)
+    longest = int(partition._counts.max())
+    levels = [min(int(m), longest - 1) + 1 for m in budgets]
+    solved = _solve_chains(partition, codes, table, budgets, levels)
+    return [(forward_min / partition.num_interior, schedule) for schedule, forward_min in solved]
 
 
 def genie_min_loss(
@@ -40,17 +74,4 @@ def genie_min_loss(
     Unlike the denoiser, any m >= 0 is accepted; budgets beyond the longest
     context chain cannot change the optimum.
     """
-    if len(x) != len(z):
-        raise ValidationError(f"clean and noisy lengths differ ({len(x)} != {len(z)})")
-    lam = loss.lam
-    if x.alphabet_size > lam.shape[0]:
-        raise ValidationError("clean alphabet exceeds the loss matrix rows")
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise ValidationError(f"shift budget m must be a nonnegative integer, got {m!r}")
-    partition = build_partition(z, k)
-    mappings = all_denoiser_mappings(Alphabets(lam.shape[0], z.alphabet_size, lam.shape[1]))
-    codes, table = _true_loss_table(x, z, k, lam, mappings)
-    longest = int(partition._counts.max())
-    levels = min(int(m), longest - 1) + 1
-    schedule, forward_min = _solve_chains(partition, codes, table, m, levels)
-    return forward_min / partition.num_interior, schedule
+    return genie_min_losses(x, z, k, (m,), loss)[0]

@@ -19,12 +19,16 @@ The forward pass is a few whole-batch scans along the chain axis per level;
 the backward walk takes one step per level for the whole batch.  Padding
 never enters a scan of a real occurrence and the cumulative sums keep each
 chain's summation order, so every value equals the chain-at-a-time recursion
-bit for bit.  ``forward_pass`` runs the kernel once and returns a ``DPState``
-holding the schedule; ``sdude_denoise`` maps it to the output and fills in
-the boundary.  The plain sliding-window denoiser is its m = 0 call, and the
-genie runs the kernel on the true loss.  Time is O(m * n); memory is one
-batch of DP values, at most about ``_BATCH_FLOATS`` floats unless a single
-chain is longer.
+bit for bit.  Level i of the forward pass depends only on the levels below
+it, so one solve serves every shift budget: each batch is scanned once to
+the deepest budget's level, and every budget walks back from its own top
+level, giving the same bits as a solve of that budget alone.
+``sdude_denoise_each`` maps one solve to one output per budget and fills in
+the boundary; ``sdude_denoise`` and ``forward_pass`` solve a single budget.
+The plain sliding-window denoiser is the m = 0 budget, and the genie runs the
+kernel on the true loss.  Time is O(m * n); memory is one batch of DP values, at most
+about ``_BATCH_FLOATS`` floats unless a single chain is longer, plus one
+compact assignment per budget.
 """
 
 from __future__ import annotations
@@ -220,52 +224,102 @@ def _backward_batch(
 
 
 def _solve_chains(
-    partition: ContextPartition, codes: np.ndarray, table: np.ndarray, m: int, levels: int
-) -> tuple[SwitchingSchedule, float]:
-    """Both passes for every context chain of the partition.
+    partition: ContextPartition, codes: np.ndarray, table: np.ndarray, budgets, levels
+) -> list[tuple[SwitchingSchedule, float]]:
+    """Both passes for every context chain of the partition, for every budget.
 
     The loss row at 0-based interior index t is ``table[codes[t]]`` (one
-    entry per rule); level i of the DP allows at most i shifts, and the
-    ``levels`` solved are enough for the shift budget ``m`` the schedule
-    records.  Returns the schedule (shifts per context in ascending context
-    id) and the unnormalized minimum cumulative loss it attains.
+    entry per rule); level i of the DP allows at most i shifts.  Budget
+    ``budgets[b]`` is solved on ``levels[b]`` levels.  Each batch runs its
+    forward pass once, on the most levels any budget needs, and walks back
+    once per distinct level count from that count's top level.  Levels
+    0..lv-1 of the deeper pass come from the same operations on the same
+    inputs as a pass of lv levels, so each budget's result equals its own
+    solve bit for bit.  Returns one (schedule, unnormalized minimum
+    cumulative loss) per budget, in order; shifts per context are listed in
+    ascending context id, and assignments use the smallest unsigned dtype
+    that holds every rule index.
     """
+    num_rules = table.shape[1]
     rules_major = np.ascontiguousarray(table.T)
-    assignment = np.empty(partition.num_interior, dtype=np.int64)
-    switches = np.zeros(partition._counts.size, dtype=np.int64)
-    mins = []
-    for chains, lengths, pos in _batches(partition, levels, table.shape[1]):
-        M, best = _forward_batch(rules_major[:, codes[pos]], levels)
+    tops = sorted(set(levels))
+    assignments = {
+        lv: np.empty(partition.num_interior, dtype=np.min_scalar_type(num_rules - 1))
+        for lv in tops
+    }
+    switches = {lv: np.zeros(partition._counts.size, dtype=np.int64) for lv in tops}
+    mins = {lv: [] for lv in tops}
+    for chains, lengths, pos in _batches(partition, tops[-1], num_rules):
+        M, best = _forward_batch(rules_major[:, codes[pos]], tops[-1])
         last = lengths - 1
-        mins.extend(best[-1, np.arange(chains.size), last].tolist())
-        assign, switches[chains] = _backward_batch(M, best, last)
-        # A padded slot repeats its chain's last position and carries the rule
-        # of the last run, so writing it again stores the same value.
-        assignment[pos] = assign
-    schedule = SwitchingSchedule(
-        n=partition.n,
-        k=partition.k,
-        m=int(m),
-        assignment=assignment,
-        per_context_switches=dict(zip(partition._unique_ids.tolist(), switches.tolist())),
-        partition=partition,
-    )
-    return schedule, math.fsum(mins)
-
-
-def forward_pass(z: SymbolSequence, k: int, m: int, tables: EstimatedLossTable) -> DPState:
-    """Solve every context chain's DP for the estimated loss, schedule included."""
-    partition = build_partition(z, k)
-    if not isinstance(m, (int, np.integer)) or not 0 <= m <= partition.num_interior // 2:
-        raise RangeError(
-            f"shift budget m must satisfy 0 <= m <= {partition.num_interior // 2}, got {m!r}"
+        rows = np.arange(chains.size)
+        for lv in tops:
+            mins[lv].extend(best[lv - 1, rows, last].tolist())
+            assign, switches[lv][chains] = _backward_batch(M[:lv], best[:lv], last)
+            # A padded slot repeats its chain's last position and carries the
+            # rule of the last run, so writing it again stores the same value.
+            assignments[lv][pos] = assign
+    ids = partition._unique_ids.tolist()
+    per_context = {lv: dict(zip(ids, switches[lv].tolist())) for lv in tops}
+    return [
+        (
+            SwitchingSchedule(
+                n=partition.n,
+                k=partition.k,
+                m=int(m),
+                assignment=assignments[lv],
+                per_context_switches=per_context[lv],
+                partition=partition,
+            ),
+            math.fsum(mins[lv]),
         )
+        for m, lv in zip(budgets, levels)
+    ]
+
+
+def _partition_for(
+    z: SymbolSequence, k: int, partition: ContextPartition | None
+) -> ContextPartition:
+    """The order-k partition of z: built here, or checked against z and k if passed."""
+    if partition is None:
+        return build_partition(z, k)
+    built_for = (partition.n, partition.k, partition.noisy_size)
+    if not isinstance(k, (int, np.integer)) or built_for != (len(z), k, z.alphabet_size):
+        raise ValidationError("partition was not built from a sequence of this length, alphabet, k")
+    return partition
+
+
+def _forward_each(
+    z: SymbolSequence,
+    k: int,
+    budgets,
+    tables: EstimatedLossTable,
+    partition: ContextPartition | None,
+) -> list[DPState]:
+    """One ``DPState`` per shift budget, all from one solve of z's chains."""
+    budgets = tuple(budgets)
+    if not budgets:
+        raise ValidationError("need at least one shift budget")
+    partition = _partition_for(z, k, partition)
+    for m in budgets:
+        if not isinstance(m, (int, np.integer)) or not 0 <= m <= partition.num_interior // 2:
+            raise RangeError(
+                f"shift budget m must satisfy 0 <= m <= {partition.num_interior // 2}, got {m!r}"
+            )
     if z.alphabet_size != tables.channel.noisy_size:
         raise ValidationError("sequence alphabet does not match the channel's noisy alphabet")
     # The interior noisy symbols are the rows of ``tables.ell`` that score each position.
     codes = z.symbols[k : len(z) - k]
-    schedule, forward_min = _solve_chains(partition, codes, tables.ell, m, m + 1)
-    return DPState(schedule=schedule, codes=codes, ell=tables.ell, forward_min=forward_min)
+    solved = _solve_chains(partition, codes, tables.ell, budgets, [m + 1 for m in budgets])
+    return [
+        DPState(schedule=schedule, codes=codes, ell=tables.ell, forward_min=forward_min)
+        for schedule, forward_min in solved
+    ]
+
+
+def forward_pass(z: SymbolSequence, k: int, m: int, tables: EstimatedLossTable) -> DPState:
+    """Solve every context chain's DP for the estimated loss, schedule included."""
+    return _forward_each(z, k, (m,), tables, None)[0]
 
 
 def _table_sum(table: np.ndarray, codes: np.ndarray, assignment: np.ndarray) -> float:
@@ -282,6 +336,44 @@ def _table_sum(table: np.ndarray, codes: np.ndarray, assignment: np.ndarray) -> 
     unit = max(den for _, den in ratios)
     counts = uses[picked].tolist()
     return sum(num * (unit // den) * c for (num, den), c in zip(ratios, counts)) / unit
+
+
+def sdude_denoise_each(
+    z: SymbolSequence,
+    k: int,
+    budgets,
+    channel: ChannelModel,
+    loss: LossMatrix,
+    boundary: int | None = None,
+    tables: EstimatedLossTable | None = None,
+    partition: ContextPartition | None = None,
+) -> list[tuple[SymbolSequence, SwitchingSchedule, float]]:
+    """``sdude_denoise`` for each shift budget in ``budgets``, from one solve.
+
+    One forward pass over z's context chains serves every budget, and a
+    budget's result is the same bits as its own ``sdude_denoise`` call.  A
+    prebuilt order-k ``partition`` of z may be passed to skip building one.
+    """
+    if tables is None:
+        tables = build_tables(channel, loss)
+    states = _forward_each(z, k, budgets, tables, partition)
+    n, recon = len(z), tables.loss.recon_size
+    if k > 0 and boundary is not None:
+        if not 0 <= boundary < recon:
+            raise RangeError(f"boundary symbol {boundary} outside the reconstruction alphabet")
+        fill = boundary
+    elif recon >= tables.channel.noisy_size:
+        fill = None
+    else:
+        fill = 0
+    results = []
+    for state in states:
+        codes, assignment = state.codes, state.schedule.assignment
+        out = z.symbols.copy() if fill is None else np.full(n, fill, dtype=np.int64)
+        out[k : n - k] = tables.mappings[assignment, codes]
+        estimated = _table_sum(tables.ell, codes, assignment) / codes.size
+        results.append((SymbolSequence(out, recon), state.schedule, estimated))
+    return results
 
 
 def sdude_denoise(
@@ -303,20 +395,4 @@ def sdude_denoise(
     reconstruction alphabet is at least as large as the noisy one, else emit
     symbol 0; an explicit ``boundary`` symbol overrides that when k > 0.
     """
-    if tables is None:
-        tables = build_tables(channel, loss)
-    state = forward_pass(z, k, m, tables)
-    schedule = state.schedule
-    codes, assignment = state.codes, schedule.assignment
-    n, recon = len(z), tables.loss.recon_size
-    if k > 0 and boundary is not None:
-        if not 0 <= boundary < recon:
-            raise RangeError(f"boundary symbol {boundary} outside the reconstruction alphabet")
-        out = np.full(n, boundary, dtype=np.int64)
-    elif recon >= tables.channel.noisy_size:
-        out = z.symbols.copy()
-    else:
-        out = np.zeros(n, dtype=np.int64)
-    out[k : n - k] = tables.mappings[assignment, codes]
-    estimated = _table_sum(tables.ell, codes, assignment) / codes.size
-    return SymbolSequence(out, recon), schedule, estimated
+    return sdude_denoise_each(z, k, (m,), channel, loss, boundary, tables)[0]

@@ -180,6 +180,24 @@ class TestCliBehavior:
         assert not out.exists()
         assert "bad.pbm" in capsys.readouterr().err
 
+    def test_packed_pbm_with_trailing_bytes_is_an_error_without_output(self, tmp_path, capsys):
+        src = tmp_path / "bad.pbm"
+        src.write_bytes(b"P4\n8 1\n" + bytes([0b10100101, 0, 0, 0]))
+        out = tmp_path / "never.pbm"
+        code = main(
+            [
+                "denoise",
+                "--input", str(src),
+                "--output", str(out),
+                "--format", "pbm",
+                "--channel", "bsc:0.1",
+                "--k", "0",
+            ]
+        )
+        assert code == 1
+        assert not out.exists()
+        assert "bad.pbm" in capsys.readouterr().err
+
     def test_failed_output_write_leaves_no_schedule(self, tmp_path, capsys):
         src = tmp_path / "in.txt"
         fileio.write_text_sequence(src, SymbolSequence([0, 0, 0, 1, 1, 1], 2))

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+import sdude
 from sdude import (
     SymbolSequence,
     bsc_channel,
@@ -38,6 +40,39 @@ class TestCumulativeLoss:
             cumulative_loss(x, x, hamming2, 2, 1)
         with pytest.raises(ValidationError):
             cumulative_loss(x, SymbolSequence([0], 2), hamming2)
+
+
+@pytest.fixture
+def partitions_built(monkeypatch):
+    """Counts build_partition calls made through any sdude module."""
+    calls = []
+    original = sdude.build_partition
+
+    def counted(z, k):
+        calls.append(k)
+        return original(z, k)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sdude" and getattr(module, "build_partition", None) is original:
+            monkeypatch.setattr(module, "build_partition", counted)
+    return calls
+
+
+class TestSharedPartitions:
+    @pytest.mark.parametrize("k, per_seed", [(2, 2), (0, 1)])
+    def test_two_block_partitions_each_seed_once_plus_the_zero_order_genie(
+        self, partitions_built, k, per_seed
+    ):
+        run_two_block_experiment(3000, 0.1, k, 2, seeds=(4, 5, 6))
+        assert len(partitions_built) == 3 * per_seed
+
+    def test_switching_hmm_partitions_once_per_k(self, partitions_built):
+        run_switching_hmm_experiment(4000, 0.1, 0.01, 0.2, 2000, k_list=(1, 3), m_list=(0, 1, 2))
+        assert partitions_built == [1, 3]
+
+    def test_concentration_partitions_once_per_trial(self, partitions_built):
+        concentration_sweep("two-block", bsc_channel(0.1), 1, 1, n_list=(200, 400), trials=3)
+        assert len(partitions_built) == 6
 
 
 class TestTwoBlockExperiment:

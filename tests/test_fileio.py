@@ -68,6 +68,17 @@ class TestSequenceFiles:
         back = fileio.read_text_sequence(path, 6)
         np.testing.assert_array_equal(back.symbols, seq.symbols)
 
+    @pytest.mark.parametrize("q", [2, 10, 11, 300])
+    @pytest.mark.parametrize("n", [0, 1, 2, 999])
+    def test_text_bytes_equal_the_per_symbol_format(self, tmp_path, q, n):
+        # Every symbol of the alphabet appears when n allows it.
+        rng = np.random.default_rng(q * 1000 + n)
+        symbols = rng.permutation(np.resize(np.arange(q), n)) if n else np.empty(0, dtype=np.int64)
+        seq = SymbolSequence(symbols, q)
+        path = tmp_path / "seq.txt"
+        fileio.write_text_sequence(path, seq)
+        assert path.read_bytes() == (" ".join(str(int(v)) for v in seq.symbols) + "\n").encode()
+
 
 class TestPbm:
     @pytest.mark.parametrize("packed", [True, False])
@@ -103,6 +114,16 @@ class TestPbm:
         path.write_bytes(b"P4\n16 2\n\x00")
         with pytest.raises(ValidationError):
             fileio.read_pbm(path)
+
+    @pytest.mark.parametrize("extra", [b"\x00", b"\n", b"\xff\xff\xff"])
+    def test_packed_raster_rejects_trailing_bytes(self, tmp_path, extra):
+        # These used to read as a valid image with the bytes after the raster ignored.
+        path = tmp_path / "bad.pbm"
+        path.write_bytes(b"P4\n8 1\n\xa5" + extra)
+        with pytest.raises(ValidationError, match="bad.pbm"):
+            fileio.read_pbm(path)
+        path.write_bytes(b"P4\n8 1\n\xa5")
+        np.testing.assert_array_equal(fileio.read_pbm(path), [[1, 0, 1, 0, 0, 1, 0, 1]])
 
     @pytest.mark.parametrize(
         "raster", [b"0 x 1 2 1 junk\n", b"0 1\n1 0 2\n", b"01\n1\x000\n", b"0 1 1\n0\n"]

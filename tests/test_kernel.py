@@ -3,10 +3,13 @@
 ``fused_reference`` in oracles.py is the earlier implementation that ran the
 forward and backward passes one context chain at a time.  The batched kernel
 must reproduce it bit for bit: the same assignment, the same switches per
-context and the same minimum, on every tiling of positions into chains.
+context and the same minimum, on every tiling of positions into chains.  A
+call for several shift budgets must give each budget exactly what a call for
+that budget alone gives.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,15 +33,17 @@ from sdude import (
     dude_denoise,
     forward_pass,
     genie_min_loss,
+    genie_min_losses,
     hamming_loss,
     sample_piecewise,
+    sdude_denoise_each,
 )
-from sdude.errors import TooLarge
+from sdude.errors import RangeError, TooLarge, ValidationError
 from sdude.switching import _solve_chains
 
 
 def assert_matches_reference(partition, codes, table, levels):
-    schedule, forward_min = _solve_chains(partition, codes, table, levels - 1, levels)
+    [(schedule, forward_min)] = _solve_chains(partition, codes, table, (levels - 1,), (levels,))
     want = fused_reference(partition, table[codes], levels - 1, levels)
     assert np.array_equal(schedule.assignment, want[0])
     assert schedule.per_context_switches == want[1]
@@ -153,6 +158,128 @@ class TestWrappers:
                 matrix = state.matrix_at(i + 3)
                 assert np.array_equal(matrix[:, :4], M[:, p])
                 assert np.array_equal(matrix[:, 4], argm[:, p])
+
+
+class TestEveryBudget:
+    def test_sdude_denoise_each_equals_one_budget_calls(self, bsc01, hamming2, tables01):
+        rng = np.random.default_rng(11)
+        z = SymbolSequence(rng.integers(0, 2, size=3000), 2)
+        budgets = (3, 0, 3, 1)
+        for k, boundary in ((0, None), (2, None), (3, 1)):
+            partition = build_partition(z, k)
+            for kwargs in ({}, {"tables": tables01, "partition": partition}):
+                each = sdude_denoise_each(z, k, budgets, bsc01, hamming2, boundary, **kwargs)
+                assert len(each) == len(budgets)
+                for m, (out, schedule, estimated) in zip(budgets, each):
+                    want_out, want, want_estimated = switching.sdude_denoise(
+                        z, k, m, bsc01, hamming2, boundary
+                    )
+                    assert np.array_equal(out.symbols, want_out.symbols)
+                    assert np.array_equal(schedule.assignment, want.assignment)
+                    assert schedule.per_context_switches == want.per_context_switches
+                    assert schedule.m == m and estimated == want_estimated
+            plain = dude_denoise(z, k, bsc01, hamming2, boundary)
+            assert np.array_equal(each[1][0].symbols, plain.symbols)
+
+    def test_genie_min_losses_equals_one_budget_calls(self, hamming2):
+        rng = np.random.default_rng(12)
+        x = SymbolSequence(rng.integers(0, 2, size=600), 2)
+        z = SymbolSequence(rng.integers(0, 2, size=600), 2)
+        budgets = (7, 0, 2, 10**6, 2)
+        for k in (0, 1, 4):
+            partition = build_partition(z, k)
+            for passed in (None, partition):
+                each = genie_min_losses(x, z, k, budgets, hamming2, partition=passed)
+                for m, (value, schedule) in zip(budgets, each):
+                    want_value, want = genie_min_loss(x, z, k, m, hamming2)
+                    assert value == want_value and schedule.m == m
+                    assert np.array_equal(schedule.assignment, want.assignment)
+                    assert schedule.per_context_switches == want.per_context_switches
+
+    def test_every_budget_and_the_partition_are_checked(self, bsc01, hamming2):
+        z = SymbolSequence(np.tile([0, 1, 1], 10), 2)
+        x = SymbolSequence(np.zeros(30, dtype=np.int64), 2)
+        for budgets in ((0, -1), (1, 15), (0, 1.5)):
+            with pytest.raises(RangeError):
+                sdude_denoise_each(z, 1, budgets, bsc01, hamming2)
+        for budgets in ((0, -1), (2, 1.5)):
+            with pytest.raises(ValidationError):
+                genie_min_losses(x, z, 1, budgets, hamming2)
+        with pytest.raises(ValidationError):
+            sdude_denoise_each(z, 1, (), bsc01, hamming2)
+        with pytest.raises(ValidationError):
+            genie_min_losses(x, z, 1, (), hamming2)
+        others = (
+            build_partition(z, 2),  # another k
+            build_partition(SymbolSequence(z.symbols[:-1], 2), 1),  # another n
+            build_partition(SymbolSequence(z.symbols, 3), 1),  # another alphabet
+        )
+        for partition in others:
+            with pytest.raises(ValidationError):
+                sdude_denoise_each(z, 1, (1,), bsc01, hamming2, partition=partition)
+            with pytest.raises(ValidationError):
+                genie_min_losses(x, z, 1, (1,), hamming2, partition=partition)
+
+    @pytest.mark.parametrize("num_rules, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_assignment_dtype_is_the_smallest_that_holds_every_rule(self, num_rules, dtype):
+        rng = np.random.default_rng(13)
+        z = SymbolSequence(rng.integers(0, 2, size=60), 2)
+        table = rng.standard_normal((2, num_rules))
+        solved = _solve_chains(build_partition(z, 1), z.symbols[1:59], table, (0, 2), (1, 3))
+        for schedule, _ in solved:
+            assert schedule.assignment.dtype == dtype
+            assert int(schedule.assignment.max()) < num_rules
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    noisy=st.integers(2, 3),
+    recon=st.integers(2, 3),
+    n=st.integers(1, 90),
+    k=st.integers(0, 3),
+    budgets=st.lists(st.integers(0, 8), min_size=1, max_size=4),
+    true_loss=st.booleans(),
+    style=st.sampled_from(["normal", "rounded", "sevenths"]),
+    tiny_batches=st.booleans(),
+)
+def test_every_budget_equals_its_own_solve(
+    seed, noisy, recon, n, k, budgets, true_loss, style, tiny_batches
+):
+    # Budgets may repeat, come in any order and exceed the longest chain; in
+    # the genie's true-loss shape the levels are clamped as genie_min_losses
+    # clamps them, in the denoiser's shape they are not.
+    if n <= 2 * k:
+        return
+    rng = np.random.default_rng(seed)
+    z = SymbolSequence(rng.integers(0, noisy, size=n), noisy)
+    partition = build_partition(z, k)
+    longest = int(partition._counts.max())
+    z_int = z.symbols[k : n - k]
+    if true_loss:
+        lam = random_table(rng, noisy, recon, style)
+        mappings = all_denoiser_mappings(Alphabets(noisy, noisy, recon))
+        table = lam[:, mappings.T].reshape(noisy * noisy, mappings.shape[0])
+        codes = rng.integers(0, noisy, size=z_int.size) * noisy + z_int
+        levels = [min(r, longest - 1) + 1 for r in budgets]
+    else:
+        table = random_table(rng, noisy, recon**noisy, style)
+        codes = z_int
+        levels = [r + 1 for r in budgets]
+    batch = 64 if tiny_batches else switching._BATCH_FLOATS
+    with mock.patch.object(switching, "_BATCH_FLOATS", batch):
+        together = _solve_chains(partition, codes, table, budgets, levels)
+        alone = [
+            _solve_chains(partition, codes, table, (r,), (lv,))[0] for r, lv in zip(budgets, levels)
+        ]
+    assert len(together) == len(budgets)
+    for r, lv, (schedule, forward_min), (own, own_min) in zip(budgets, levels, together, alone):
+        assignment, switches, minimum = fused_reference(partition, table[codes], r, lv)
+        assert schedule.m == own.m == r
+        assert np.array_equal(schedule.assignment, own.assignment)
+        assert np.array_equal(schedule.assignment, assignment)
+        assert schedule.per_context_switches == own.per_context_switches == switches
+        assert forward_min == own_min == minimum
 
 
 class TestMemoryBudget:
