@@ -1,9 +1,12 @@
-"""Two-sided contexts: per-position context ids, occurrence lists, count vectors.
+"""Two-sided contexts: occurrence lists, context ids and count vectors.
 
 The context of position t (1-based, k+1 <= t <= n-k) is the 2k-tuple of
 noisy symbols flanking it, packed into one integer by base-q digits in
 reading order (left window first, then right window).  Only contexts that
-actually occur are materialized, so memory stays O(n) for any k.
+actually occur are materialized, so memory stays O(n) for any k.  A
+partition owns the sequence it was built from, ``partition.z``; that is the
+only sequence it can be combined with, and per-position ids are read back
+from its windows rather than stored.
 
 All position arguments and results on the public surface are 1-based;
 0-based arrays are internal.
@@ -29,6 +32,7 @@ class ContextPartition:
         base = z.alphabet_size
         if base ** (2 * k) > 2**62:
             raise TooLarge(f"context ids for |Z|={base}, k={k} overflow 64-bit packing")
+        self.z = z
         self.k = int(k)
         self.n = n
         self.noisy_size = base
@@ -38,7 +42,6 @@ class ContextPartition:
         for off in list(range(-k, 0)) + list(range(1, k + 1)):
             ids *= base
             ids += arr[k + off : n - k + off]
-        self._ids = ids
         order = np.argsort(ids, kind="stable")
         sorted_ids = ids[order]
         unique_ids, starts, counts = np.unique(
@@ -61,7 +64,11 @@ class ContextPartition:
         """Context id at 1-based interior position t."""
         if not self.k + 1 <= t <= self.n - self.k:
             raise RangeError(f"position {t} outside interior {self.k + 1}..{self.n - self.k}")
-        return int(self._ids[t - self.k - 1])
+        arr = self.z.symbols
+        cid = 0
+        for s in (*arr[t - self.k - 1 : t - 1].tolist(), *arr[t : t + self.k].tolist()):
+            cid = cid * self.noisy_size + s
+        return cid
 
     def occurrences(self, context_id: int) -> np.ndarray:
         """1-based positions where the context occurs, strictly increasing."""
@@ -94,9 +101,10 @@ def build_partition(z: SymbolSequence, k: int) -> ContextPartition:
 def count_vector(partition: ContextPartition, z: SymbolSequence, context_id: int) -> np.ndarray:
     """Symbol counts within one context: counts[b] = #{t in occurrences: z_t = b}.
 
+    ``z`` must be ``partition.z``, the sequence the partition was built from.
     A context that never occurs yields the all-zero vector.
     """
-    if z.alphabet_size != partition.noisy_size or len(z) != partition.n:
-        raise ValidationError("sequence does not match the partition it is counted against")
+    if z is not partition.z:
+        raise ValidationError("count_vector takes only the sequence the partition was built from")
     positions = partition.occurrences(context_id)
     return np.bincount(z.symbols[positions - 1], minlength=partition.noisy_size).astype(np.int64)

@@ -61,8 +61,10 @@ class SymbolSequence:
             arr = arr.astype(np.int64)
         else:
             arr = arr.astype(np.int64, copy=True)
-        if self.alphabet_size < 1:
-            raise ValidationError("alphabet_size must be >= 1")
+        if not isinstance(self.alphabet_size, (int, np.integer)) or self.alphabet_size < 1:
+            raise ValidationError(
+                f"alphabet_size must be a positive integer, got {self.alphabet_size!r}"
+            )
         if arr.size and (arr.min() < 0 or arr.max() >= self.alphabet_size):
             raise ValidationError(
                 f"symbols must lie in 0..{self.alphabet_size - 1}"

@@ -52,7 +52,7 @@ def build_tables(channel: ChannelModel, loss: LossMatrix) -> EstimatedLossTable:
     alphabets = Alphabets(channel.clean_size, channel.noisy_size, loss.recon_size)
     if alphabets.num_denoisers > MAX_RULES:
         raise TooLarge(
-            f"{alphabets.num_denoisers} single-symbol rules exceed the "
+            f"{alphabets.recon_size}^{alphabets.noisy_size} single-symbol rules exceed the "
             f"table budget of {MAX_RULES}"
         )
     mappings = all_denoiser_mappings(alphabets)

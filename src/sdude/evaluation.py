@@ -7,7 +7,7 @@ where applicable.  Given identical seeds a harness produces byte-identical
 reports.  Each harness partitions a noisy sequence once per k and solves it
 once per loss: the plain and the shifting denoiser are budgets 0 and m of one
 estimated-loss solve, and their hindsight targets budgets 0 and m of one
-true-loss solve.
+true-loss solve on the denoiser's own ``schedule.partition``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contexts import build_partition
 from .core import ChannelModel, LossMatrix, SymbolSequence, bsc_channel, hamming_loss
 from .errors import RangeError, ValidationError
 from .estimation import build_tables
@@ -157,12 +156,11 @@ def run_two_block_experiment(
     headline = []
     for seed in seeds:
         z = corrupt(x, channel, seed)
-        partition = build_partition(z, k)
-        (dude_out, _, _), (sdude_out, _, estimated) = sdude_denoise_each(
-            z, k, (0, m), channel, loss, tables=tables, partition=partition
+        (dude_out, schedule, _), (sdude_out, _, estimated) = sdude_denoise_each(
+            z, k, (0, m), channel, loss, tables=tables
         )
         (dude_target, _), (sdude_target, _) = genie_min_losses(
-            x, z, k, (0, m), loss, partition=partition
+            x, schedule.partition, (0, m), loss
         )
         targets = {"dude": dude_target, "sdude": sdude_target}
         # Best zero-order shifting performance on the shared interior.
@@ -303,12 +301,9 @@ def concentration_sweep(
         gaps = []
         for trial in range(trials):
             z = corrupt(x, channel, np.random.SeedSequence((int(seed), ni, trial)))
-            partition = build_partition(z, k)
-            [(out, _, _)] = sdude_denoise_each(
-                z, k, (m,), channel, loss, tables=tables, partition=partition
-            )
+            [(out, schedule, _)] = sdude_denoise_each(z, k, (m,), channel, loss, tables=tables)
             true_loss = cumulative_loss(x, out, loss, k + 1, len(x) - k)
-            [(genie_val, _)] = genie_min_losses(x, z, k, (m,), loss, partition=partition)
+            [(genie_val, _)] = genie_min_losses(x, schedule.partition, (m,), loss)
             gaps.append(true_loss - genie_val)
         rows.append(
             {

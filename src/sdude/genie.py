@@ -4,19 +4,22 @@ The genie runs the same per-context switching dynamic program as the
 denoiser but scores each position with the true loss lam(x_t, s(z_t))
 instead of the observable estimate, yielding the minimum normalized
 cumulative loss over the schedule class (with m = 0, the best non-shifting
-sliding-window performance).  One solve serves every budget: the forward
-pass runs once to the deepest budget's level, and each budget walks back
-from its own, giving the same bits as a solve of that budget alone.
+sliding-window performance).  ``genie_min_losses`` takes a context partition
+of z, typically the denoiser's own ``schedule.partition``, and reads z and k
+from it, so the target competes on exactly the denoiser's contexts.  One
+solve serves every budget: the forward pass runs once to the deepest
+budget's level, and each budget walks back from its own, giving the same
+bits as a solve of that budget alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .contexts import ContextPartition
+from .contexts import ContextPartition, build_partition
 from .core import Alphabets, LossMatrix, SymbolSequence, all_denoiser_mappings
 from .errors import ValidationError
-from .switching import SwitchingSchedule, _partition_for, _solve_chains
+from .switching import SwitchingSchedule, _solve_chains
 
 
 def _true_loss_table(
@@ -32,16 +35,15 @@ def _true_loss_table(
 
 def genie_min_losses(
     x: SymbolSequence,
-    z: SymbolSequence,
-    k: int,
+    partition: ContextPartition,
     budgets,
     loss: LossMatrix,
-    partition: ContextPartition | None = None,
 ) -> list[tuple[float, SwitchingSchedule]]:
     """``genie_min_loss`` for each shift budget in ``budgets``, from one solve.
 
-    A prebuilt order-k ``partition`` of z may be passed to skip building one.
+    The noisy sequence and k are the ones ``partition`` was built from.
     """
+    z, k = partition.z, partition.k
     if len(x) != len(z):
         raise ValidationError(f"clean and noisy lengths differ ({len(x)} != {len(z)})")
     lam = loss.lam
@@ -53,12 +55,9 @@ def genie_min_losses(
     for m in budgets:
         if not isinstance(m, (int, np.integer)) or m < 0:
             raise ValidationError(f"shift budget m must be a nonnegative integer, got {m!r}")
-    partition = _partition_for(z, k, partition)
     mappings = all_denoiser_mappings(Alphabets(lam.shape[0], z.alphabet_size, lam.shape[1]))
     codes, table = _true_loss_table(x, z, k, lam, mappings)
-    longest = int(partition._counts.max())
-    levels = [min(int(m), longest - 1) + 1 for m in budgets]
-    solved = _solve_chains(partition, codes, table, budgets, levels)
+    solved = _solve_chains(partition, codes, table, budgets)
     return [(forward_min / partition.num_interior, schedule) for schedule, forward_min in solved]
 
 
@@ -74,4 +73,4 @@ def genie_min_loss(
     Unlike the denoiser, any m >= 0 is accepted; budgets beyond the longest
     context chain cannot change the optimum.
     """
-    return genie_min_losses(x, z, k, (m,), loss)[0]
+    return genie_min_losses(x, build_partition(z, k), (m,), loss)[0]

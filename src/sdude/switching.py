@@ -22,13 +22,14 @@ chain's summation order, so every value equals the chain-at-a-time recursion
 bit for bit.  Level i of the forward pass depends only on the levels below
 it, so one solve serves every shift budget: each batch is scanned once to
 the deepest budget's level, and every budget walks back from its own top
-level, giving the same bits as a solve of that budget alone.
-``sdude_denoise_each`` maps one solve to one output per budget and fills in
-the boundary; ``sdude_denoise`` and ``forward_pass`` solve a single budget.
-The plain sliding-window denoiser is the m = 0 budget, and the genie runs the
-kernel on the true loss.  Time is O(m * n); memory is one batch of DP values, at most
-about ``_BATCH_FLOATS`` floats unless a single chain is longer, plus one
-compact assignment per budget.
+level (never more levels than the longest chain has occurrences), giving the
+same bits as a solve of that budget alone.  ``sdude_denoise_each`` maps one
+solve to one output per budget and fills in the boundary; each schedule
+carries the partition, for the genie to reuse.  ``sdude_denoise`` and
+``forward_pass`` solve a single budget.  The plain sliding-window denoiser is
+the m = 0 budget, and the genie runs the kernel on the true loss.  Time is
+O(m * n); memory is one batch of DP values, at most about ``_BATCH_FLOATS``
+floats unless a single chain is longer, plus one compact assignment per budget.
 """
 
 from __future__ import annotations
@@ -224,24 +225,27 @@ def _backward_batch(
 
 
 def _solve_chains(
-    partition: ContextPartition, codes: np.ndarray, table: np.ndarray, budgets, levels
+    partition: ContextPartition, codes: np.ndarray, table: np.ndarray, budgets
 ) -> list[tuple[SwitchingSchedule, float]]:
     """Both passes for every context chain of the partition, for every budget.
 
     The loss row at 0-based interior index t is ``table[codes[t]]`` (one
-    entry per rule); level i of the DP allows at most i shifts.  Budget
-    ``budgets[b]`` is solved on ``levels[b]`` levels.  Each batch runs its
-    forward pass once, on the most levels any budget needs, and walks back
-    once per distinct level count from that count's top level.  Levels
-    0..lv-1 of the deeper pass come from the same operations on the same
-    inputs as a pass of lv levels, so each budget's result equals its own
-    solve bit for bit.  Returns one (schedule, unnormalized minimum
-    cumulative loss) per budget, in order; shifts per context are listed in
-    ascending context id, and assignments use the smallest unsigned dtype
-    that holds every rule index.
+    entry per rule); level i of the DP allows at most i shifts.  A chain of
+    L occurrences reads only levels below L, whose values are the same at
+    every level >= L, so budget m is solved on min(m, longest - 1) + 1
+    levels with the same bits as on m + 1.  Each batch runs its forward pass
+    once, on the most levels any budget needs, and walks back once per
+    distinct level count from that count's top level.  Levels 0..lv-1 of the
+    deeper pass come from the same operations on the same inputs as a pass
+    of lv levels, so each budget's result equals its own solve bit for bit.
+    Returns one (schedule, unnormalized minimum cumulative loss) per budget,
+    in order; shifts per context are listed in ascending context id, and
+    assignments use the smallest unsigned dtype that holds every rule index.
     """
     num_rules = table.shape[1]
     rules_major = np.ascontiguousarray(table.T)
+    longest = int(partition._counts.max())
+    levels = [min(int(m), longest - 1) + 1 for m in budgets]
     tops = sorted(set(levels))
     assignments = {
         lv: np.empty(partition.num_interior, dtype=np.min_scalar_type(num_rules - 1))
@@ -277,30 +281,13 @@ def _solve_chains(
     ]
 
 
-def _partition_for(
-    z: SymbolSequence, k: int, partition: ContextPartition | None
-) -> ContextPartition:
-    """The order-k partition of z: built here, or checked against z and k if passed."""
-    if partition is None:
-        return build_partition(z, k)
-    built_for = (partition.n, partition.k, partition.noisy_size)
-    if not isinstance(k, (int, np.integer)) or built_for != (len(z), k, z.alphabet_size):
-        raise ValidationError("partition was not built from a sequence of this length, alphabet, k")
-    return partition
-
-
-def _forward_each(
-    z: SymbolSequence,
-    k: int,
-    budgets,
-    tables: EstimatedLossTable,
-    partition: ContextPartition | None,
-) -> list[DPState]:
-    """One ``DPState`` per shift budget, all from one solve of z's chains."""
-    budgets = tuple(budgets)
+def _estimated_problem(
+    z: SymbolSequence, k: int, budgets: tuple, tables: EstimatedLossTable
+) -> tuple[ContextPartition, np.ndarray]:
+    """z's order-k partition and interior codes, once the budgets and alphabet are checked."""
     if not budgets:
         raise ValidationError("need at least one shift budget")
-    partition = _partition_for(z, k, partition)
+    partition = build_partition(z, k)
     for m in budgets:
         if not isinstance(m, (int, np.integer)) or not 0 <= m <= partition.num_interior // 2:
             raise RangeError(
@@ -309,17 +296,14 @@ def _forward_each(
     if z.alphabet_size != tables.channel.noisy_size:
         raise ValidationError("sequence alphabet does not match the channel's noisy alphabet")
     # The interior noisy symbols are the rows of ``tables.ell`` that score each position.
-    codes = z.symbols[k : len(z) - k]
-    solved = _solve_chains(partition, codes, tables.ell, budgets, [m + 1 for m in budgets])
-    return [
-        DPState(schedule=schedule, codes=codes, ell=tables.ell, forward_min=forward_min)
-        for schedule, forward_min in solved
-    ]
+    return partition, z.symbols[k : len(z) - k]
 
 
 def forward_pass(z: SymbolSequence, k: int, m: int, tables: EstimatedLossTable) -> DPState:
     """Solve every context chain's DP for the estimated loss, schedule included."""
-    return _forward_each(z, k, (m,), tables, None)[0]
+    partition, codes = _estimated_problem(z, k, (m,), tables)
+    [(schedule, forward_min)] = _solve_chains(partition, codes, tables.ell, (m,))
+    return DPState(schedule=schedule, codes=codes, ell=tables.ell, forward_min=forward_min)
 
 
 def _table_sum(table: np.ndarray, codes: np.ndarray, assignment: np.ndarray) -> float:
@@ -346,33 +330,32 @@ def sdude_denoise_each(
     loss: LossMatrix,
     boundary: int | None = None,
     tables: EstimatedLossTable | None = None,
-    partition: ContextPartition | None = None,
 ) -> list[tuple[SymbolSequence, SwitchingSchedule, float]]:
     """``sdude_denoise`` for each shift budget in ``budgets``, from one solve.
 
     One forward pass over z's context chains serves every budget, and a
-    budget's result is the same bits as its own ``sdude_denoise`` call.  A
-    prebuilt order-k ``partition`` of z may be passed to skip building one.
+    budget's result is the same bits as its own ``sdude_denoise`` call.
+    Every schedule holds the one partition of z, ``schedule.partition``.
     """
     if tables is None:
         tables = build_tables(channel, loss)
-    states = _forward_each(z, k, budgets, tables, partition)
+    budgets = tuple(budgets)
+    partition, codes = _estimated_problem(z, k, budgets, tables)
     n, recon = len(z), tables.loss.recon_size
     if k > 0 and boundary is not None:
-        if not 0 <= boundary < recon:
-            raise RangeError(f"boundary symbol {boundary} outside the reconstruction alphabet")
+        if not isinstance(boundary, (int, np.integer)) or not 0 <= boundary < recon:
+            raise RangeError(f"boundary symbol {boundary!r} outside the reconstruction alphabet")
         fill = boundary
     elif recon >= tables.channel.noisy_size:
         fill = None
     else:
         fill = 0
     results = []
-    for state in states:
-        codes, assignment = state.codes, state.schedule.assignment
+    for schedule, _ in _solve_chains(partition, codes, tables.ell, budgets):
         out = z.symbols.copy() if fill is None else np.full(n, fill, dtype=np.int64)
-        out[k : n - k] = tables.mappings[assignment, codes]
-        estimated = _table_sum(tables.ell, codes, assignment) / codes.size
-        results.append((SymbolSequence(out, recon), state.schedule, estimated))
+        out[k : n - k] = tables.mappings[schedule.assignment, codes]
+        estimated = _table_sum(tables.ell, codes, schedule.assignment) / codes.size
+        results.append((SymbolSequence(out, recon), schedule, estimated))
     return results
 
 

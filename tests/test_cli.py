@@ -218,6 +218,25 @@ class TestCliBehavior:
         assert "error" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt"]
 
+    def test_too_many_rules_is_a_short_error_without_output(self, tmp_path, capsys):
+        src = tmp_path / "in.raw"
+        src.write_bytes(bytes([0, 1, 1, 0]))
+        out = tmp_path / "never.raw"
+        code = main(
+            [
+                "denoise",
+                "--input", str(src),
+                "--output", str(out),
+                "--channel", "identity:300",
+                "--loss", "hamming",
+                "--k", "0",
+            ]
+        )
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "300^300" in err and len(err.encode()) < 200
+
     @pytest.mark.parametrize(
         "flags, named",
         [

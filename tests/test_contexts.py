@@ -72,6 +72,17 @@ def test_count_requires_matching_sequence():
         count_vector(part, SymbolSequence([0, 1, 0], 2), 0)
 
 
+def test_count_refuses_another_sequence_of_the_same_length_and_alphabet():
+    z1 = SymbolSequence([0, 1, 0, 1, 0], 2)
+    z2 = SymbolSequence([1, 1, 0, 0, 1], 2)
+    part = build_partition(z1, 1)
+    cid = part.context_of(2)
+    with pytest.raises(ValidationError):
+        count_vector(part, z2, cid)
+    assert part.z is z1
+    np.testing.assert_array_equal(count_vector(part, part.z, cid), [0, 2])
+
+
 def test_counts_sum_to_occurrences_and_rebuild_is_identical():
     rng = np.random.default_rng(11)
     z = SymbolSequence(rng.integers(0, 3, size=500), 3)

@@ -77,6 +77,12 @@ class TestSymbolSequence:
         with pytest.raises(ValidationError):
             SymbolSequence([-1], 2)
 
+    @pytest.mark.parametrize("size", [2.5, np.float64(2.0), "2", None, 0])
+    def test_alphabet_size_must_be_a_positive_integer(self, size):
+        with pytest.raises(ValidationError):
+            SymbolSequence([0, 1, 1, 0, 1], size)
+        assert SymbolSequence([0, 1, 1, 0, 1], np.int64(2)).alphabet_size == 2
+
     def test_immutable(self):
         seq = SymbolSequence([0, 1], 2)
         with pytest.raises(ValueError):

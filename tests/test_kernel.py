@@ -43,8 +43,8 @@ from sdude.switching import _solve_chains
 
 
 def assert_matches_reference(partition, codes, table, levels):
-    [(schedule, forward_min)] = _solve_chains(partition, codes, table, (levels - 1,), (levels,))
-    want = fused_reference(partition, table[codes], levels - 1, levels)
+    [(schedule, forward_min)] = _solve_chains(partition, codes, table, (levels - 1,))
+    want = fused_reference(partition, table[codes], levels - 1)
     assert np.array_equal(schedule.assignment, want[0])
     assert schedule.per_context_switches == want[1]
     assert forward_min == want[2]
@@ -166,8 +166,7 @@ class TestEveryBudget:
         z = SymbolSequence(rng.integers(0, 2, size=3000), 2)
         budgets = (3, 0, 3, 1)
         for k, boundary in ((0, None), (2, None), (3, 1)):
-            partition = build_partition(z, k)
-            for kwargs in ({}, {"tables": tables01, "partition": partition}):
+            for kwargs in ({}, {"tables": tables01}):
                 each = sdude_denoise_each(z, k, budgets, bsc01, hamming2, boundary, **kwargs)
                 assert len(each) == len(budgets)
                 for m, (out, schedule, estimated) in zip(budgets, each):
@@ -188,13 +187,13 @@ class TestEveryBudget:
         budgets = (7, 0, 2, 10**6, 2)
         for k in (0, 1, 4):
             partition = build_partition(z, k)
-            for passed in (None, partition):
-                each = genie_min_losses(x, z, k, budgets, hamming2, partition=passed)
-                for m, (value, schedule) in zip(budgets, each):
-                    want_value, want = genie_min_loss(x, z, k, m, hamming2)
-                    assert value == want_value and schedule.m == m
-                    assert np.array_equal(schedule.assignment, want.assignment)
-                    assert schedule.per_context_switches == want.per_context_switches
+            each = genie_min_losses(x, partition, budgets, hamming2)
+            for m, (value, schedule) in zip(budgets, each):
+                want_value, want = genie_min_loss(x, z, k, m, hamming2)
+                assert value == want_value and schedule.m == m
+                assert schedule.partition is partition
+                assert np.array_equal(schedule.assignment, want.assignment)
+                assert schedule.per_context_switches == want.per_context_switches
 
     def test_every_budget_and_the_partition_are_checked(self, bsc01, hamming2):
         z = SymbolSequence(np.tile([0, 1, 1], 10), 2)
@@ -202,30 +201,24 @@ class TestEveryBudget:
         for budgets in ((0, -1), (1, 15), (0, 1.5)):
             with pytest.raises(RangeError):
                 sdude_denoise_each(z, 1, budgets, bsc01, hamming2)
+        partition = build_partition(z, 1)
         for budgets in ((0, -1), (2, 1.5)):
             with pytest.raises(ValidationError):
-                genie_min_losses(x, z, 1, budgets, hamming2)
+                genie_min_losses(x, partition, budgets, hamming2)
         with pytest.raises(ValidationError):
             sdude_denoise_each(z, 1, (), bsc01, hamming2)
         with pytest.raises(ValidationError):
-            genie_min_losses(x, z, 1, (), hamming2)
-        others = (
-            build_partition(z, 2),  # another k
-            build_partition(SymbolSequence(z.symbols[:-1], 2), 1),  # another n
-            build_partition(SymbolSequence(z.symbols, 3), 1),  # another alphabet
-        )
-        for partition in others:
-            with pytest.raises(ValidationError):
-                sdude_denoise_each(z, 1, (1,), bsc01, hamming2, partition=partition)
-            with pytest.raises(ValidationError):
-                genie_min_losses(x, z, 1, (1,), hamming2, partition=partition)
+            genie_min_losses(x, partition, (), hamming2)
+        # The clean sequence must match the sequence the partition was built from.
+        with pytest.raises(ValidationError):
+            genie_min_losses(SymbolSequence(x.symbols[:-1], 2), partition, (1,), hamming2)
 
     @pytest.mark.parametrize("num_rules, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
     def test_assignment_dtype_is_the_smallest_that_holds_every_rule(self, num_rules, dtype):
         rng = np.random.default_rng(13)
         z = SymbolSequence(rng.integers(0, 2, size=60), 2)
         table = rng.standard_normal((2, num_rules))
-        solved = _solve_chains(build_partition(z, 1), z.symbols[1:59], table, (0, 2), (1, 3))
+        solved = _solve_chains(build_partition(z, 1), z.symbols[1:59], table, (0, 2))
         for schedule, _ in solved:
             assert schedule.assignment.dtype == dtype
             assert int(schedule.assignment.max()) < num_rules
@@ -246,35 +239,31 @@ class TestEveryBudget:
 def test_every_budget_equals_its_own_solve(
     seed, noisy, recon, n, k, budgets, true_loss, style, tiny_batches
 ):
-    # Budgets may repeat, come in any order and exceed the longest chain; in
-    # the genie's true-loss shape the levels are clamped as genie_min_losses
-    # clamps them, in the denoiser's shape they are not.
+    # Budgets may repeat, come in any order and exceed the longest chain, in
+    # the genie's true-loss shape and in the denoiser's.  The kernel solves a
+    # budget m on min(m, longest - 1) + 1 levels; the reference runs the
+    # unclamped m + 1.
     if n <= 2 * k:
         return
     rng = np.random.default_rng(seed)
     z = SymbolSequence(rng.integers(0, noisy, size=n), noisy)
     partition = build_partition(z, k)
-    longest = int(partition._counts.max())
     z_int = z.symbols[k : n - k]
     if true_loss:
         lam = random_table(rng, noisy, recon, style)
         mappings = all_denoiser_mappings(Alphabets(noisy, noisy, recon))
         table = lam[:, mappings.T].reshape(noisy * noisy, mappings.shape[0])
         codes = rng.integers(0, noisy, size=z_int.size) * noisy + z_int
-        levels = [min(r, longest - 1) + 1 for r in budgets]
     else:
         table = random_table(rng, noisy, recon**noisy, style)
         codes = z_int
-        levels = [r + 1 for r in budgets]
     batch = 64 if tiny_batches else switching._BATCH_FLOATS
     with mock.patch.object(switching, "_BATCH_FLOATS", batch):
-        together = _solve_chains(partition, codes, table, budgets, levels)
-        alone = [
-            _solve_chains(partition, codes, table, (r,), (lv,))[0] for r, lv in zip(budgets, levels)
-        ]
+        together = _solve_chains(partition, codes, table, budgets)
+        alone = [_solve_chains(partition, codes, table, (r,))[0] for r in budgets]
     assert len(together) == len(budgets)
-    for r, lv, (schedule, forward_min), (own, own_min) in zip(budgets, levels, together, alone):
-        assignment, switches, minimum = fused_reference(partition, table[codes], r, lv)
+    for r, (schedule, forward_min), (own, own_min) in zip(budgets, together, alone):
+        assignment, switches, minimum = fused_reference(partition, table[codes], r)
         assert schedule.m == own.m == r
         assert np.array_equal(schedule.assignment, own.assignment)
         assert np.array_equal(schedule.assignment, assignment)
@@ -305,6 +294,25 @@ class TestMemoryBudget:
         assert np.array_equal(schedule.assignment, want[0])
         assert schedule.per_context_switches == want[1]
         assert state.forward_min == want[2]
+
+    def test_budget_past_the_longest_chain_needs_only_its_levels(self, monkeypatch, tables01):
+        # m = 300 shifts on 16 chains of at most about 150 occurrences: the
+        # longest chain holds longest * 4 * longest DP values, not
+        # (m + 1) * 4 * longest, and the result is the unclamped solve's.
+        rng = np.random.default_rng(9)
+        z = SymbolSequence(rng.integers(0, 2, size=2004), 2)
+        longest = int(build_partition(z, 2)._counts.max())
+        m = 300
+        assert longest < m
+        monkeypatch.setattr(switching, "MAX_CHAIN_ENTRIES", longest * 4 * longest)
+        state = forward_pass(z, 2, m, tables01)
+        want = fused_reference(state.partition, tables01.ell[state.codes], m)
+        assert np.array_equal(state.schedule.assignment, want[0])
+        assert state.schedule.per_context_switches == want[1]
+        assert state.forward_min == want[2]
+        monkeypatch.setattr(switching, "MAX_CHAIN_ENTRIES", longest * 4 * longest - 1)
+        with pytest.raises(TooLarge):
+            forward_pass(z, 2, m, tables01)
 
     def test_over_budget_chain_refused(self, monkeypatch, bsc01, hamming2):
         z = SymbolSequence(np.zeros(1000, dtype=np.int64), 2)
