@@ -5,7 +5,26 @@ generalization driven by a two-pass dynamic program over switching rule
 schedules, hindsight (genie) targets solved by the same dynamic program,
 stochastic source and channel simulators, an exact smoothing baseline for
 switching hidden Markov processes, and reproducible experiment harnesses.
+
+If sdude is the first to import numpy and neither ``OPENBLAS_NUM_THREADS``
+nor ``OMP_NUM_THREADS`` is set, numpy is loaded with a one-thread OpenBLAS
+pool: sdude's only large BLAS call, ``map_denoise``'s ``(n, 2) @ (2, 2)``, is
+memory-bound, and a second thread only adds start-up time and stalls.  The
+variable is set for that import alone, so child processes inherit nothing.
+Set either variable, or import numpy first, to keep OpenBLAS's own choice.
 """
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules and not (
+    {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & _os.environ.keys()
+):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .contexts import ContextPartition, build_partition, count_vector
 from .core import (

@@ -2,8 +2,11 @@
 
 The context of position t (1-based, k+1 <= t <= n-k) is the 2k-tuple of
 noisy symbols flanking it, packed into one integer by base-q digits in
-reading order (left window first, then right window).  Only contexts that
-actually occur are materialized, so memory stays O(n) for any k.  A
+reading order (left window first, then right window).  The ids are held in
+the smallest unsigned dtype that fits q^(2k) - 1 (``uint8`` for binary data
+up to k = 4, ``uint16`` up to k = 8) and grouped by an LSD radix sort: one
+stable argsort per 16-bit digit.  Only contexts that actually occur are
+materialized, so memory stays O(n) for any k.  A
 partition owns the sequence it was built from, ``partition.z``; that is the
 only sequence it can be combined with, and per-position ids are read back
 from its windows rather than stored.
@@ -26,27 +29,32 @@ class ContextPartition:
     def __init__(self, z: SymbolSequence, k: int):
         if not isinstance(k, (int, np.integer)) or k < 0:
             raise RangeError(f"context half-width k must be a nonnegative integer, got {k!r}")
+        k = int(k)
         n = len(z)
         if n <= 2 * k:
             raise SequenceTooShort(f"need n > 2k, got n={n}, k={k}")
         base = z.alphabet_size
-        if base ** (2 * k) > 2**62:
+        num_ids = base ** (2 * k)
+        if num_ids > 2**62:
             raise TooLarge(f"context ids for |Z|={base}, k={k} overflow 64-bit packing")
         self.z = z
-        self.k = int(k)
+        self.k = k
         self.n = n
         self.noisy_size = base
-        arr = z.symbols
         n_int = n - 2 * k
-        ids = np.zeros(n_int, dtype=np.int64)
-        for off in list(range(-k, 0)) + list(range(1, k + 1)):
-            ids *= base
-            ids += arr[k + off : n - k + off]
-        order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[order]
-        unique_ids, starts, counts = np.unique(
-            sorted_ids, return_index=True, return_counts=True
-        )
+        ids = np.zeros(n_int, dtype=np.min_scalar_type(num_ids - 1))
+        if k:
+            arr = z.symbols.astype(ids.dtype)
+            for off in list(range(-k, 0)) + list(range(1, k + 1)):
+                ids *= base
+                ids += arr[k + off : n - k + off]
+        order, sorted_ids = _radix_sort(ids, (num_ids - 1).bit_length())
+        new_group = np.empty(n_int, dtype=bool)
+        new_group[0] = True
+        np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=new_group[1:])
+        starts = np.flatnonzero(new_group)
+        counts = np.diff(starts, append=n_int)
+        unique_ids = sorted_ids[starts].astype(np.int64)
         self._order = order
         self._unique_ids = unique_ids
         self._starts = starts
@@ -91,6 +99,26 @@ class ContextPartition:
             raise RangeError(f"context id {context_id} out of range for k={self.k}")
         digits.reverse()
         return tuple(digits[: self.k]), tuple(digits[self.k :])
+
+
+def _radix_sort(ids: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort of unsigned ids below 2**bits: (order, ids[order]).
+
+    One stable argsort per 16-bit digit, least significant first, each
+    carried through the previous digit's order; numpy's stable sort of a
+    16-bit or narrower integer array is a counting (radix) sort.
+    """
+    if ids.dtype.itemsize <= 2:
+        order = np.argsort(ids, kind="stable")
+        return order, ids[order]
+    order = None
+    keys = ids
+    for shift in range(0, bits, 16):
+        # The cast keeps the low 16 bits of the shifted key: that digit.
+        perm = np.argsort((keys >> shift).astype(np.uint16), kind="stable")
+        order = perm if order is None else order[perm]
+        keys = keys[perm]
+    return order, keys
 
 
 def build_partition(z: SymbolSequence, k: int) -> ContextPartition:

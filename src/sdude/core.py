@@ -37,6 +37,8 @@ class Alphabets:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValidationError(f"{name} must be a positive integer, got {v!r}")
+            # Python ints, so that sizes computed from them never wrap.
+            object.__setattr__(self, name, int(v))
 
     @property
     def num_denoisers(self) -> int:
@@ -71,6 +73,7 @@ class SymbolSequence:
             )
         arr.flags.writeable = False
         object.__setattr__(self, "symbols", arr)
+        object.__setattr__(self, "alphabet_size", int(self.alphabet_size))
 
     def __len__(self) -> int:
         return int(self.symbols.shape[0])

@@ -124,11 +124,19 @@ def write_raw_sequence(path, seq: SymbolSequence) -> None:
 
 
 def read_text_sequence(path, alphabet_size: int) -> SymbolSequence:
+    """Symbols written as ASCII decimal digits, separated by whitespace."""
     tokens = _read_tokens(path, "sequence file")
+    joined = "".join(tokens)
+    if tokens and not (joined.isascii() and joined.isdigit()):
+        bad = next(tok for tok in tokens if not (tok.isascii() and tok.isdigit()))
+        raise ValidationError(f"sequence file {path} holds {bad!r}, not a decimal symbol")
     try:
         values = np.array([int(tok) for tok in tokens], dtype=np.int64)
-    except ValueError as exc:
-        raise ValidationError(f"sequence file {path} is not integer text: {exc}") from None
+    except (ValueError, OverflowError):
+        # int() refuses over 4300 digits; int64 holds up to 2**63 - 1.
+        raise ValidationError(
+            f"sequence file {path} holds a symbol outside 0..{alphabet_size - 1}"
+        ) from None
     return SymbolSequence(values, alphabet_size)
 
 

@@ -6,8 +6,9 @@ shared bug between implementation and test is structurally impossible.  The
 exceptions are frozen copies of earlier, plainer implementations, kept so
 that the optimized ones can be required to match them bit for bit:
 ``binary_posteriors_reference`` (the two-state forward-backward loop),
-``fused_reference`` (the switching DP run one context chain at a time) and
-``schedule_to_json_reference`` (the per-position schedule dump).
+``fused_reference`` (the switching DP run one context chain at a time),
+``schedule_to_json_reference`` (the per-position schedule dump) and
+``partition_reference`` (the int64 argsort build of a context partition).
 ``brute_force_min`` enumerates the schedule class itself, so it checks the
 estimated-loss dynamic program and the genie alike.
 """
@@ -22,6 +23,23 @@ from sdude.errors import TooLarge, ValidationError
 from sdude.genie import _true_loss_table
 
 BRUTE_FORCE_BUDGET = 10**6
+
+
+def partition_reference(z, k):
+    """(order, unique_ids, starts, counts) of the int64 stable-argsort build.
+
+    The frozen plain build of ``ContextPartition``: context ids packed into
+    int64, one stable ``argsort`` and ``np.unique`` over the sorted ids.
+    """
+    arr = np.asarray(z.symbols, dtype=np.int64)
+    n = arr.shape[0]
+    ids = np.zeros(n - 2 * k, dtype=np.int64)
+    for off in list(range(-k, 0)) + list(range(1, k + 1)):
+        ids *= z.alphabet_size
+        ids += arr[k + off : n - k + off]
+    order = np.argsort(ids, kind="stable")
+    unique_ids, starts, counts = np.unique(ids[order], return_index=True, return_counts=True)
+    return order, unique_ids, starts, counts
 
 
 def context_groups(partition):

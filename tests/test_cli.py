@@ -267,6 +267,20 @@ class TestCliBehavior:
         err = capsys.readouterr().err
         assert err.startswith("sdude: error:") and named in err
 
+    @pytest.mark.parametrize("token", [str(2**63), "\u0661", "+1"])
+    def test_text_input_outside_ascii_digits_is_an_error_without_output(
+        self, tmp_path, capsys, token
+    ):
+        src = tmp_path / "in.txt"
+        src.write_text(f"0 1 {token} 0 1\n", encoding="utf-8")
+        out = tmp_path / "never.out"
+        argv = ["denoise", "--format", "text", "--input", str(src), "--output", str(out),
+                "--channel", "bsc:0.1", "--loss", "hamming", "--k", "0"]
+        assert main(argv) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("sdude: error:") and "Traceback" not in err
+
 
 class TestExperimentCommands:
     def test_two_block_writes_json_and_csv(self, tmp_path):

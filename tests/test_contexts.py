@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import partition_reference
 from sdude import SymbolSequence, build_partition, count_vector
-from sdude.errors import RangeError, SequenceTooShort, ValidationError
+from sdude.errors import RangeError, SequenceTooShort, TooLarge, ValidationError
 
 
 def test_alternating_sequence_k1():
@@ -107,3 +110,80 @@ def test_context_id_packs_windows_in_reading_order():
     cid = part.context_of(3)
     assert part.context_symbols(cid) == ((0, 1), (1, 0))
     assert cid == ((0 * 3 + 1) * 3 + 1) * 3 + 0
+
+
+def _max_k(q):
+    """Largest k whose q**(2k) ids fit the 64-bit packing (k <= 20 for q = 1)."""
+    k = 0
+    while k < 20 and q ** (2 * (k + 1)) <= 2**62:
+        k += 1
+    return k
+
+
+def _assert_matches_reference(z, k):
+    part = build_partition(z, k)
+    got = (part._order, part._unique_ids, part._starts, part._counts)
+    for name, a, b in zip(("order", "unique_ids", "starts", "counts"), got,
+                          partition_reference(z, k)):
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+@st.composite
+def _sequences(draw):
+    """(z, k): a short repeating pattern with sparse edits, so that long
+    contexts recur and tie on their low digits."""
+    q = draw(st.integers(1, 5))
+    k = draw(st.integers(0, _max_k(q)))
+    n = 2 * k + 1 + draw(st.sampled_from([0, 0, 1, 5, 40, 300]))
+    pattern = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=6))
+    symbols = np.resize(np.array(pattern), n)
+    edits = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, q - 1)), max_size=8))
+    for i, v in edits:
+        symbols[i] = v
+    return SymbolSequence(symbols, q), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_sequences())
+def test_partition_equals_the_int64_argsort_build(case):
+    _assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize(
+    "q, k, digits",
+    [
+        (2, 0, 1),
+        (2, 4, 1),   # uint8 ids
+        (2, 8, 1),   # uint16
+        (2, 12, 2),  # uint32
+        (2, 16, 2),
+        (2, 20, 3),  # uint64
+        (3, 15, 3),
+        (2, 31, 4),
+        (3, 19, 4),
+        (5, 13, 4),
+        (1, 20, 1),
+    ],
+)
+@pytest.mark.parametrize("extra", [0, 1, 2000])
+def test_partition_equals_reference_for_every_digit_count(q, k, digits, extra):
+    assert max(1, -(-(q ** (2 * k) - 1).bit_length() // 16)) == digits
+    rng = np.random.default_rng(q * 100 + k)
+    n = 2 * k + 1 + extra
+    symbols = np.resize(rng.integers(0, q, size=11), n)
+    symbols[rng.random(n) < 0.02] = q - 1
+    _assert_matches_reference(SymbolSequence(symbols, q), k)
+
+
+def test_numpy_k_is_checked_with_python_ints():
+    # 2 ** (2 * np.int64(40)) wraps to 0 in int64; the guard must still fire.
+    z = SymbolSequence(np.zeros(100, dtype=np.int64), 2)
+    with pytest.raises(TooLarge):
+        build_partition(z, np.int64(40))
+    with pytest.raises(TooLarge):
+        build_partition(SymbolSequence(np.zeros(100, dtype=np.int64), np.int64(3)), np.uint8(20))
+    part = build_partition(z, np.int64(31))
+    assert type(part.k) is int
+    assert part._unique_ids.tolist() == [0]
+

@@ -83,6 +83,10 @@ class TestSymbolSequence:
             SymbolSequence([0, 1, 1, 0, 1], size)
         assert SymbolSequence([0, 1, 1, 0, 1], np.int64(2)).alphabet_size == 2
 
+    def test_numpy_alphabet_size_is_held_as_a_python_int(self):
+        seq = SymbolSequence([0, 1, 1], np.uint8(2))
+        assert type(seq.alphabet_size) is int and seq.alphabet_size == 2
+
     def test_immutable(self):
         seq = SymbolSequence([0, 1], 2)
         with pytest.raises(ValueError):
@@ -98,6 +102,13 @@ class TestDenoiserIndexing:
         assert tuple(table[2]) == (0, 1)
         assert tuple(table[3]) == (1, 1)
         assert table.shape == (4, 2)
+
+    def test_numpy_sizes_are_held_as_python_ints(self):
+        # np.int64(2) ** np.int64(64) wraps to 0; the rule count must not.
+        alphabets = Alphabets(np.int64(2), np.int64(64), np.int64(2))
+        for size in (alphabets.clean_size, alphabets.noisy_size, alphabets.recon_size):
+            assert type(size) is int
+        assert alphabets.num_denoisers == 2**64
 
     @pytest.mark.parametrize("noisy,recon", [(2, 2), (3, 2), (2, 3), (12, 2), (6, 4)])
     def test_encoding_is_a_bijection(self, noisy, recon):

@@ -68,6 +68,36 @@ class TestSequenceFiles:
         back = fileio.read_text_sequence(path, 6)
         np.testing.assert_array_equal(back.symbols, seq.symbols)
 
+    def test_text_reads_ascii_digits_with_leading_zeros(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_text("007\n0 \t 10\r\n")
+        back = fileio.read_text_sequence(path, 11)
+        np.testing.assert_array_equal(back.symbols, [7, 0, 10])
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "\u0661",  # ARABIC-INDIC DIGIT ONE: int() reads it as 1
+            "\uff11",  # FULLWIDTH DIGIT ONE
+            "1_0",
+            "+1",
+            "-1",
+            "1.0",
+            "0x1",
+            "1e0",
+            str(2**63),
+            "1" * 5000,
+        ],
+        ids=["arabic-indic", "fullwidth", "underscore", "plus", "minus", "float",
+             "hex", "exponent", "2**63", "5000-digits"],
+    )
+    def test_text_refuses_anything_but_ascii_decimal_symbols(self, tmp_path, token):
+        path = tmp_path / "seq.txt"
+        path.write_text(f"0 1 {token} 1\n", encoding="utf-8")
+        # 300 symbols, so that 1_0 (10), +1 and the non-ASCII ones would be in range.
+        with pytest.raises(ValidationError):
+            fileio.read_text_sequence(path, 300)
+
     @pytest.mark.parametrize("q", [2, 10, 11, 300])
     @pytest.mark.parametrize("n", [0, 1, 2, 999])
     def test_text_bytes_equal_the_per_symbol_format(self, tmp_path, q, n):
