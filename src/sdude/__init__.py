@@ -10,8 +10,12 @@ If sdude is the first to import numpy and neither ``OPENBLAS_NUM_THREADS``
 nor ``OMP_NUM_THREADS`` is set, numpy is loaded with a one-thread OpenBLAS
 pool: sdude's only large BLAS call, ``map_denoise``'s ``(n, 2) @ (2, 2)``, is
 memory-bound, and a second thread only adds start-up time and stalls.  The
-variable is set for that import alone, so child processes inherit nothing.
-Set either variable, or import numpy first, to keep OpenBLAS's own choice.
+pool is process-wide and fixed once numpy is loaded: every later BLAS call
+of the importing application, not only sdude's (``np.linalg``, large
+matrix products), then runs on one thread for the life of the process.
+The variable is set for that import alone, so child processes inherit
+nothing.  Set either variable, or import numpy first, to keep OpenBLAS's
+own choice.
 """
 
 import os as _os
