@@ -131,9 +131,9 @@ def read_text_sequence(path, alphabet_size: int) -> SymbolSequence:
         bad = next(tok for tok in tokens if not (tok.isascii() and tok.isdigit()))
         raise ValidationError(f"sequence file {path} holds {bad!r}, not a decimal symbol")
     try:
-        values = np.array([int(tok) for tok in tokens], dtype=np.int64)
+        values = np.array(tokens, dtype=np.int64)
     except (ValueError, OverflowError):
-        # int() refuses over 4300 digits; int64 holds up to 2**63 - 1.
+        # Past 2**63 - 1 the conversion overflows; past 4300 digits int() refuses.
         raise ValidationError(
             f"sequence file {path} holds a symbol outside 0..{alphabet_size - 1}"
         ) from None

@@ -29,6 +29,13 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def is_stochastic(p: np.ndarray) -> bool:
+    """True when every entry is finite and non-negative and each row sums to 1 (to 1e-9)."""
+    return bool(
+        np.isfinite(p).all() and p.min() >= 0 and np.max(np.abs(p.sum(axis=-1) - 1.0)) <= 1e-9
+    )
+
+
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     """Stationary law of a row-stochastic matrix via its unit left eigenvector."""
     transition = np.asarray(transition, dtype=np.float64)
@@ -54,7 +61,7 @@ class IIDComponent:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 1 or p.size < 1 or p.min() < 0 or abs(p.sum() - 1.0) > 1e-9:
+        if p.ndim != 1 or p.size < 1 or not is_stochastic(p):
             raise ValidationError("component probabilities must form a distribution")
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
@@ -84,7 +91,7 @@ class MarkovComponent:
         p = np.asarray(self.transition, dtype=np.float64)
         if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 1:
             raise ValidationError("transition matrix must be square")
-        if p.min() < 0 or np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-9:
+        if not is_stochastic(p):
             raise ValidationError("transition matrix rows must be distributions")
         p.flags.writeable = False
         object.__setattr__(self, "transition", p)
@@ -223,7 +230,7 @@ def corrupt(x: SymbolSequence, channel, seed) -> SymbolSequence:
         pi = channel.pi
     else:
         pi = np.asarray(channel, dtype=np.float64)
-        if pi.ndim != 2 or pi.min() < 0 or np.max(np.abs(pi.sum(axis=1) - 1.0)) > 1e-9:
+        if pi.ndim != 2 or not is_stochastic(pi):
             raise ValidationError("channel must be a row-stochastic matrix")
     if x.alphabet_size > pi.shape[0]:
         raise ValidationError("sequence alphabet exceeds the channel's clean alphabet")

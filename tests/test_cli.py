@@ -344,6 +344,16 @@ class TestExperimentCommands:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--p1", "--p2"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_flip_rate_is_an_error_without_report(self, tmp_path, capsys, flag, value):
+        base = tmp_path / "r"
+        code = main(["experiment", "switching-hmm", "--n", "1000", flag, value, "--out", str(base)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sdude: error:") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["two-block", "concentration"])
     def test_zero_trials_is_an_error_without_report(self, tmp_path, capsys, command):
         base = tmp_path / "report"

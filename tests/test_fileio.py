@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import schedule_to_json_reference
 from sdude import SymbolSequence
@@ -97,6 +99,21 @@ class TestSequenceFiles:
         # 300 symbols, so that 1_0 (10), +1 and the non-ASCII ones would be in range.
         with pytest.raises(ValidationError):
             fileio.read_text_sequence(path, 300)
+
+    @given(st.lists(st.text("0123456789", min_size=1, max_size=19), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_text_symbols_equal_int_of_each_token(self, tmp_path_factory, tokens):
+        # Up to 19 digits, so some tokens pass 2**63 - 1 and must be refused.
+        path = tmp_path_factory.mktemp("text") / "seq.txt"
+        path.write_text(" ".join(tokens) + "\n")
+        values = [int(tok) for tok in tokens]
+        if values and max(values) >= 2**63 - 1:
+            with pytest.raises(ValidationError):
+                fileio.read_text_sequence(path, 2**63 - 1)
+        else:
+            back = fileio.read_text_sequence(path, 2**63 - 1)
+            assert back.symbols.dtype == np.int64
+            assert back.symbols.tolist() == values
 
     @pytest.mark.parametrize("q", [2, 10, 11, 300])
     @pytest.mark.parametrize("n", [0, 1, 2, 999])

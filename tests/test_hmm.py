@@ -1,3 +1,5 @@
+from array import array
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from sdude import (
     sample_piecewise,
     stationary_distribution,
 )
+from sdude import hmm
 from sdude.errors import ValidationError
+from sdude.hmm import BLOCK
 
 
 def symmetric(p):
@@ -124,6 +128,17 @@ class TestFbPosteriors:
                 z, [(1, 3, symmetric(0.1)), (3, 4, symmetric(0.1))], bsc01
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("segment", [0, 1])
+    def test_non_finite_transition_is_refused(self, bsc01, bad, segment):
+        # A NaN matrix in a later segment used to be reported as a
+        # zero-probability observation, and in the first as a LinAlgError.
+        z = SymbolSequence([0, 1, 0, 1], 2)
+        segments = [(1, 2, symmetric(0.1)), (3, 4, symmetric(0.1))]
+        segments[segment] = (*segments[segment][:2], [[1.0 - bad, bad], [0.5, 0.5]])
+        with pytest.raises(ValidationError, match="rows must be distributions"):
+            fb_posteriors(z, segments, bsc01)
+
     def test_long_sequence_stays_normalized(self, bsc01):
         # Per-step renormalization: no underflow over 10^5 positions.
         rng = np.random.default_rng(6)
@@ -158,22 +173,139 @@ class TestBinaryPathMatchesReferenceBitwise:
     def test_switching_hmm_input(self):
         # run_switching_hmm_experiment's own draws for seed 1, at the
         # benchmark's size.
-        seed, n, switch_at = 1, 300000, 150000
-        trans1, trans2 = symmetric(0.01), symmetric(0.2)
-        spec = PiecewiseSourceSpec(
-            components=(MarkovComponent(trans1), MarkovComponent(trans2)),
-            switch_times=(switch_at,),
-            block_labels=(0, 1),
-            continuing=True,
-        )
-        source_seed, channel_seed = np.random.SeedSequence(seed).spawn(2)
-        channel = bsc_channel(0.1)
-        z = corrupt(sample_piecewise(spec, n, source_seed), channel, channel_seed)
-        segments = [(1, switch_at, trans1), (switch_at + 1, n, trans2)]
-        expected = binary_posteriors_reference(
-            z.symbols, segments, channel.pi, stationary_distribution(trans1)
-        )
-        assert np.array_equal(fb_posteriors(z, segments, channel), expected)
+        assert_matches_reference(*switching_hmm_input(1, 300000))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_switching_hmm_input_at_default_n(self, seed):
+        # The experiment's default size: each segment holds ~1950 blocks.
+        assert_matches_reference(*switching_hmm_input(seed, 10**6))
+
+
+def switching_hmm_input(seed, n):
+    """(z, segments, channel) as run_switching_hmm_experiment draws them."""
+    switch_at = n // 2
+    trans1, trans2 = symmetric(0.01), symmetric(0.2)
+    spec = PiecewiseSourceSpec(
+        components=(MarkovComponent(trans1), MarkovComponent(trans2)),
+        switch_times=(switch_at,),
+        block_labels=(0, 1),
+        continuing=True,
+    )
+    source_seed, channel_seed = np.random.SeedSequence(seed).spawn(2)
+    channel = bsc_channel(0.1)
+    z = corrupt(sample_piecewise(spec, n, source_seed), channel, channel_seed)
+    return z, [(1, switch_at, trans1), (switch_at + 1, n, trans2)], channel
+
+
+def assert_matches_reference(z, segments, channel):
+    expected = binary_posteriors_reference(
+        z.symbols, segments, channel.pi, stationary_distribution(segments[0][2])
+    )
+    assert np.array_equal(fb_posteriors(z, segments, channel), expected)
+
+
+@pytest.fixture
+def lockstep_runs(monkeypatch):
+    """(blocks, exact blocks) of every lock-step call made during the test."""
+    runs = []
+
+    def recorded(symbols, start, pi, cols, forward):
+        values, exact = real(symbols, start, pi, cols, forward)
+        runs.append((symbols.shape[0], exact))
+        return values, exact
+
+    real = hmm._lockstep
+    monkeypatch.setattr(hmm, "_lockstep", recorded)
+    return runs
+
+
+def tiling(rng, n, num_segments, matrix):
+    cuts = np.sort(rng.choice(np.arange(1, n), size=num_segments - 1, replace=False))
+    bounds = [0, *cuts.tolist(), n]
+    return [(a + 1, b, matrix(rng)) for a, b in zip(bounds, bounds[1:])]
+
+
+class TestLockStepMatchesReferenceBitwise:
+    """The lock-step blocks against the scalar reference, at sizes where the
+    blocks run: whole blocks, tails, and blocks that never coalesce."""
+
+    def test_random_tilings_of_several_blocks(self, lockstep_runs):
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            n = int(rng.integers(BLOCK, 12 * BLOCK))
+            segments = tiling(
+                rng, n, int(rng.integers(1, 4)), lambda r: symmetric(float(r.uniform(0.005, 0.45)))
+            )
+            ch = random_full_rank_channel(rng, 2, int(rng.integers(2, 4)))
+            z = SymbolSequence(rng.integers(0, ch.noisy_size, size=n), ch.noisy_size)
+            assert_matches_reference(z, segments, ch)
+        assert any(blocks > 1 and exact == blocks for blocks, exact in lockstep_runs)
+
+    def test_asymmetric_chains(self, lockstep_runs):
+        rng = np.random.default_rng(12)
+        for trial in range(20):
+            n = int(rng.integers(2 * BLOCK, 10 * BLOCK))
+            segments = tiling(rng, n, 3, lambda r: r.dirichlet([2.0, 2.0], size=2))
+            ch = random_full_rank_channel(rng, 2, 2)
+            z = SymbolSequence(rng.integers(0, 2, size=n), 2)
+            assert_matches_reference(z, segments, ch)
+        assert any(blocks > 1 and exact == blocks for blocks, exact in lockstep_runs)
+
+    @pytest.mark.parametrize("length", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_segment_lengths_around_a_block(self, bsc01, length, where):
+        # A segment has `length` steps in each pass, the first one fewer
+        # (each pass takes n - 1 steps in all).
+        rng = np.random.default_rng(length)
+        lengths = {"first": [length, 700], "middle": [300, length, 700], "last": [700, length]}
+        bounds = np.cumsum([0, *lengths[where]]).tolist()
+        segments = [
+            (a + 1, b, symmetric(p)) for (a, b), p in zip(zip(bounds, bounds[1:]), (0.02, 0.3, 0.1))
+        ]
+        n = bounds[-1]
+        z = SymbolSequence(rng.integers(0, 2, size=n), 2)
+        assert_matches_reference(z, segments, bsc01)
+
+    @pytest.mark.parametrize("flip", [0.0, 1e-12, 1e-4])
+    def test_filters_that_do_not_forget_finish_in_the_scalar_loop(self, lockstep_runs, flip):
+        # With an identity or near-identity transition and weak evidence the
+        # blocks' guesses do not meet the exact run within a block, so the
+        # second segment's passes finish in the scalar loop after block 1.
+        rng = np.random.default_rng(13)
+        n = 6 * BLOCK + 17
+        segments = [(1, 2 * BLOCK, symmetric(0.1)), (2 * BLOCK + 1, n, symmetric(flip))]
+        z = SymbolSequence(rng.integers(0, 2, size=n), 2)
+        assert_matches_reference(z, segments, bsc_channel(0.3))
+        assert lockstep_runs == [(1, 1), (4, 2), (4, 2), (1, 1)]
+
+    def test_impossible_observation_inside_a_block_raises(self, lockstep_runs):
+        # State 0 never emits 1 and every step leads to state 0, so the one 1
+        # at position 1000 (step 231 of the fourth forward block) has zero
+        # probability.  No RuntimeWarning may escape (pytest makes it an error).
+        ch = build_channel(np.array([[1.0, 0.0], [0.5, 0.5]]))
+        symbols = np.zeros(2000, dtype=np.int64)
+        symbols[1000] = 1
+        before = np.geterr()
+        with pytest.raises(ValidationError, match="zero probability"):
+            fb_posteriors(SymbolSequence(symbols, 2), [(1, 2000, [[1.0, 0.0], [1.0, 0.0]])], ch)
+        assert np.geterr() == before
+        assert lockstep_runs == [(7, 4)]
+
+    def test_impossible_backward_step_raises(self):
+        # A backward state (1, 0) meeting a symbol that state 0 cannot emit
+        # gives a zero normalizer on the first lock-step step.
+        pi = np.eye(2)
+        z = np.ones(3 * BLOCK + 1, dtype=np.int64)
+        out = tuple(array("d", [0.0]) * len(z) for _ in range(2))
+        with pytest.raises(ValidationError, match="zero probability"):
+            hmm._pass((1.0, 0.0), z, 0, 3 * BLOCK - 1, np.eye(2), pi, out, False)
+
+    def test_error_state_is_restored(self, bsc01):
+        rng = np.random.default_rng(14)
+        z = SymbolSequence(rng.integers(0, 2, size=4 * BLOCK), 2)
+        before = np.geterr()
+        fb_posteriors(z, [(1, 4 * BLOCK, symmetric(0.05))], bsc01)
+        assert np.geterr() == before
 
 
 # Observations that are impossible under the model once products underflow.

@@ -56,6 +56,26 @@ class TestSpecValidation:
             sample_piecewise(spec, 10, 0)
 
 
+class TestNonFiniteProbabilities:
+    # NaN made both old comparisons (min < 0, row-sum gap > 1e-9) False.
+    @pytest.mark.parametrize("probs", [[np.nan, 0.5], [np.inf, 0.5], [1.0, np.nan], [np.nan, np.nan]])
+    def test_iid_component(self, probs):
+        with pytest.raises(ValidationError, match="distribution"):
+            IIDComponent(probs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_markov_component(self, bad):
+        with pytest.raises(ValidationError, match="distributions"):
+            MarkovComponent([[1.0 - bad, bad], [0.5, 0.5]])
+        with pytest.raises(ValidationError, match="distributions"):
+            MarkovComponent([[0.5, 0.5], [bad, 0.5]])
+
+    def test_bare_corruption_matrix(self):
+        x = SymbolSequence([0, 1, 0], 2)
+        with pytest.raises(ValidationError, match="row-stochastic"):
+            corrupt(x, np.array([[np.nan, 0.5], [0.5, 0.5]]), 0)
+
+
 class TestSampling:
     def test_single_constant_component(self):
         spec = PiecewiseSourceSpec((constant_component(1),), (), (0,))
