@@ -30,7 +30,7 @@ if "numpy" not in _sys.modules and not (
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from .contexts import ContextPartition, build_partition, count_vector
+from .contexts import ContextPartition, build_partition
 from .core import (
     Alphabets,
     ChannelModel,
@@ -52,14 +52,7 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
-from .estimation import (
-    EstimatedLossTable,
-    b_h_mapping,
-    b_h_rule,
-    bayes_envelope,
-    bayes_response,
-    build_tables,
-)
+from .estimation import EstimatedLossTable, build_tables
 from .evaluation import (
     DenoiserResult,
     EvalReport,
@@ -79,13 +72,7 @@ from .sources import (
     sample_piecewise,
     stationary_distribution,
 )
-from .switching import (
-    DPState,
-    SwitchingSchedule,
-    forward_pass,
-    sdude_denoise,
-    sdude_denoise_each,
-)
+from .switching import SwitchingSchedule, sdude_denoise, sdude_denoise_each
 
 __version__ = "0.1.0"
 
@@ -93,7 +80,6 @@ __all__ = [
     "Alphabets",
     "ChannelModel",
     "ContextPartition",
-    "DPState",
     "DenoiseError",
     "DenoiserResult",
     "EstimatedLossTable",
@@ -110,10 +96,6 @@ __all__ = [
     "TooLarge",
     "ValidationError",
     "all_denoiser_mappings",
-    "b_h_mapping",
-    "b_h_rule",
-    "bayes_envelope",
-    "bayes_response",
     "bsc_channel",
     "build_channel",
     "build_loss",
@@ -121,11 +103,9 @@ __all__ = [
     "build_tables",
     "concentration_sweep",
     "corrupt",
-    "count_vector",
     "cumulative_loss",
     "dude_denoise",
     "fb_posteriors",
-    "forward_pass",
     "genie_min_loss",
     "genie_min_losses",
     "hamming_loss",

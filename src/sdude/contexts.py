@@ -1,4 +1,4 @@
-"""Two-sided contexts: occurrence lists, context ids and count vectors.
+"""Two-sided contexts: occurrence lists and context ids.
 
 The context of position t (1-based, k+1 <= t <= n-k) is the 2k-tuple of
 noisy symbols flanking it, packed into one integer by base-q digits in
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import SymbolSequence
-from .errors import RangeError, SequenceTooShort, TooLarge, ValidationError
+from .errors import RangeError, SequenceTooShort, TooLarge
 
 
 class ContextPartition:
@@ -124,15 +124,3 @@ def _radix_sort(ids: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
 def build_partition(z: SymbolSequence, k: int) -> ContextPartition:
     """Group the interior positions of z by their two-sided order-k context."""
     return ContextPartition(z, k)
-
-
-def count_vector(partition: ContextPartition, z: SymbolSequence, context_id: int) -> np.ndarray:
-    """Symbol counts within one context: counts[b] = #{t in occurrences: z_t = b}.
-
-    ``z`` must be ``partition.z``, the sequence the partition was built from.
-    A context that never occurs yields the all-zero vector.
-    """
-    if z is not partition.z:
-        raise ValidationError("count_vector takes only the sequence the partition was built from")
-    positions = partition.occurrences(context_id)
-    return np.bincount(z.symbols[positions - 1], minlength=partition.noisy_size).astype(np.int64)

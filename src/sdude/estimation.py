@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Alphabets, ChannelModel, LossMatrix, all_denoiser_mappings
-from .errors import RangeError, TooLarge, ValidationError
+from .errors import TooLarge, ValidationError
 
 # Enumerating all recon**noisy single-symbol rules is only sensible for
 # small alphabets; refuse silly table sizes outright.
@@ -69,49 +69,4 @@ def build_tables(channel: ChannelModel, loss: LossMatrix) -> EstimatedLossTable:
         rho=rho,
         ell=ell,
         ell_max=float(ell.max() - ell.min()),
-    )
-
-
-def bayes_response(zeta, loss_cols) -> int:
-    """Index of the action minimizing zeta . column; ties go to the smallest index.
-
-    zeta need not be a probability vector, and the argmin is invariant under
-    positive scaling of zeta in exact arithmetic.  In floating point a
-    subnormal entry can underflow to zero once scaled, which can change the
-    argmin: ``[0, 5e-324]`` gives 1, but the same vector scaled by 0.5 gives 0.
-    """
-    zeta = np.asarray(zeta, dtype=np.float64)
-    loss_cols = np.asarray(loss_cols, dtype=np.float64)
-    return int(np.argmin(zeta @ loss_cols))
-
-
-def bayes_envelope(zeta, loss_cols) -> float:
-    """Minimum of zeta . column over actions."""
-    zeta = np.asarray(zeta, dtype=np.float64)
-    loss_cols = np.asarray(loss_cols, dtype=np.float64)
-    return float(np.min(zeta @ loss_cols))
-
-
-def b_h_rule(xi, z: int, channel: ChannelModel, loss: LossMatrix) -> int:
-    """Reconstruction minimizing xi . H . (lam_col * pi_col(z)); smallest index wins.
-
-    Applied to a vector of per-symbol counts within a context, this is the
-    count-based sliding-window decision rule; as a function of z it coincides
-    with the best single-symbol rule under the estimated loss for weights xi.
-    """
-    if not 0 <= z < channel.noisy_size:
-        raise RangeError(f"noisy symbol {z} out of range 0..{channel.noisy_size - 1}")
-    xi = np.asarray(xi, dtype=np.float64)
-    if xi.shape != (channel.noisy_size,):
-        raise ValidationError(f"xi must have shape ({channel.noisy_size},)")
-    weights = xi @ channel.h_matrix                       # (clean,)
-    costs = weights @ (loss.lam * channel.pi[:, z][:, None])
-    return int(np.argmin(costs))
-
-
-def b_h_mapping(xi, channel: ChannelModel, loss: LossMatrix) -> np.ndarray:
-    """The full induced mapping z -> b_h_rule(xi, z)."""
-    return np.array(
-        [b_h_rule(xi, z, channel, loss) for z in range(channel.noisy_size)],
-        dtype=np.int64,
     )

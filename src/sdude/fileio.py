@@ -230,6 +230,7 @@ def schedule_to_json(schedule: SwitchingSchedule) -> dict:
     positions = (order[run_starts] + partition.k + 1).tolist()
     rules = assigned[run_starts].tolist()
     bounds = np.searchsorted(run_starts, partition._starts).tolist() + [run_starts.shape[0]]
+    switches = schedule.per_context_switches.tolist()
     contexts = []
     for i, cid in enumerate(partition._unique_ids.tolist()):
         lo, hi = bounds[i], bounds[i + 1]
@@ -239,7 +240,7 @@ def schedule_to_json(schedule: SwitchingSchedule) -> dict:
                 "context_id": cid,
                 "left": list(left),
                 "right": list(right),
-                "switches": int(schedule.per_context_switches[cid]),
+                "switches": switches[i],
                 "runs": [
                     {"position": p, "denoiser": d}
                     for p, d in zip(positions[lo:hi], rules[lo:hi])

@@ -15,7 +15,7 @@ top seed, so every sample is reproducible bit for bit from (spec, n, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class MarkovComponent:
     """
 
     transition: np.ndarray
-    initial: np.ndarray = None
+    initial: np.ndarray = field(init=False)
 
     def __post_init__(self):
         p = np.asarray(self.transition, dtype=np.float64)

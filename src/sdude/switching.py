@@ -25,11 +25,12 @@ the deepest budget's level, and every budget walks back from its own top
 level (never more levels than the longest chain has occurrences), giving the
 same bits as a solve of that budget alone.  ``sdude_denoise_each`` maps one
 solve to one output per budget and fills in the boundary; each schedule
-carries the partition, for the genie to reuse.  ``sdude_denoise`` and
-``forward_pass`` solve a single budget.  The plain sliding-window denoiser is
-the m = 0 budget, and the genie runs the kernel on the true loss.  Time is
-O(m * n); memory is one batch of DP values, at most about ``_BATCH_FLOATS``
-floats unless a single chain is longer, plus one compact assignment per budget.
+carries the partition, for the genie to reuse, and its shifts per context as
+an array in the partition's group order.  ``sdude_denoise`` solves a single
+budget.  The plain sliding-window denoiser is the m = 0 budget, and the
+genie runs the kernel on the true loss.  Time is O(m * n); memory is one
+batch of DP values, at most about ``_BATCH_FLOATS`` floats unless a single
+chain is longer, plus one compact assignment per budget.
 """
 
 from __future__ import annotations
@@ -53,65 +54,31 @@ MAX_CHAIN_ENTRIES = 250_000_000
 _BATCH_FLOATS = 1 << 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwitchingSchedule:
     """Per-position rule assignment with per-context shift counts.
 
     ``assignment[p]`` is the rule index applied at interior position
-    t = p + k + 1 (1-based).
+    t = p + k + 1 (1-based).  ``per_context_switches[i]`` is the number of
+    shifts used by the context ``partition.occurring_contexts()[i]``.  Both
+    arrays are read-only.
     """
 
     n: int
     k: int
     m: int
     assignment: np.ndarray
-    per_context_switches: dict[int, int] = field(repr=False)
+    per_context_switches: np.ndarray = field(repr=False)
     # The partition the schedule was solved on, kept so callers need not rebuild it.
-    partition: ContextPartition = field(repr=False, compare=False)
+    partition: ContextPartition = field(repr=False)
 
     def __post_init__(self):
         self.assignment.flags.writeable = False
-
-    def denoiser_at(self, t: int) -> int:
-        """Rule index at 1-based interior position t."""
-        if not self.k + 1 <= t <= self.n - self.k:
-            raise RangeError(f"position {t} outside interior {self.k + 1}..{self.n - self.k}")
-        return int(self.assignment[t - self.k - 1])
+        self.per_context_switches.flags.writeable = False
 
     @property
     def total_switches(self) -> int:
-        return sum(self.per_context_switches.values())
-
-
-@dataclass(eq=False)
-class DPState:
-    """Forward-pass output: the solved DP of every context chain.
-
-    ``schedule`` is the optimal schedule and ``forward_min`` the
-    unnormalized minimum cumulative estimated loss it attains.  No
-    per-position matrix is stored: ``matrix_at(t)`` recomputes the one chain
-    that holds t.
-    """
-
-    schedule: SwitchingSchedule
-    codes: np.ndarray
-    ell: np.ndarray
-    forward_min: float
-
-    @property
-    def partition(self) -> ContextPartition:
-        return self.schedule.partition
-
-    def matrix_at(self, t: int) -> np.ndarray:
-        """M_t (rows: allowed shifts + 1; last column: row argmin as a float).
-
-        Recomputed from the occurrences of t's context up to and including t.
-        """
-        chain = self.partition.occurrences(self.partition.context_of(t))
-        idx = chain[: np.searchsorted(chain, t) + 1] - self.schedule.k - 1
-        M, _ = _forward_batch(self.ell.T[:, self.codes[idx]][:, None], self.schedule.m + 1)
-        values = M[:, :, 0, -1]
-        return np.column_stack((values, values.argmin(axis=1)))
+        return int(self.per_context_switches.sum())
 
 
 def _batches(partition: ContextPartition, levels: int, num_rules: int):
@@ -239,8 +206,9 @@ def _solve_chains(
     deeper pass come from the same operations on the same inputs as a pass
     of lv levels, so each budget's result equals its own solve bit for bit.
     Returns one (schedule, unnormalized minimum cumulative loss) per budget,
-    in order; shifts per context are listed in ascending context id, and
-    assignments use the smallest unsigned dtype that holds every rule index.
+    in order; shifts per context follow the partition's groups (ascending
+    context id), and assignments use the smallest unsigned dtype that holds
+    every rule index.
     """
     num_rules = table.shape[1]
     rules_major = np.ascontiguousarray(table.T)
@@ -252,19 +220,18 @@ def _solve_chains(
         for lv in tops
     }
     switches = {lv: np.zeros(partition._counts.size, dtype=np.int64) for lv in tops}
-    mins = {lv: [] for lv in tops}
+    mins = {lv: np.empty(partition._counts.size) for lv in tops}
     for chains, lengths, pos in _batches(partition, tops[-1], num_rules):
         M, best = _forward_batch(rules_major[:, codes[pos]], tops[-1])
         last = lengths - 1
         rows = np.arange(chains.size)
         for lv in tops:
-            mins[lv].extend(best[lv - 1, rows, last].tolist())
+            mins[lv][chains] = best[lv - 1, rows, last]
             assign, switches[lv][chains] = _backward_batch(M[:lv], best[:lv], last)
             # A padded slot repeats its chain's last position and carries the
             # rule of the last run, so writing it again stores the same value.
             assignments[lv][pos] = assign
-    ids = partition._unique_ids.tolist()
-    per_context = {lv: dict(zip(ids, switches[lv].tolist())) for lv in tops}
+    # fsum rounds the exact sum once, so the chains' order does not matter.
     return [
         (
             SwitchingSchedule(
@@ -272,10 +239,10 @@ def _solve_chains(
                 k=partition.k,
                 m=int(m),
                 assignment=assignments[lv],
-                per_context_switches=per_context[lv],
+                per_context_switches=switches[lv],
                 partition=partition,
             ),
-            math.fsum(mins[lv]),
+            math.fsum(mins[lv].tolist()),
         )
         for m, lv in zip(budgets, levels)
     ]
@@ -297,13 +264,6 @@ def _estimated_problem(
         raise ValidationError("sequence alphabet does not match the channel's noisy alphabet")
     # The interior noisy symbols are the rows of ``tables.ell`` that score each position.
     return partition, z.symbols[k : len(z) - k]
-
-
-def forward_pass(z: SymbolSequence, k: int, m: int, tables: EstimatedLossTable) -> DPState:
-    """Solve every context chain's DP for the estimated loss, schedule included."""
-    partition, codes = _estimated_problem(z, k, (m,), tables)
-    [(schedule, forward_min)] = _solve_chains(partition, codes, tables.ell, (m,))
-    return DPState(schedule=schedule, codes=codes, ell=tables.ell, forward_min=forward_min)
 
 
 def _table_sum(table: np.ndarray, codes: np.ndarray, assignment: np.ndarray) -> float:
@@ -336,9 +296,16 @@ def sdude_denoise_each(
     One forward pass over z's context chains serves every budget, and a
     budget's result is the same bits as its own ``sdude_denoise`` call.
     Every schedule holds the one partition of z, ``schedule.partition``.
+    ``tables``, if given, must be built for ``channel`` and ``loss``.
     """
     if tables is None:
         tables = build_tables(channel, loss)
+    elif not (
+        np.array_equal(tables.channel.pi, channel.pi)
+        and np.array_equal(tables.channel.h_matrix, channel.h_matrix)
+        and np.array_equal(tables.loss.lam, loss.lam)
+    ):
+        raise ValidationError("tables were built for another channel or loss")
     budgets = tuple(budgets)
     partition, codes = _estimated_problem(z, k, budgets, tables)
     n, recon = len(z), tables.loss.recon_size

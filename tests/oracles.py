@@ -7,20 +7,37 @@ exceptions are frozen copies of earlier, plainer implementations, kept so
 that the optimized ones can be required to match them bit for bit:
 ``binary_posteriors_reference`` (the two-state forward-backward loop),
 ``fused_reference`` (the switching DP run one context chain at a time),
-``schedule_to_json_reference`` (the per-position schedule dump) and
-``partition_reference`` (the int64 argsort build of a context partition).
+``schedule_to_json_reference`` (the per-position schedule dump),
+``partition_reference`` (the int64 argsort build of a context partition),
+``count_vector`` (per-context symbol counts) and ``b_h_rule`` /
+``b_h_mapping`` (the count-based decision rule, computed per symbol).
 ``brute_force_min`` enumerates the schedule class itself, so it checks the
 estimated-loss dynamic program and the genie alike.
+
+``forward_pass`` and ``DPState`` are not oracles: they run the library's
+single-budget solve and keep its inputs, so tests can read the minimum,
+recompute one chain's matrices (``matrix_at``) and look up a position's rule
+(``denoiser_at``).
 """
 
 import math
+from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
 
-from sdude import build_partition
-from sdude.errors import TooLarge, ValidationError
+from sdude import (
+    ChannelModel,
+    ContextPartition,
+    EstimatedLossTable,
+    LossMatrix,
+    SwitchingSchedule,
+    SymbolSequence,
+    build_partition,
+)
+from sdude.errors import RangeError, TooLarge, ValidationError
 from sdude.genie import _true_loss_table
+from sdude.switching import _estimated_problem, _forward_batch, _solve_chains
 
 BRUTE_FORCE_BUDGET = 10**6
 
@@ -40,6 +57,89 @@ def partition_reference(z, k):
     order = np.argsort(ids, kind="stable")
     unique_ids, starts, counts = np.unique(ids[order], return_index=True, return_counts=True)
     return order, unique_ids, starts, counts
+
+
+def count_vector(partition: ContextPartition, z: SymbolSequence, context_id: int) -> np.ndarray:
+    """Symbol counts within one context: counts[b] = #{t in occurrences: z_t = b}.
+
+    ``z`` must be ``partition.z``, the sequence the partition was built from.
+    A context that never occurs yields the all-zero vector.
+    """
+    if z is not partition.z:
+        raise ValidationError("count_vector takes only the sequence the partition was built from")
+    positions = partition.occurrences(context_id)
+    return np.bincount(z.symbols[positions - 1], minlength=partition.noisy_size).astype(np.int64)
+
+
+def b_h_rule(xi, z: int, channel: ChannelModel, loss: LossMatrix) -> int:
+    """Reconstruction minimizing xi . H . (lam_col * pi_col(z)); smallest index wins.
+
+    Applied to a vector of per-symbol counts within a context, this is the
+    count-based sliding-window decision rule; as a function of z it coincides
+    with the best single-symbol rule under the estimated loss for weights xi.
+    """
+    if not 0 <= z < channel.noisy_size:
+        raise RangeError(f"noisy symbol {z} out of range 0..{channel.noisy_size - 1}")
+    xi = np.asarray(xi, dtype=np.float64)
+    if xi.shape != (channel.noisy_size,):
+        raise ValidationError(f"xi must have shape ({channel.noisy_size},)")
+    weights = xi @ channel.h_matrix                       # (clean,)
+    costs = weights @ (loss.lam * channel.pi[:, z][:, None])
+    return int(np.argmin(costs))
+
+
+def b_h_mapping(xi, channel: ChannelModel, loss: LossMatrix) -> np.ndarray:
+    """The full induced mapping z -> b_h_rule(xi, z)."""
+    return np.array(
+        [b_h_rule(xi, z, channel, loss) for z in range(channel.noisy_size)],
+        dtype=np.int64,
+    )
+
+
+@dataclass(eq=False)
+class DPState:
+    """Forward-pass output: the solved DP of every context chain.
+
+    ``schedule`` is the optimal schedule and ``forward_min`` the
+    unnormalized minimum cumulative estimated loss it attains.  No
+    per-position matrix is stored: ``matrix_at(t)`` recomputes the one chain
+    that holds t.
+    """
+
+    schedule: SwitchingSchedule
+    codes: np.ndarray
+    ell: np.ndarray
+    forward_min: float
+
+    @property
+    def partition(self) -> ContextPartition:
+        return self.schedule.partition
+
+    def matrix_at(self, t: int) -> np.ndarray:
+        """M_t (rows: allowed shifts + 1; last column: row argmin as a float).
+
+        Recomputed from the occurrences of t's context up to and including t.
+        """
+        chain = self.partition.occurrences(self.partition.context_of(t))
+        idx = chain[: np.searchsorted(chain, t) + 1] - self.schedule.k - 1
+        M, _ = _forward_batch(self.ell.T[:, self.codes[idx]][:, None], self.schedule.m + 1)
+        values = M[:, :, 0, -1]
+        return np.column_stack((values, values.argmin(axis=1)))
+
+
+def forward_pass(z: SymbolSequence, k: int, m: int, tables: EstimatedLossTable) -> DPState:
+    """Solve every context chain's DP for the estimated loss, schedule included."""
+    partition, codes = _estimated_problem(z, k, (m,), tables)
+    [(schedule, forward_min)] = _solve_chains(partition, codes, tables.ell, (m,))
+    return DPState(schedule=schedule, codes=codes, ell=tables.ell, forward_min=forward_min)
+
+
+def denoiser_at(schedule: SwitchingSchedule, t: int) -> int:
+    """Rule index of ``schedule`` at 1-based interior position t."""
+    k, n = schedule.k, schedule.n
+    if not k + 1 <= t <= n - k:
+        raise RangeError(f"position {t} outside interior {k + 1}..{n - k}")
+    return int(schedule.assignment[t - k - 1])
 
 
 def context_groups(partition):
@@ -216,27 +316,28 @@ def fused_reference(partition, loss_rows, m, levels=None):
 
     The library's former production implementation, kept without its
     memory-budget check.  loss_rows: (n_int, N) per-position losses.
-    Returns (assignment, per-context switches, unnormalized minimum).
+    Returns (assignment, switches per context in the partition's group
+    order, unnormalized minimum).
     """
     n_int, num_rules = loss_rows.shape
     if levels is None:
         levels = m + 1
     assignment = np.empty(n_int, dtype=np.int64)
-    per_context = {}
+    per_context = []
     mins = []
-    for cid, idx in context_groups(partition):
+    for _, idx in context_groups(partition):
         M, argm = _forward_chain(loss_rows[idx], levels)
         mins.append(float(M[-1, -1].min()))
         assign, switches = _backward_chain(M, argm)
         assignment[idx] = assign
-        per_context[cid] = switches
-    return assignment, per_context, math.fsum(mins)
+        per_context.append(switches)
+    return assignment, np.array(per_context, dtype=np.int64), math.fsum(mins)
 
 
 def schedule_to_json_reference(schedule, partition):
     """Schedule as per-context runs, found by a per-position comparison loop."""
     contexts = []
-    for cid, idx in context_groups(partition):
+    for group, (cid, idx) in enumerate(context_groups(partition)):
         assigned = schedule.assignment[idx]
         runs = [{"position": int(idx[0]) + partition.k + 1, "denoiser": int(assigned[0])}]
         for i in range(1, assigned.shape[0]):
@@ -250,7 +351,7 @@ def schedule_to_json_reference(schedule, partition):
                 "context_id": int(cid),
                 "left": list(left),
                 "right": list(right),
-                "switches": int(schedule.per_context_switches[cid]),
+                "switches": int(schedule.per_context_switches[group]),
                 "runs": runs,
             }
         )

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from oracles import brute_force_min, hmm_posteriors_by_enumeration
+from oracles import brute_force_min, forward_pass, hmm_posteriors_by_enumeration
 from sdude import (
     SymbolSequence,
     bsc_channel,
@@ -17,7 +17,6 @@ from sdude import (
     concentration_sweep,
     dude_denoise,
     fb_posteriors,
-    forward_pass,
     hamming_loss,
     run_switching_hmm_experiment,
     run_two_block_experiment,

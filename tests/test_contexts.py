@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import partition_reference
-from sdude import SymbolSequence, build_partition, count_vector
+from oracles import count_vector, partition_reference
+from sdude import SymbolSequence, build_partition
 from sdude.errors import RangeError, SequenceTooShort, TooLarge, ValidationError
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdude
 from oracles import solve_right_inverse_2x2
 from sdude import (
     Alphabets,
@@ -15,6 +16,54 @@ from sdude import (
     identity_channel,
 )
 from sdude.errors import RankError, ValidationError
+
+
+def test_public_names():
+    # Helpers only tests use live in tests/oracles.py, not on this list.
+    assert sorted(sdude.__all__) == [
+        "Alphabets",
+        "ChannelModel",
+        "ContextPartition",
+        "DenoiseError",
+        "DenoiserResult",
+        "EstimatedLossTable",
+        "EvalReport",
+        "IIDComponent",
+        "LossMatrix",
+        "MarkovComponent",
+        "PiecewiseSourceSpec",
+        "RangeError",
+        "RankError",
+        "SequenceTooShort",
+        "SwitchingSchedule",
+        "SymbolSequence",
+        "TooLarge",
+        "ValidationError",
+        "all_denoiser_mappings",
+        "bsc_channel",
+        "build_channel",
+        "build_loss",
+        "build_partition",
+        "build_tables",
+        "concentration_sweep",
+        "corrupt",
+        "cumulative_loss",
+        "dude_denoise",
+        "fb_posteriors",
+        "genie_min_loss",
+        "genie_min_losses",
+        "hamming_loss",
+        "identity_channel",
+        "map_denoise",
+        "run_switching_hmm_experiment",
+        "run_two_block_experiment",
+        "sample_piecewise",
+        "sdude_denoise",
+        "sdude_denoise_each",
+        "stationary_distribution",
+        "two_block_sequence",
+    ]
+    assert all(hasattr(sdude, name) for name in sdude.__all__)
 
 
 class TestBuildChannel:

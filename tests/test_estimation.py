@@ -4,15 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_full_rank_channel
-from sdude import (
-    b_h_mapping,
-    b_h_rule,
-    bayes_envelope,
-    bayes_response,
-    build_loss,
-    build_tables,
-    hamming_loss,
-)
+from oracles import b_h_mapping, b_h_rule
+from sdude import build_loss, build_tables, hamming_loss
 from sdude.errors import TooLarge, ValidationError
 
 # Rule indices of the four binary single-symbol rules.
@@ -61,35 +54,6 @@ def test_unbiasedness_on_random_channels(seed, clean, extra, recon):
     loss = build_loss(rng.uniform(0.0, 2.0, size=(clean, recon)))
     tables = build_tables(ch, loss)
     assert np.max(np.abs(ch.pi @ tables.ell - tables.rho)) < 1e-7
-
-
-class TestBayesResponse:
-    def test_point_mass(self):
-        lam = hamming_loss(2).lam
-        assert bayes_response([1.0, 0.0], lam) == 0
-        assert bayes_response([0.0, 1.0], lam) == 1
-
-    def test_tie_breaks_to_smallest_action(self):
-        lam = hamming_loss(2).lam
-        assert bayes_response([0.5, 0.5], lam) == 0
-
-    def test_envelope_values(self):
-        lam = hamming_loss(2).lam
-        assert bayes_envelope([1.0, 0.0], lam) == 0.0
-        assert bayes_envelope([0.5, 0.5], lam) == 0.5
-        assert bayes_envelope([0.9, 0.1], lam) == pytest.approx(0.1, abs=1e-15)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        # Subnormal entries can underflow to zero once scaled, which changes
-        # the argmin (bayes_response([0, 5e-324]) is 1, at scale 0.5 it is 0).
-        st.lists(st.floats(-100, 100, allow_subnormal=False), min_size=2, max_size=2),
-        st.floats(0.001, 1000.0),
-    )
-    def test_scale_invariance(self, zeta, scale):
-        lam = hamming_loss(2).lam
-        zeta = np.array(zeta)
-        assert bayes_response(zeta, lam) == bayes_response(scale * zeta, lam)
 
 
 class TestBHRule:

@@ -133,6 +133,13 @@ class TestSampling:
         ]
         assert abs(np.mean(first) - 0.25) < 0.035  # ~3.5 sigma
 
+    def test_markov_initial_law_is_not_an_argument(self):
+        # The initial law is always the stationary one, so it cannot be passed.
+        with pytest.raises(TypeError):
+            MarkovComponent([[0.9, 0.1], [0.3, 0.7]], initial=np.array([1.0, 0.0]))
+        comp = MarkovComponent([[0.9, 0.1], [0.3, 0.7]])
+        np.testing.assert_allclose(comp.initial, [0.75, 0.25], atol=1e-12)
+
     def test_continuing_chain_keeps_state_across_boundary(self):
         # A frozen chain (identity transitions) never moves, so a continuing
         # spec keeps the initial state through both blocks.

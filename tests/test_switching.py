@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 import sdude.switching as switching
-from oracles import schedule_min_by_product
+from oracles import denoiser_at, forward_pass, schedule_min_by_product
 from sdude import (
     SymbolSequence,
+    bsc_channel,
+    build_loss,
     build_partition,
     build_tables,
-    forward_pass,
+    dude_denoise,
+    genie_min_loss,
     identity_channel,
     sdude_denoise,
+    sdude_denoise_each,
 )
-from sdude.errors import RangeError, SequenceTooShort
+from sdude.errors import RangeError, SequenceTooShort, ValidationError
 
 ALWAYS0, FLIP, SAY, ALWAYS1 = 0, 1, 2, 3
 
@@ -71,11 +75,12 @@ class TestBackwardPass:
         np.testing.assert_array_equal(
             schedule.assignment, [ALWAYS0] * 3 + [ALWAYS1] * 3
         )
-        assert schedule.per_context_switches == {0: 1}
-        assert schedule.denoiser_at(1) == ALWAYS0
-        assert schedule.denoiser_at(6) == ALWAYS1
+        assert schedule.partition.occurring_contexts().tolist() == [0]
+        assert schedule.per_context_switches.tolist() == [1]
+        assert denoiser_at(schedule, 1) == ALWAYS0
+        assert denoiser_at(schedule, 6) == ALWAYS1
         with pytest.raises(RangeError):
-            schedule.denoiser_at(7)
+            denoiser_at(schedule, 7)
 
     def test_matrix_accessor_bounds(self, tables01):
         z = SymbolSequence([0, 1, 0, 1, 0], 2)
@@ -122,12 +127,63 @@ class TestBackwardPass:
             state = forward_pass(z, k, m, tables01)
             schedule = state.schedule
             part = state.partition
-            for cid in part.occurring_contexts():
+            for group, cid in enumerate(part.occurring_contexts()):
                 occ = part.occurrences(cid) - (k + 1)
                 assigned = schedule.assignment[occ]
                 switches = int((assigned[1:] != assigned[:-1]).sum())
-                assert switches == schedule.per_context_switches[cid]
+                assert switches == schedule.per_context_switches[group]
                 assert switches <= min(occ.shape[0], m)
+
+
+class TestSchedule:
+    def test_per_context_switches_is_a_read_only_int64_array(self, bsc01, hamming2):
+        rng = np.random.default_rng(13)
+        x = SymbolSequence(rng.integers(0, 2, size=400), 2)
+        z = SymbolSequence(rng.integers(0, 2, size=400), 2)
+        _, schedule, _ = sdude_denoise(z, 2, 3, bsc01, hamming2)
+        _, genie = genie_min_loss(x, z, 2, 3, hamming2)
+        for s in (schedule, genie):
+            switches = s.per_context_switches
+            assert switches.dtype == np.int64 and switches.ndim == 1
+            assert switches.size == s.partition.occurring_contexts().size
+            assert not switches.flags.writeable
+            with pytest.raises(ValueError):
+                switches[0] = 1
+            assert type(s.total_switches) is int
+            assert s.total_switches == int(switches.sum()) > 0
+
+    def test_schedules_compare_by_identity(self, bsc01, hamming2):
+        z = SymbolSequence(np.random.default_rng(14).integers(0, 2, size=200), 2)
+        _, first, _ = sdude_denoise(z, 1, 2, bsc01, hamming2)
+        _, second, _ = sdude_denoise(z, 1, 2, bsc01, hamming2)
+        assert first == first
+        assert first != second
+        assert np.array_equal(first.assignment, second.assignment)
+
+
+class TestTablesMustMatch:
+    @pytest.mark.parametrize(
+        "denoise",
+        [
+            lambda z, ch, loss, tables: sdude_denoise(z, 1, 1, ch, loss, tables=tables)[0],
+            lambda z, ch, loss, tables: sdude_denoise_each(z, 1, (0, 1), ch, loss, tables=tables)[1][0],
+            lambda z, ch, loss, tables: dude_denoise(z, 1, ch, loss, tables=tables),
+        ],
+        ids=["sdude_denoise", "sdude_denoise_each", "dude_denoise"],
+    )
+    def test_tables_for_another_channel_or_loss_are_refused(self, denoise, bsc01, hamming2):
+        z = SymbolSequence(np.random.default_rng(15).integers(0, 2, size=200), 2)
+        for tables in (
+            build_tables(bsc_channel(0.3), hamming2),
+            build_tables(bsc01, build_loss([[0.0, 2.0], [1.0, 0.0]])),
+        ):
+            with pytest.raises(ValidationError):
+                denoise(z, bsc01, hamming2, tables)
+        # Tables equal by value, built from other objects, are accepted.
+        same = build_tables(bsc_channel(0.1), build_loss(hamming2.lam.copy()))
+        assert same.channel is not bsc01 and same.loss is not hamming2
+        got = denoise(z, bsc01, hamming2, same)
+        assert np.array_equal(got.symbols, denoise(z, bsc01, hamming2, None).symbols)
 
 
 class TestAgainstProductEnumeration:
@@ -253,7 +309,7 @@ class TestSdudeDenoise:
             staged = state.schedule
             _, fused, estimated = sdude_denoise(z, k, m, bsc01, hamming2, tables=tables01)
             np.testing.assert_array_equal(staged.assignment, fused.assignment)
-            assert staged.per_context_switches == fused.per_context_switches
+            assert np.array_equal(staged.per_context_switches, fused.per_context_switches)
             assert estimated == pytest.approx(
                 state.forward_min / state.partition.num_interior, abs=1e-9
             )
