@@ -18,10 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankError, ValidationError
+from .errors import RankError, TooLarge, ValidationError
 
 # Tolerance for the stochastic and right-inverse identities.
 ATOL = 1e-9
+
+# Enumerating all recon**noisy single-symbol rules is only sensible for
+# small alphabets; refuse silly table sizes outright.
+MAX_RULES = 4096
 
 
 @dataclass(frozen=True)
@@ -170,9 +174,14 @@ def all_denoiser_mappings(alphabets: Alphabets) -> np.ndarray:
     """Table of every rule's mapping, shape (num_denoisers, noisy_size).
 
     Row j is the mapping of the rule with index j, so the table realizes the
-    digit encoding in bulk.
+    digit encoding in bulk.  More than ``MAX_RULES`` rules raise ``TooLarge``.
     """
     recon = alphabets.recon_size
+    if alphabets.num_denoisers > MAX_RULES:
+        raise TooLarge(
+            f"{recon}^{alphabets.noisy_size} single-symbol rules exceed the "
+            f"table budget of {MAX_RULES}"
+        )
     idx = np.arange(alphabets.num_denoisers, dtype=np.int64)[:, None]
     powers = recon ** np.arange(alphabets.noisy_size, dtype=np.int64)[None, :]
     table = (idx // powers) % recon

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Alphabets, ChannelModel, LossMatrix, all_denoiser_mappings
-from .errors import TooLarge, ValidationError
-
-# Enumerating all recon**noisy single-symbol rules is only sensible for
-# small alphabets; refuse silly table sizes outright.
-MAX_RULES = 4096
+from .errors import ValidationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,13 +45,9 @@ def build_tables(channel: ChannelModel, loss: LossMatrix) -> EstimatedLossTable:
             "loss matrix rows must match the channel's clean alphabet "
             f"({loss.clean_size} != {channel.clean_size})"
         )
-    alphabets = Alphabets(channel.clean_size, channel.noisy_size, loss.recon_size)
-    if alphabets.num_denoisers > MAX_RULES:
-        raise TooLarge(
-            f"{alphabets.recon_size}^{alphabets.noisy_size} single-symbol rules exceed the "
-            f"table budget of {MAX_RULES}"
-        )
-    mappings = all_denoiser_mappings(alphabets)
+    mappings = all_denoiser_mappings(
+        Alphabets(channel.clean_size, channel.noisy_size, loss.recon_size)
+    )
     # rho[x, j] = sum_z lam[x, mappings[j, z]] * pi[x, z]
     per_symbol = loss.lam[:, mappings]            # (clean, rules, noisy)
     rho = np.einsum("xjz,xz->xj", per_symbol, channel.pi)

@@ -6,6 +6,7 @@ shared bug between implementation and test is structurally impossible.  The
 exceptions are frozen copies of earlier, plainer implementations, kept so
 that the optimized ones can be required to match them bit for bit:
 ``binary_posteriors_reference`` (the two-state forward-backward loop),
+``generic_posteriors_reference`` (the per-step numpy forward-backward),
 ``fused_reference`` (the switching DP run one context chain at a time),
 ``schedule_to_json_reference`` (the per-position schedule dump),
 ``partition_reference`` (the int64 argsort build of a context partition),
@@ -37,6 +38,7 @@ from sdude import (
 )
 from sdude.errors import RangeError, TooLarge, ValidationError
 from sdude.genie import _true_loss_table
+from sdude.hmm import _IMPOSSIBLE
 from sdude.switching import _estimated_problem, _forward_batch, _solve_chains
 
 BRUTE_FORCE_BUDGET = 10**6
@@ -250,6 +252,49 @@ def binary_posteriors_reference(z, segments, pi, initial):
         beta[t, 1] = b1
     post = alpha * beta
     post /= post.sum(axis=1, keepdims=True)
+    return post
+
+
+def generic_posteriors_reference(z, segments, pi, initial):
+    """Scaled forward-backward for any number of hidden states, one numpy step at a time.
+
+    The smoother's former path for clean alphabets other than two, kept as
+    the q > 2 reference at lengths that enumeration cannot reach.
+    """
+    n = z.shape[0]
+    num_states = pi.shape[0]
+    emissions = pi[:, z].T  # (n, states)
+    alpha = np.empty((n, num_states))
+    a = initial * emissions[0]
+    s = a.sum()
+    if s <= 0.0:
+        raise ValidationError(_IMPOSSIBLE)
+    alpha[0] = a / s
+    si = 0
+    for t in range(1, n):
+        while t + 1 > segments[si][1]:
+            si += 1
+        a = (alpha[t - 1] @ segments[si][2]) * emissions[t]
+        s = a.sum()
+        if s <= 0.0:
+            raise ValidationError(_IMPOSSIBLE)
+        alpha[t] = a / s
+    beta = np.empty((n, num_states))
+    beta[n - 1] = 1.0
+    si = len(segments) - 1
+    for t in range(n - 2, -1, -1):
+        while t + 2 < segments[si][0]:
+            si -= 1
+        b = segments[si][2] @ (emissions[t + 1] * beta[t + 1])
+        s = b.sum()
+        if s <= 0.0:
+            raise ValidationError(_IMPOSSIBLE)
+        beta[t] = b / s
+    post = alpha * beta
+    norm = post.sum(axis=1)
+    if not (norm.min() > 0.0 and norm.max() < np.inf):
+        raise ValidationError(_IMPOSSIBLE)
+    post /= norm[:, None]
     return post
 
 

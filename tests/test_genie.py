@@ -47,6 +47,14 @@ class TestGenieMinLoss:
                 SymbolSequence([0, 1], 2), SymbolSequence([0, 1, 0], 2), 0, 0, hamming2
             )
 
+    def test_too_many_rules_is_refused(self):
+        # 20^20 rules: refused by the rule-count cap, not by numpy's size limit.
+        from sdude import hamming_loss
+
+        x = SymbolSequence(np.arange(20), 20)
+        with pytest.raises(TooLarge, match="rules exceed"):
+            genie_min_loss(x, x, 0, 1, hamming_loss(20))
+
     def test_m0_recovers_fixed_rule_target(self, hamming2):
         # With m=0 the target is the best single fixed rule per context.
         rng = np.random.default_rng(1)

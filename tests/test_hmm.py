@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import random_full_rank_channel
-from oracles import binary_posteriors_reference, hmm_posteriors_by_enumeration
+from oracles import (
+    binary_posteriors_reference,
+    generic_posteriors_reference,
+    hmm_posteriors_by_enumeration,
+)
 from sdude import (
     MarkovComponent,
     PiecewiseSourceSpec,
@@ -72,7 +76,8 @@ class TestFbPosteriors:
 
     def test_generic_path_matches_binary_path(self, bsc01):
         # The scalar two-state recursion and the generic one must agree.
-        from sdude.hmm import _generic_posteriors, _validate_segments
+        from oracles import generic_posteriors_reference as _generic_posteriors
+        from sdude.hmm import _validate_segments
 
         rng = np.random.default_rng(4)
         z = SymbolSequence(rng.integers(0, 2, size=200), 2)
@@ -127,6 +132,20 @@ class TestFbPosteriors:
             fb_posteriors(
                 z, [(1, 3, symmetric(0.1)), (3, 4, symmetric(0.1))], bsc01
             )
+
+    def test_segment_bounds_must_be_integers(self, bsc01):
+        # Float bounds used to be truncated: these were read as (1, 4), (5, 10).
+        z = SymbolSequence(np.zeros(10, dtype=np.int64), 2)
+        with pytest.raises(ValidationError, match="integers"):
+            fb_posteriors(z, [(1, 4.7, symmetric(0.1)), (5.2, 10, symmetric(0.1))], bsc01)
+        with pytest.raises(ValidationError, match="integers"):
+            fb_posteriors(z, [(1.0, 10.0, symmetric(0.1))], bsc01)
+        post = fb_posteriors(z, [(np.int64(1), np.int32(10), symmetric(0.1))], bsc01)
+        assert post.shape == (10, 2)
+
+    def test_empty_sequence_is_refused(self, bsc01):
+        with pytest.raises(ValidationError, match="empty"):
+            fb_posteriors(SymbolSequence([], 2), [], bsc01)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("segment", [0, 1])
@@ -308,6 +327,93 @@ class TestLockStepMatchesReferenceBitwise:
         assert np.geterr() == before
 
 
+def three(p):
+    """A symmetric three-state chain that leaves its state with probability p."""
+    return np.full((3, 3), p / 2) + np.eye(3) * (1.0 - 1.5 * p)
+
+
+def assert_matches_generic(z, segments, channel):
+    segs = hmm._validate_segments(segments, len(z), channel.clean_size)
+    expected = generic_posteriors_reference(
+        z.symbols, segs, channel.pi, stationary_distribution(segs[0][2])
+    )
+    np.testing.assert_allclose(fb_posteriors(z, segments, channel), expected, rtol=0, atol=1e-12)
+
+
+class TestOneSmootherForEveryAlphabet:
+    """Clean alphabets other than two take the same lock-step blocks; the
+    per-step numpy loop they used to take is the reference."""
+
+    def test_random_tilings_of_several_blocks(self, lockstep_runs):
+        rng = np.random.default_rng(21)
+        for trial in range(12):
+            n = int(rng.integers(BLOCK, 10 * BLOCK))
+            segments = tiling(rng, n, int(rng.integers(1, 4)), lambda r: r.dirichlet([5.0] * 3, size=3))
+            ch = random_full_rank_channel(rng, 3, int(rng.integers(3, 5)))
+            z = SymbolSequence(rng.integers(0, ch.noisy_size, size=n), ch.noisy_size)
+            assert_matches_generic(z, segments, ch)
+        assert any(blocks > 1 and exact == blocks for blocks, exact in lockstep_runs)
+
+    @pytest.mark.parametrize("length", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_segment_lengths_around_a_block(self, length, where):
+        rng = np.random.default_rng(length)
+        lengths = {"first": [length, 700], "middle": [300, length, 700], "last": [700, length]}
+        bounds = np.cumsum([0, *lengths[where]]).tolist()
+        segments = [
+            (a + 1, b, three(p)) for (a, b), p in zip(zip(bounds, bounds[1:]), (0.02, 0.3, 0.1))
+        ]
+        ch = build_channel(np.full((3, 3), 0.1) + np.eye(3) * 0.7)
+        n = bounds[-1]
+        assert_matches_generic(SymbolSequence(rng.integers(0, 3, size=n), 3), segments, ch)
+
+    def test_impossible_observation_inside_a_block_raises(self, lockstep_runs):
+        # As the two-state case: state 0 never emits 1 and every step leads
+        # to state 0, so the 1 at position 1000 has zero probability.
+        ch = build_channel(np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]))
+        symbols = np.zeros(2000, dtype=np.int64)
+        symbols[1000] = 1
+        before = np.geterr()
+        with pytest.raises(ValidationError, match="zero probability"):
+            fb_posteriors(SymbolSequence(symbols, 3), [(1, 2000, [[1.0, 0.0, 0.0]] * 3)], ch)
+        assert np.geterr() == before
+        # Position 0 is a one-step block of its own.
+        assert lockstep_runs == [(1, 1), (7, 4)]
+
+    def test_identity_segment_finishes_in_one_block(self, monkeypatch):
+        # An identity transition never forgets, so block 1 of the second
+        # segment never coalesces, and each pass runs the rest of that
+        # segment, 2 * BLOCK + 17 steps, as one block.
+        runs = []
+
+        def recorded(symbols, start, pi, cols, forward):
+            values, exact = real(symbols, start, pi, cols, forward)
+            runs.append((symbols.shape, exact))
+            return values, exact
+
+        real = hmm._lockstep
+        monkeypatch.setattr(hmm, "_lockstep", recorded)
+        rng = np.random.default_rng(22)
+        n = 6 * BLOCK + 17
+        segments = [(1, 2 * BLOCK, three(0.3)), (2 * BLOCK + 1, n, np.eye(3))]
+        ch = build_channel(np.full((3, 3), 0.3) + np.eye(3) * 0.1)
+        assert_matches_generic(SymbolSequence(rng.integers(0, 3, size=n), 3), segments, ch)
+        assert runs.count(((4, BLOCK), 2)) == 2
+        assert runs.count(((1, 2 * BLOCK + 17), 1)) == 2
+
+    def test_single_state_chain(self, lockstep_runs):
+        n = 3 * BLOCK + 5
+        ch = build_channel([[0.3, 0.7]])
+        z = SymbolSequence(np.random.default_rng(23).integers(0, 2, size=n), 2)
+        post = fb_posteriors(z, [(1, BLOCK, [[1.0]]), (BLOCK + 1, n, [[1.0]])], ch)
+        assert np.array_equal(post, np.ones((n, 1)))
+        assert any(blocks > 1 for blocks, _ in lockstep_runs)
+        symbols = np.zeros(n, dtype=np.int64)
+        symbols[2 * BLOCK] = 1
+        with pytest.raises(ValidationError, match="zero probability"):
+            fb_posteriors(SymbolSequence(symbols, 2), [(1, n, [[1.0]])], build_channel([[1.0, 0.0]]))
+
+
 # Observations that are impossible under the model once products underflow.
 # In the first the smoothed row 0 sums to zero; in the second a backward
 # normalizer is zero.  Both used to come back as NaN rows with a warning.
@@ -327,7 +433,8 @@ ZERO_PROBABILITY_CASES = [
 
 @pytest.mark.parametrize("pi, segments, symbols", ZERO_PROBABILITY_CASES)
 def test_zero_probability_observation_raises_on_both_paths(pi, segments, symbols):
-    from sdude.hmm import _generic_posteriors, _validate_segments
+    from oracles import generic_posteriors_reference as _generic_posteriors
+    from sdude.hmm import _validate_segments
 
     ch = build_channel(np.array(pi))
     z = SymbolSequence(symbols, 2)
