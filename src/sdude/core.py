@@ -133,6 +133,8 @@ def build_channel(pi, h_matrix=None) -> ChannelModel:
             raise ValidationError(
                 f"h_matrix must have shape {(noisy, clean)}, got {h_matrix.shape}"
             )
+        if not np.all(np.isfinite(h_matrix)):
+            raise ValidationError("h_matrix has non-finite entries")
         if np.max(np.abs(pi @ h_matrix - np.eye(clean))) > ATOL:
             raise ValidationError("pi @ h_matrix deviates from the identity")
     pi.flags.writeable = False

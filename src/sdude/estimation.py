@@ -52,6 +52,8 @@ def build_tables(channel: ChannelModel, loss: LossMatrix) -> EstimatedLossTable:
     per_symbol = loss.lam[:, mappings]            # (clean, rules, noisy)
     rho = np.einsum("xjz,xz->xj", per_symbol, channel.pi)
     ell = channel.h_matrix @ rho                  # (noisy, rules)
+    if not np.all(np.isfinite(ell)):
+        raise ValidationError("estimated losses are not finite")
     rho.flags.writeable = False
     ell.flags.writeable = False
     return EstimatedLossTable(

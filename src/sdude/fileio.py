@@ -231,15 +231,19 @@ def schedule_to_json(schedule: SwitchingSchedule) -> dict:
     rules = assigned[run_starts].tolist()
     bounds = np.searchsorted(run_starts, partition._starts).tolist() + [run_starts.shape[0]]
     switches = schedule.per_context_switches.tolist()
+    # Every context's 2k base-q digits, most significant (leftmost) first,
+    # as its (left window, right window) pair.
+    k, ids = partition.k, partition._unique_ids
+    powers = partition.noisy_size ** np.arange(2 * k - 1, -1, -1, dtype=np.int64)
+    windows = (ids[:, None] // powers % partition.noisy_size).reshape(ids.size, 2, k).tolist()
     contexts = []
-    for i, cid in enumerate(partition._unique_ids.tolist()):
+    for i, (cid, (left, right)) in enumerate(zip(ids.tolist(), windows)):
         lo, hi = bounds[i], bounds[i + 1]
-        left, right = partition.context_symbols(cid)
         contexts.append(
             {
                 "context_id": cid,
-                "left": list(left),
-                "right": list(right),
+                "left": left,
+                "right": right,
                 "switches": switches[i],
                 "runs": [
                     {"position": p, "denoiser": d}

@@ -2,13 +2,12 @@
 
 The schedule class allows, within the occurrence subsequence of each context
 c, at most min(n(c), m) shifts between single-symbol rules.  The forward pass
-maintains, per interior position t, a matrix M_t of shape (m+1) x (N+1):
-M_t(i, j) for j <= N is the minimum unnormalized cumulative estimated loss
-over the occurrences of t's context up to and including t, using at most i-1
-shifts and currently applying rule j; column N+1 stores the row argmin.  The
-backward pass walks each context chain from its last occurrence to its first,
-following the chain's forward matrices to recover an optimal schedule,
-preferring fewer shifts on exact ties.
+computes, per level i <= m, rule j and occurrence p of a context chain, the
+value M[i, j, p]: the minimum unnormalized cumulative estimated loss over the
+chain's occurrences up to and including p, using at most i shifts and
+currently applying rule j.  The backward pass walks each chain from its last
+occurrence to its first, following the forward values to recover an optimal
+schedule, preferring fewer shifts on exact ties.
 
 Chains for distinct contexts are independent, so one kernel, ``_solve_chains``,
 runs both passes for many chains at once and returns the finished
@@ -19,18 +18,29 @@ The forward pass is a few whole-batch scans along the chain axis per level;
 the backward walk takes one step per level for the whole batch.  Padding
 never enters a scan of a real occurrence and the cumulative sums keep each
 chain's summation order, so every value equals the chain-at-a-time recursion
-bit for bit.  Level i of the forward pass depends only on the levels below
-it, so one solve serves every shift budget: each batch is scanned once to
-the deepest budget's level, and every budget walks back from its own top
-level (never more levels than the longest chain has occurrences), giving the
-same bits as a solve of that budget alone.  ``sdude_denoise_each`` maps one
-solve to one output per budget and fills in the boundary; each schedule
-carries the partition, for the genie to reuse, and its shifts per context as
-an array in the partition's group order.  ``sdude_denoise`` solves a single
-budget.  The plain sliding-window denoiser is the m = 0 budget, and the
-genie runs the kernel on the true loss.  Time is O(m * n); memory is one
-batch of DP values, at most about ``_BATCH_FLOATS`` floats unless a single
-chain is longer, plus one compact assignment per budget.
+bit for bit.  The kernel computes only what the walk reads:
+
+- Rules that another rule beats at every noisy symbol by more than a
+  rounding bound on the longest chain, 16 u A L^2 (u = 2^-53, A the largest
+  loss magnitude, L the longest chain), are never optimal and are left out
+  (``_kept_rules``); for a binary symmetric channel with Hamming loss, 3 of
+  the 4 rules remain.
+- The walk reads the top level only at each chain's last occurrence and
+  along the one rule it starts in, so that level is reduced over the
+  occurrences once, at the last one, and built in full for that rule only.
+
+Level i of the forward pass depends only on the levels below it, so one
+solve serves every shift budget: each batch is scanned once to the deepest
+budget's level, and every budget walks back from its own top level (never
+more levels than the longest chain has occurrences), giving the same bits as
+a solve of that budget alone.  ``sdude_denoise_each`` maps one solve to one
+output per budget and fills in the boundary; each schedule carries the
+partition, for the genie to reuse, and its shifts per context as an array in
+the partition's group order.  ``sdude_denoise`` solves a single budget.  The
+plain sliding-window denoiser is the m = 0 budget, and the genie runs the
+kernel on the true loss.  Time is O(m * n); memory is one batch of DP values,
+at most about ``_BATCH_FLOATS`` floats unless a single chain is longer, plus
+one compact assignment per budget.
 """
 
 from __future__ import annotations
@@ -46,12 +56,16 @@ from .errors import RangeError, TooLarge, ValidationError
 from .estimation import EstimatedLossTable, build_tables
 
 # Hard cap on the DP values of the longest context chain (float64 entries,
-# ~2 GB): its level x rule x occurrence values are held at once.
+# ~2 GB), counted as level x rule x occurrence: an upper bound on what the
+# kernel holds, which stores one level fewer and only the rules it keeps.
 MAX_CHAIN_ENTRIES = 250_000_000
-# DP entries (level x rule x chain x padded occurrence) one batch of chains
-# holds (~2 MB): large enough that short chains share one set of numpy calls;
-# larger batches ran no faster and raised the peak resident set.
+# DP entries (level x rule x chain x padded occurrence, counted as for
+# MAX_CHAIN_ENTRIES) one batch of chains holds (~2 MB): large enough that
+# short chains share one set of numpy calls; larger batches ran no faster
+# and raised the peak resident set.
 _BATCH_FLOATS = 1 << 18
+# The dominated-rule guard of ``_kept_rules``, in units of u * A * L^2.
+_GUARD = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,87 +122,152 @@ def _batches(partition: ContextPartition, levels: int, num_rules: int):
         lo, width = hi, 2 * width
 
 
-def _forward_batch(w: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
+def _kept_rules(table: np.ndarray, longest: int) -> np.ndarray:
+    """Indices, ascending, of the rules the DP is solved on.
+
+    Rule j is dropped when some rule j' beats it at every row by more than
+    the rounding guard: ``table[b, j] - table[b, j'] > 16 u A L^2`` for all
+    b, with u = 2^-53, A = max |table| and L = ``longest``.  In exact
+    arithmetic on the same inputs, swapping a schedule's final run of j for
+    j' keeps its shifts and lowers its cost by at least that margin, so
+    every DP value of j lies above j''s by more.  Every computed DP value is
+    within 6.1 u A L^2 of the exact one: the cumulative sums add at most
+    u A L (L + 1) / 2 along a schedule, whose runs cover disjoint
+    occurrences, and each of at most L - 1 levels adds one subtraction and
+    one addition, under 5.01 u A L together.  So a dropped rule's computed
+    value is never the minimum nor tied with it, and the kept rules' values,
+    minima and argmins keep their bits.  A dropped rule always has a kept
+    one beating it by more than the guard: of the rules that do, the one
+    with the least row sum is beaten by none.
+    """
+    rows, num_rules = table.shape
+    bound = _GUARD * (np.finfo(np.float64).eps / 2) * float(np.abs(table).max()) * longest**2
+    dropped = np.empty(num_rules, dtype=bool)
+    step = max(1, _BATCH_FLOATS // (rows * num_rules))
+    for lo in range(0, num_rules, step):
+        margin = np.min(table[:, lo : lo + step, None] - table[:, None, :], axis=0)
+        dropped[lo : lo + step] = (margin > bound).any(axis=1)
+    return np.flatnonzero(~dropped)
+
+
+def _forward_batch(
+    w: np.ndarray, levels: int, last: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """DP values of a batch of chains laid out rules-major.
 
     w has shape (N, chains, L): w[j, c, p] is the loss of rule j at
-    occurrence p of chain c.  Returns (M, best) with M of shape
-    (levels, N, chains, L) and best[i] = min_j M[i, j], so that level i of
-    chain c at occurrence p allows at most i shifts.  The recursion per level
-    i >= 1 is, at a repeat occurrence,
+    occurrence p of chain c, whose final occurrence is ``last[c]``.  Level i
+    of chain c at occurrence p allows at most i shifts.  The recursion per
+    level i >= 1 is, at a repeat occurrence,
         M[i, :, p] = w[:, p] + min(M[i, :, p-1], best[i-1, p-1])
-    and M[i, :, 0] = w[:, 0]; it is evaluated through cumulative sums S and
-    the shifted running minimum of best[i-1] - S, which reproduces the
-    recursion while keeping every pass a whole-batch scan along the
-    occurrence axis.  That running minimum starts at best[i-1, 0] - S[:, 0]
-    <= 0, so it never exceeds the stay branch's offset 0 and needs no
-    clamping.  Values at padded occurrences are never read back into a real
-    one.
+    with best[i] = min_j M[i, j], and M[i, :, 0] = w[:, 0]; it is evaluated
+    through cumulative sums S and the shifted running minimum of
+    best[i-1] - S, which reproduces the recursion while keeping every pass a
+    whole-batch scan along the occurrence axis.  That running minimum starts
+    at best[i-1, 0] - S[:, 0] <= 0, so it never exceeds the stay branch's
+    offset 0 and needs no clamping.  On finite values ``fmin`` finds it as
+    ``minimum`` does, differing only in which zero of a +-0 tie it keeps.
+    No comparison sees that, and no sum S + floor shows it: where S[j, p] is
+    -0, every w[j, :p+1] is -0 and every zero the scan meets is +0.
+
+    Returns (M, best, top).  M holds the levels below the top one, of shape
+    (levels - 1, N, chains, L), and best their minima over the rules; with
+    one level, M holds level 0 (= S) and best is empty.  ``top[j, c]`` is
+    the top level's value of rule j at occurrence ``last[c]``: S at that
+    occurrence plus one masked minimum of best[levels-2] - S over the
+    occurrences before it.  Values at padded occurrences are never read
+    back into a real one.
     """
     num_rules, chains, L = w.shape
-    M = np.empty((levels, num_rules, chains, L))
-    best = np.empty((levels, chains, L))
+    M = np.empty((max(levels - 1, 1), num_rules, chains, L))
+    best = np.empty((levels - 1, chains, L))
     S = np.cumsum(w, axis=2, out=M[0])
-    np.minimum.reduce(S, axis=0, out=best[0])
     floor = np.empty((num_rules, chains, L - 1))
     for i in range(1, levels):
+        np.minimum.reduce(M[i - 1], axis=0, out=best[i - 1])
+        np.subtract(best[i - 1, None, :, : L - 1], S[:, :, : L - 1], out=floor)
+        if i == levels - 1:
+            break
         level = M[i]
         level[:, :, 0] = w[:, :, 0]
-        if L > 1:
-            np.subtract(best[i - 1, None, :, : L - 1], S[:, :, : L - 1], out=floor)
-            np.minimum.accumulate(floor, axis=2, out=floor)
-            np.add(S[:, :, 1:], floor, out=level[:, :, 1:])
-        np.minimum.reduce(level, axis=0, out=best[i])
-    return M, best
+        np.fmin.accumulate(floor, axis=2, out=floor)
+        np.add(S[:, :, 1:], floor, out=level[:, :, 1:])
+    top = S[:, np.arange(chains), last]
+    if levels > 1:
+        before = np.arange(L - 1) < last[:, None]
+        reach = np.minimum.reduce(floor, axis=2, where=before, initial=np.inf)
+        np.add(top, reach, out=top, where=last > 0)
+    return M, best, top
+
+
+def _level_row(M: np.ndarray, best: np.ndarray, level: int, q: np.ndarray) -> np.ndarray:
+    """Values of ``level`` in rule q[c] along each chain c, shape (chains, L).
+
+    A stored level is read from M; the top level, which ``_forward_batch``
+    does not store, is built for these rules only, with the same operations
+    on the same inputs as a full level.
+    """
+    rows = np.arange(q.size)
+    if level < M.shape[0]:
+        return M[level][q, rows]
+    S = M[0][q, rows]
+    row = np.empty_like(S)
+    row[:, 0] = S[:, 0]
+    floor = np.subtract(best[level - 1, :, :-1], S[:, :-1])
+    np.fmin.accumulate(floor, axis=1, out=floor)
+    np.add(S[:, 1:], floor, out=row[:, 1:])
+    return row
 
 
 def _backward_batch(
-    M: np.ndarray, best: np.ndarray, last: np.ndarray
+    M: np.ndarray, best: np.ndarray, last: np.ndarray, q: np.ndarray, row: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recover every chain's optimal rule runs from its forward values.
 
-    ``last[c]`` is the final occurrence of chain c.  Walking from the last
-    occurrence toward the first with current level r and rule q, a shift is
-    recorded at occurrence p exactly when the forward recursion's shift
-    branch was strictly better there: best[r-1, p-1] < M[r, q, p-1].  Both
-    quantities are stored forward values, so the test reproduces the forward
-    decisions bit for bit (a subtraction of the current loss would
-    reintroduce rounding and could turn exact ties into spurious shifts).
-    Ties keep the current rule, so the schedule uses as few shifts as
-    possible.  Every step lowers r by one, so the walk is one vector step per
-    level for the whole batch; the new rule is an argmin over the rules at
-    the chosen occurrence only.  Returns the (chains, L) rule assignment,
-    whose slots past a chain's end repeat the rule of its last run, and the
-    shifts used per chain.
+    ``last[c]`` is the final occurrence of chain c.  The walk starts at
+    level r = len(best) in rule q[c] (the argmin at that occurrence), whose
+    values along the chain are row[c]; M and best hold the levels below r.
+    Walking from the last occurrence toward the first with current level r
+    and rule q, a shift is recorded at occurrence p exactly when the forward
+    recursion's shift branch was strictly better there:
+    best[r-1, p-1] < M[r, q, p-1].  Both quantities are stored forward
+    values, so the test reproduces the forward decisions bit for bit (a
+    subtraction of the current loss would reintroduce rounding and could
+    turn exact ties into spurious shifts).  Ties keep the current rule, so
+    the schedule uses as few shifts as possible.  Every step lowers r by
+    one, so the walk is one vector step per level for the whole batch; the
+    new rule is an argmin over the rules at the chosen occurrence only.
+    Returns the (chains, L) rule assignment, whose slots past a chain's end
+    repeat the rule of its last run, and the shifts used per chain.
     """
-    levels, _, chains, L = M.shape
+    chains, L = row.shape
     cols = np.arange(L)
-    rows = np.arange(chains)
-    r = levels - 1
-    q = M[r][:, rows, last].argmin(axis=0)
+    top = r = best.shape[0]
+    q = q.copy()
     upper = last.copy()
     switches = np.zeros(chains, dtype=np.int64)
-    run_start = np.zeros((chains, L), dtype=bool)
-    run_rule = np.empty((chains, L), dtype=np.int64)
+    # The rule change at each run start; its running sum along a chain is
+    # the rule at every occurrence.  Rule indices are below core.MAX_RULES
+    # (4096), so every change fits int16.
+    change = np.zeros((chains, L), dtype=np.int16)
     active = np.flatnonzero(upper > 0)
     while r > 0 and active.size:
-        stay = M[r][q[active], active]
-        hits = (best[r - 1, active] < stay) & (cols < upper[active, None])
-        found = hits.any(axis=1)
+        stay = row[active] if r == top else M[r][q[active], active]
+        hits = np.less(best[r - 1, active], stay)
+        hits &= cols < upper[active, None]
+        last_hit = L - 1 - np.argmax(hits[:, ::-1], axis=1)
+        found = hits[np.arange(active.size), last_hit]
         active = active[found]
-        p = L - np.argmax(hits[found, ::-1], axis=1)
-        run_start[active, p] = True
-        run_rule[active, p] = q[active]
+        p = last_hit[found] + 1
         r -= 1
+        run_rule = q[active]
         q[active] = M[r][:, active, p - 1].argmin(axis=0)
+        change[active, p] = run_rule - q[active]
         upper[active] = p - 1
         switches[active] += 1
         active = active[p > 1]
-    run_start[:, 0] = True
-    run_rule[:, 0] = q
-    run_of = np.where(run_start, cols, 0)
-    np.maximum.accumulate(run_of, axis=1, out=run_of)
-    return np.take_along_axis(run_rule, run_of, axis=1), switches
+    change[:, 0] = q
+    return np.cumsum(change, axis=1, out=change), switches
 
 
 def _solve_chains(
@@ -197,40 +276,46 @@ def _solve_chains(
     """Both passes for every context chain of the partition, for every budget.
 
     The loss row at 0-based interior index t is ``table[codes[t]]`` (one
-    entry per rule); level i of the DP allows at most i shifts.  A chain of
-    L occurrences reads only levels below L, whose values are the same at
-    every level >= L, so budget m is solved on min(m, longest - 1) + 1
-    levels with the same bits as on m + 1.  Each batch runs its forward pass
-    once, on the most levels any budget needs, and walks back once per
-    distinct level count from that count's top level.  Levels 0..lv-1 of the
-    deeper pass come from the same operations on the same inputs as a pass
-    of lv levels, so each budget's result equals its own solve bit for bit.
-    Returns one (schedule, unnormalized minimum cumulative loss) per budget,
-    in order; shifts per context follow the partition's groups (ascending
-    context id), and assignments use the smallest unsigned dtype that holds
-    every rule index.
+    entry per rule, all finite); level i of the DP allows at most i shifts.
+    A chain of L occurrences reads only levels below L, whose values are the
+    same at every level >= L, so budget m is solved on min(m, longest - 1)
+    + 1 levels with the same bits as on m + 1.  Each batch runs its forward
+    pass once, on the most levels any budget needs and the rules
+    ``_kept_rules`` keeps, and walks back once per distinct level count from
+    that count's top level.  Levels 0..lv-1 of the deeper pass come from the
+    same operations on the same inputs as a pass of lv levels, so each
+    budget's result equals its own solve bit for bit, and kept rules keep
+    their order, so each assignment maps back through ``keep`` to the rule
+    a solve on every rule picks.  Returns one (schedule, unnormalized
+    minimum cumulative loss) per budget, in order; shifts per context follow
+    the partition's groups (ascending context id), and assignments use the
+    smallest unsigned dtype that holds every rule index.
     """
     num_rules = table.shape[1]
-    rules_major = np.ascontiguousarray(table.T)
     longest = int(partition._counts.max())
+    dtype = np.min_scalar_type(num_rules - 1)
+    keep = _kept_rules(table, longest).astype(dtype)
+    rules_major = np.ascontiguousarray(table[:, keep].T)
     levels = [min(int(m), longest - 1) + 1 for m in budgets]
     tops = sorted(set(levels))
-    assignments = {
-        lv: np.empty(partition.num_interior, dtype=np.min_scalar_type(num_rules - 1))
-        for lv in tops
-    }
+    assignments = {lv: np.empty(partition.num_interior, dtype=dtype) for lv in tops}
     switches = {lv: np.zeros(partition._counts.size, dtype=np.int64) for lv in tops}
     mins = {lv: np.empty(partition._counts.size) for lv in tops}
     for chains, lengths, pos in _batches(partition, tops[-1], num_rules):
-        M, best = _forward_batch(rules_major[:, codes[pos]], tops[-1])
         last = lengths - 1
-        rows = np.arange(chains.size)
+        w = np.take(rules_major, np.take(codes, pos), axis=1)
+        M, best, top = _forward_batch(w, tops[-1], last)
         for lv in tops:
-            mins[lv][chains] = best[lv - 1, rows, last]
-            assign, switches[lv][chains] = _backward_batch(M[:lv], best[:lv], last)
+            at_last = top if lv == tops[-1] else M[lv - 1][:, np.arange(chains.size), last]
+            q = at_last.argmin(axis=0)
+            mins[lv][chains] = np.minimum.reduce(at_last, axis=0)
+            row = _level_row(M, best, lv - 1, q)
+            assign, switches[lv][chains] = _backward_batch(
+                M[: lv - 1], best[: lv - 1], last, q, row
+            )
             # A padded slot repeats its chain's last position and carries the
             # rule of the last run, so writing it again stores the same value.
-            assignments[lv][pos] = assign
+            assignments[lv][pos] = np.take(keep, assign)
     # fsum rounds the exact sum once, so the chains' order does not matter.
     return [
         (

@@ -120,11 +120,14 @@ class DPState:
     def matrix_at(self, t: int) -> np.ndarray:
         """M_t (rows: allowed shifts + 1; last column: row argmin as a float).
 
-        Recomputed from the occurrences of t's context up to and including t.
+        Recomputed from the occurrences of t's context up to and including t,
+        on one level more than it returns: the library kernel stores every
+        level but its top one in full.
         """
         chain = self.partition.occurrences(self.partition.context_of(t))
         idx = chain[: np.searchsorted(chain, t) + 1] - self.schedule.k - 1
-        M, _ = _forward_batch(self.ell.T[:, self.codes[idx]][:, None], self.schedule.m + 1)
+        w = self.ell.T[:, self.codes[idx]][:, None]
+        M, _, _ = _forward_batch(w, self.schedule.m + 2, np.array([idx.size - 1]))
         values = M[:, :, 0, -1]
         return np.column_stack((values, values.argmin(axis=1)))
 

@@ -135,6 +135,29 @@ class TestDenoiseCommand:
         assert code == 0
 
 
+    def test_non_finite_h_matrix_is_an_error_without_output(self, tmp_path, capsys):
+        h_path = tmp_path / "h.txt"
+        h_path.write_text("2 2\nnan 0\n0 1\n")
+        src = tmp_path / "in.raw"
+        fileio.write_raw_sequence(src, SymbolSequence([0, 0, 1, 1, 0, 0], 2))
+        out = tmp_path / "out.raw"
+        code = main(
+            [
+                "denoise",
+                "--input", str(src),
+                "--output", str(out),
+                "--format", "raw",
+                "--channel", "bsc:0.1",
+                "--k", "0",
+                "--m", "1",
+                "--h-matrix", str(h_path),
+            ]
+        )
+        assert code == 1
+        assert not out.exists()
+        assert "sdude: error:" in capsys.readouterr().err
+
+
 class TestCliBehavior:
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -108,6 +108,12 @@ class TestBuildChannel:
         with pytest.raises(ValidationError):
             build_channel(pi, h_matrix=np.array([[1.0, 0.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_h_matrix_is_refused(self, bad):
+        # NaN > ATOL is false, so the identity check alone lets a NaN through.
+        with pytest.raises(ValidationError):
+            build_channel([[0.9, 0.1], [0.1, 0.9]], h_matrix=[[bad, 0.0], [0.0, 1.0]])
+
     def test_square_invertible_reduces_to_inverse(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

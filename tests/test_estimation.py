@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_full_rank_channel
 from oracles import b_h_mapping, b_h_rule
-from sdude import build_loss, build_tables, hamming_loss
+from sdude import ChannelModel, build_loss, build_tables, hamming_loss
 from sdude.errors import TooLarge, ValidationError
 
 # Rule indices of the four binary single-symbol rules.
@@ -38,6 +38,12 @@ class TestTables:
 
     def test_negative_estimated_losses_not_clamped(self, tables01):
         assert tables01.ell.min() < 0
+
+    def test_non_finite_estimated_losses_are_refused(self):
+        # A ChannelModel built directly skips build_channel's checks.
+        channel = ChannelModel(pi=np.eye(2), h_matrix=np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValidationError):
+            build_tables(channel, hamming_loss(2))
 
 
 @settings(max_examples=60, deadline=None)

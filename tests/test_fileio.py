@@ -220,3 +220,19 @@ class TestScheduleJson:
         assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(
             want, indent=2, sort_keys=True
         )
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_ternary_contexts_match_per_position_loop(self, k):
+        # Base-3 digits: the one-pass decode must agree with context_symbols.
+        from sdude import build_loss, identity_channel, sdude_denoise
+
+        rng = np.random.default_rng(30 + k)
+        z = SymbolSequence(rng.integers(0, 3, size=3000), 3)
+        _, schedule, _ = sdude_denoise(
+            z, k, 1, identity_channel(3), build_loss(1.0 - np.eye(3))
+        )
+        got = fileio.schedule_to_json(schedule)
+        want = schedule_to_json_reference(schedule, schedule.partition)
+        assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(
+            want, indent=2, sort_keys=True
+        )

@@ -1,11 +1,13 @@
 """The batched switching kernel against the chain-at-a-time reference.
 
 ``fused_reference`` in oracles.py is the earlier implementation that ran the
-forward and backward passes one context chain at a time.  The batched kernel
-must reproduce it bit for bit: the same assignment, the same switches per
-context and the same minimum, on every tiling of positions into chains.  A
-call for several shift budgets must give each budget exactly what a call for
-that budget alone gives.
+forward and backward passes one context chain at a time, on every rule and
+every level in full.  The batched kernel must reproduce it bit for bit: the
+same assignment, the same switches per context and the same minimum, on
+every tiling of positions into chains, although it drops dominated rules and
+holds the top level only where the walk reads it.  A call for several shift
+budgets must give each budget exactly what a call for that budget alone
+gives.
 """
 
 import math
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 import sdude.switching as switching
 from conftest import random_full_rank_channel
 from oracles import (
+    _backward_chain,
     _forward_chain,
     brute_force_min,
     context_groups,
@@ -277,6 +280,166 @@ def test_every_budget_equals_its_own_solve(
         assert np.array_equal(schedule.per_context_switches, own.per_context_switches)
         assert np.array_equal(schedule.per_context_switches, switches)
         assert forward_min == own_min == minimum
+
+
+def guard_bound(table, longest):
+    """The rounding guard ``_kept_rules`` states: 16 u A L^2."""
+    return 16 * 2.0**-53 * float(np.abs(table).max()) * longest**2
+
+
+def kept_by_definition(table, longest):
+    """Rules that no rule beats at every row by more than the guard, by a plain loop."""
+    bound = guard_bound(table, longest)
+    rows, num_rules = table.shape
+    return [
+        j
+        for j in range(num_rules)
+        if not any(
+            all(table[b, j] - table[b, i] > bound for b in range(rows))
+            for i in range(num_rules)
+        )
+    ]
+
+
+def solve_one_batch(w, lengths, levels):
+    """_solve_chains's steps on one handmade batch: (minima, assignment, switches)."""
+    last = lengths - 1
+    M, best, top = switching._forward_batch(w, levels, last)
+    q = top.argmin(axis=0)
+    row = switching._level_row(M, best, levels - 1, q)
+    assign, switches = switching._backward_batch(M, best, last, q, row)
+    return np.minimum.reduce(top, axis=0), assign, switches
+
+
+def padded_batch(rng, table, lengths):
+    """(N, chains, L) losses of random chains, each padded by repeating its last occurrence."""
+    L = int(lengths.max())
+    codes = rng.integers(0, table.shape[0], size=(lengths.size, L))
+    codes = np.take_along_axis(codes, np.minimum(np.arange(L), lengths[:, None] - 1), axis=1)
+    return np.ascontiguousarray(table.T[:, codes]), codes
+
+
+class TestOnlyWhatTheWalkReads:
+    def test_bsc_hamming_solves_three_of_four_rules(self, tables01):
+        # Flip (rule 1) costs 0.8 more than say-z (rule 2) at both noisy symbols.
+        assert switching._kept_rules(tables01.ell, 10**6).tolist() == [0, 2, 3]
+        # Past about 2.5e7 occurrences the guard exceeds the 0.8 margin.
+        assert switching._kept_rules(tables01.ell, 3 * 10**7).tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("length, kept", [(10, False), (100, True)])
+    def test_margin_below_the_guard_keeps_the_rule(self, length, kept):
+        # Rule 1 is rule 0 plus 2^-40 everywhere; the guard is 2^-49 L^2
+        # (A = 1), below the margin at L = 10 and above it at L = 100.
+        rng = np.random.default_rng(21)
+        table = np.array([[1.0, 1.0 + 2.0**-40, -1.0], [-0.5, -0.5 + 2.0**-40, 0.75]])
+        z = SymbolSequence(rng.integers(0, 2, size=length), 2)
+        partition = build_partition(z, 0)
+        assert (1 in switching._kept_rules(table, length)) is kept
+        for levels in (1, 2, 4):
+            assert_matches_reference(partition, z.symbols, table, levels)
+
+    def test_tables_with_signed_zeros(self):
+        # -0.0 and +0.0 in the table: every stored level, the top level at
+        # each chain's end and forward_min keep the reference's sign of zero.
+        rng = np.random.default_rng(22)
+        for _ in range(40):
+            table = rng.choice([-0.0, 0.0, -1.0, 1.0, 0.5], size=(2, 4))
+            lengths = rng.integers(1, 9, size=6)
+            w, _ = padded_batch(rng, table, lengths)
+            levels = int(rng.integers(2, 6))
+            M, best, top = switching._forward_batch(w, levels, lengths - 1)
+            for c, length in enumerate(lengths.tolist()):
+                want, _ = _forward_chain(w[:, c, :length].T, levels)
+                got = np.moveaxis(M[:, :, c, :length], 2, 1)
+                assert np.array_equal(np.signbit(got), np.signbit(want[: levels - 1]))
+                assert np.array_equal(got, want[: levels - 1])
+                assert np.array_equal(np.signbit(top[:, c]), np.signbit(want[-1, -1]))
+                assert np.array_equal(top[:, c], want[-1, -1])
+            z = SymbolSequence(rng.integers(0, 2, size=60), 2)
+            partition, codes = build_partition(z, 1), z.symbols[1:59]
+            for m in (0, 1, 5):
+                [(schedule, forward_min)] = _solve_chains(partition, codes, table, (m,))
+                assignment, switches, minimum = fused_reference(partition, table[codes], m)
+                assert np.array_equal(schedule.assignment, assignment)
+                assert np.array_equal(schedule.per_context_switches, switches)
+                assert forward_min == minimum
+                assert math.copysign(1.0, forward_min) == math.copysign(1.0, minimum)
+
+    @pytest.mark.parametrize("style", ["normal", "rounded", "sevenths"])
+    def test_short_chains_in_padded_mixed_batches(self, style):
+        # Chains of 1 and 2 occurrences share a batch with longer ones.
+        rng = np.random.default_rng({"normal": 23, "rounded": 24, "sevenths": 25}[style])
+        for _ in range(30):
+            table = random_table(rng, 3, 4, style)
+            lengths = rng.permutation(np.r_[1, 2, rng.integers(1, 12, size=4)])
+            w, codes = padded_batch(rng, table, lengths)
+            for levels in (1, 2, int(lengths.max()) + 1):
+                minima, assign, switches = solve_one_batch(w, lengths, levels)
+                for c, length in enumerate(lengths.tolist()):
+                    M, argm = _forward_chain(table[codes[c, :length]], levels)
+                    want, want_switches = _backward_chain(M, argm)
+                    assert minima[c] == M[-1, -1].min()
+                    assert np.array_equal(assign[c, :length], want)
+                    assert switches[c] == want_switches
+
+    def test_short_chains_with_tiny_batches(self, monkeypatch):
+        # k = 3 on 300 ternary symbols: chains of 1 and 2 occurrences beside
+        # longer ones, one chain per batch, budgets 0, 1 and past the longest.
+        monkeypatch.setattr(switching, "_BATCH_FLOATS", 64)
+        rng = np.random.default_rng(26)
+        z = SymbolSequence(rng.integers(0, 3, size=300), 3)
+        partition = build_partition(z, 2)
+        counts = partition._counts
+        assert (counts == 1).any() and (counts == 2).any() and counts.max() > 2
+        for style in ("normal", "rounded", "sevenths"):
+            table = random_table(rng, 3, 27, style)
+            for levels in (1, 2, int(counts.max()) + 1):
+                assert_matches_reference(partition, z.symbols[2:298], table, levels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    noisy=st.integers(2, 3),
+    num_rules=st.integers(2, 6),
+    n=st.integers(1, 120),
+    k=st.integers(0, 2),
+    budgets=st.lists(st.integers(0, 8), min_size=1, max_size=3),
+    margin=st.one_of(st.just(0.0), st.floats(1e-16, 1e-11), st.floats(0.0, 1.0)),
+    style=st.sampled_from(["normal", "rounded", "sevenths"]),
+    tiny_batches=st.booleans(),
+)
+def test_planted_dominated_rule(
+    seed, noisy, num_rules, n, k, budgets, margin, style, tiny_batches
+):
+    # Rule j is rule i plus a margin (and a nonnegative extra) at every row:
+    # dropped exactly when some rule beats it by more than the guard, and
+    # the solve equals the reference on every rule either way.
+    if n <= 2 * k:
+        return
+    rng = np.random.default_rng(seed)
+    z = SymbolSequence(rng.integers(0, noisy, size=n), noisy)
+    partition = build_partition(z, k)
+    longest = int(partition._counts.max())
+    table = random_table(rng, noisy, num_rules, style)
+    i, j = rng.choice(num_rules, size=2, replace=False)
+    table[:, j] = table[:, i] + margin + rng.choice([0.0, 0.5], size=noisy)
+    # Tiny batches also split _kept_rules's margins into chunks of a few rules.
+    batch = 64 if tiny_batches else switching._BATCH_FLOATS
+    codes = z.symbols[k : n - k]
+    with mock.patch.object(switching, "_BATCH_FLOATS", batch):
+        keep = switching._kept_rules(table, longest)
+        solved = _solve_chains(partition, codes, table, budgets)
+    assert keep.tolist() == kept_by_definition(table, longest)
+    beats_j = [np.min(table[:, j] - table[:, r]) for r in range(num_rules) if r != j]
+    if max(beats_j) <= guard_bound(table, longest):
+        # i beats j by the planted margin, and no rule by more than the guard.
+        assert j in keep
+    for r, (schedule, forward_min) in zip(budgets, solved):
+        assignment, switches, minimum = fused_reference(partition, table[codes], r)
+        assert np.array_equal(schedule.assignment, assignment)
+        assert np.array_equal(schedule.per_context_switches, switches)
+        assert forward_min == minimum
 
 
 class TestMemoryBudget:
