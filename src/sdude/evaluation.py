@@ -26,7 +26,7 @@ from .errors import RangeError, ValidationError
 from .estimation import build_tables
 from .genie import genie_min_loss, genie_min_losses
 from .hmm import fb_posteriors, map_denoise
-from .sources import MarkovComponent, PiecewiseSourceSpec, corrupt, sample_piecewise
+from .sources import MarkovComponent, PiecewiseSourceSpec, _seed_sequence, corrupt, sample_piecewise
 from .switching import sdude_denoise_each
 
 
@@ -149,7 +149,7 @@ def run_two_block_experiment(
     loss = hamming_loss(2)
     tables = build_tables(channel, loss)
     x = two_block_sequence(n)
-    seeds = tuple(int(s) for s in seeds)
+    seeds = tuple(_seed_sequence(s).entropy for s in seeds)
     if not seeds:
         raise ValidationError("the two-block experiment needs at least one seed")
     results = []
@@ -229,8 +229,8 @@ def run_switching_hmm_experiment(
         block_labels=(0, 1),
         continuing=True,
     )
-    seed = int(seed)
-    ss = np.random.SeedSequence(seed)
+    ss = _seed_sequence(seed)
+    seed = ss.entropy
     source_seed, channel_seed = ss.spawn(2)
     x = sample_piecewise(spec, n, source_seed)
     channel = bsc_channel(delta)
@@ -295,12 +295,13 @@ def concentration_sweep(
     else:
         raise ValidationError("x_provider must be 'two-block' or a callable")
     tables = build_tables(channel, loss)
+    seed = _seed_sequence(seed).entropy
     rows = []
     for ni, n in enumerate(n_list):
         x = provider(int(n))
         gaps = []
         for trial in range(trials):
-            z = corrupt(x, channel, np.random.SeedSequence((int(seed), ni, trial)))
+            z = corrupt(x, channel, np.random.SeedSequence((seed, ni, trial)))
             [(out, schedule, _)] = sdude_denoise_each(z, k, (m,), channel, loss, tables=tables)
             true_loss = cumulative_loss(x, out, loss, k + 1, len(x) - k)
             [(genie_val, _)] = genie_min_losses(x, schedule.partition, (m,), loss)
@@ -318,7 +319,7 @@ def concentration_sweep(
         n=int(max(n_list)),
         channel="custom",
         loss="custom",
-        seeds=(int(seed),),
+        seeds=(seed,),
         k=int(k),
         m=int(m),
         sweep=tuple(rows),

@@ -11,11 +11,16 @@ at the boundaries (the step into a new block already uses the new matrix).
 All randomness comes from the counter-based Philox generator seeded through
 ``numpy.random.SeedSequence``; per-block streams are spawned children of the
 top seed, so every sample is reproducible bit for bit from (spec, n, seed).
+Every draw from a CDF row ``c`` with a uniform ``u`` is the number of entries
+of ``c[:-1]`` at or below ``u``, and a Markov walk reads exactly one uniform
+per step, in order: a rewrite that keeps both keeps every stream.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -23,10 +28,22 @@ from .core import ChannelModel, SymbolSequence
 from .errors import ValidationError
 
 
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """``seed`` itself if it is a SeedSequence, else the SeedSequence of a non-negative integer."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.SeedSequence(int(seed))
+
+
 def _rng(seed) -> np.random.Generator:
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed)))
+
+
+def _draw(heads: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The draw rule; ``heads`` is ``c[:-1]`` of one CDF row ``c``, or of one row per uniform."""
+    return (u[:, None] >= heads).sum(axis=1)
 
 
 def is_stochastic(p: np.ndarray) -> bool:
@@ -71,9 +88,7 @@ class IIDComponent:
         return self.probs.shape[0]
 
     def sample(self, length: int, rng: np.random.Generator) -> np.ndarray:
-        cdf = np.cumsum(self.probs)
-        u = rng.random(length)
-        return np.minimum((u[:, None] >= cdf[None, :-1]).sum(axis=1), self.alphabet_size - 1)
+        return _draw(np.cumsum(self.probs)[:-1], rng.random(length))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,44 +118,21 @@ class MarkovComponent:
     def alphabet_size(self) -> int:
         return self.transition.shape[0]
 
-    def _draw_initial(self, rng: np.random.Generator) -> int:
-        cdf = np.cumsum(self.initial)
-        return int(np.searchsorted(cdf, rng.random(), side="right").clip(0, self.alphabet_size - 1))
-
     def sample(self, length: int, rng: np.random.Generator) -> np.ndarray:
-        state = self._draw_initial(rng)
-        return self.continue_from(state, length, rng, include_start=True)
+        start = _draw(np.cumsum(self.initial)[:-1], rng.random(1))
+        return np.concatenate((start, self.walk(int(start[0]), max(length - 1, 0), rng)))[:length]
 
-    def continue_from(
-        self, state: int, length: int, rng: np.random.Generator, include_start: bool
-    ) -> np.ndarray:
-        """Run the chain for ``length`` outputs, optionally emitting ``state`` first."""
-        q = self.alphabet_size
-        out = np.empty(length, dtype=np.int64)
-        if length == 0:
-            return out
-        pos = 0
-        if include_start:
-            out[0] = state
-            pos = 1
-        steps = length - pos
-        if steps <= 0:
-            return out
+    def walk(self, state: int, steps: int, rng: np.random.Generator) -> np.ndarray:
+        """The ``steps`` states after ``state``, one uniform per step bisecting a CDF row."""
+        if not 0 <= state < self.alphabet_size:
+            raise ValidationError(f"state {state!r} is outside the chain's alphabet")
         p = self.transition
-        if q == 2 and p[0, 0] == p[1, 1] and p[0, 1] == p[1, 0]:
+        u = rng.random(steps)
+        if self.alphabet_size == 2 and p[0, 0] == p[1, 1] and p[0, 1] == p[1, 0]:
             # Symmetric binary chain: flips are i.i.d., so the path is a prefix parity.
-            flips = rng.random(steps) < p[0, 1]
-            out[pos:] = state ^ np.cumsum(flips).astype(np.int64) % 2
-        else:
-            cdf = np.cumsum(p, axis=1)
-            u = rng.random(steps)
-            s = state
-            for i in range(steps):
-                s = int(np.searchsorted(cdf[s], u[i], side="right"))
-                if s >= q:
-                    s = q - 1
-                out[pos + i] = s
-        return out
+            return state ^ np.cumsum(u < p[0, 1]).astype(np.int64) % 2
+        rows = np.cumsum(p, axis=1)[:, :-1].tolist()
+        return np.array([state := bisect_right(rows[state], v) for v in u.tolist()], dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,15 +152,16 @@ class PiecewiseSourceSpec:
 
     def __post_init__(self):
         comps = tuple(self.components)
-        times = tuple(int(t) for t in self.switch_times)
-        labels = tuple(int(b) for b in self.block_labels)
+        times, labels = tuple(self.switch_times), tuple(self.block_labels)
+        if not all(isinstance(v, (int, np.integer)) for v in times + labels):
+            raise ValidationError(f"switch times and labels must be integers, got {times + labels}")
+        times, labels = tuple(map(int, times)), tuple(map(int, labels))
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "switch_times", times)
         object.__setattr__(self, "block_labels", labels)
         if not comps:
             raise ValidationError("at least one component process is required")
-        sizes = {c.alphabet_size for c in comps}
-        if len(sizes) != 1:
+        if len({c.alphabet_size for c in comps}) != 1:
             raise ValidationError("all components must share one alphabet")
         if len(labels) != len(times) + 1:
             raise ValidationError("need exactly one block label per block")
@@ -195,27 +188,18 @@ class PiecewiseSourceSpec:
 
 def sample_piecewise(spec: PiecewiseSourceSpec, n: int, seed) -> SymbolSequence:
     """Draw one length-n realization of the piecewise source."""
-    if n < 1:
-        raise ValidationError("sequence length must be positive")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError(f"sequence length must be a positive integer, got {n!r}")
     bounds = spec.block_bounds(n)
+    seed = _seed_sequence(seed)
+    rngs = repeat(_rng(seed)) if spec.continuing else map(_rng, seed.spawn(len(bounds)))
     out = np.empty(n, dtype=np.int64)
-    if spec.continuing:
-        rng = _rng(seed)
-        state = None
-        for (start, end), label in zip(bounds, spec.block_labels):
-            comp = spec.components[label]
-            if state is None:
-                block = comp.sample(end - start, rng)
-            else:
-                block = comp.continue_from(state, end - start, rng, include_start=False)
-            out[start:end] = block
-            state = int(block[-1]) if block.size else state
-    else:
-        if not isinstance(seed, np.random.SeedSequence):
-            seed = np.random.SeedSequence(seed)
-        children = seed.spawn(len(bounds))
-        for (start, end), label, child in zip(bounds, spec.block_labels, children):
-            out[start:end] = spec.components[label].sample(end - start, _rng(child))
+    for (start, end), label, rng in zip(bounds, spec.block_labels, rngs):
+        comp = spec.components[label]
+        if spec.continuing and start > 0:
+            out[start:end] = comp.walk(int(out[start - 1]), end - start, rng)
+        else:
+            out[start:end] = comp.sample(end - start, rng)
     return SymbolSequence(out, spec.alphabet_size)
 
 
@@ -234,9 +218,5 @@ def corrupt(x: SymbolSequence, channel, seed) -> SymbolSequence:
             raise ValidationError("channel must be a row-stochastic matrix")
     if x.alphabet_size > pi.shape[0]:
         raise ValidationError("sequence alphabet exceeds the channel's clean alphabet")
-    noisy = pi.shape[1]
-    rng = _rng(seed)
-    cdf = np.cumsum(pi, axis=1)
-    u = rng.random(len(x))
-    z = (u[:, None] >= cdf[x.symbols][:, :-1]).sum(axis=1)
-    return SymbolSequence(np.minimum(z, noisy - 1), noisy)
+    u = _rng(seed).random(len(x))
+    return SymbolSequence(_draw(np.cumsum(pi, axis=1)[:, :-1][x.symbols], u), pi.shape[1])

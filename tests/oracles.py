@@ -11,7 +11,10 @@ that the optimized ones can be required to match them bit for bit:
 ``schedule_to_json_reference`` (the per-position schedule dump),
 ``partition_reference`` (the int64 argsort build of a context partition),
 ``count_vector`` (per-context symbol counts) and ``b_h_rule`` /
-``b_h_mapping`` (the count-based decision rule, computed per symbol).
+``b_h_mapping`` (the count-based decision rule, computed per symbol), and
+``sample_piecewise_reference`` / ``corrupt_reference`` (the simulators with
+their three inverse-CDF draws, clamps and per-symbol ``np.searchsorted``
+chain loop as they were before ``MarkovComponent.walk``).
 ``brute_force_min`` enumerates the schedule class itself, so it checks the
 estimated-loss dynamic program and the genie alike.
 
@@ -32,6 +35,7 @@ from sdude import (
     ContextPartition,
     EstimatedLossTable,
     LossMatrix,
+    MarkovComponent,
     SwitchingSchedule,
     SymbolSequence,
     build_partition,
@@ -478,3 +482,99 @@ def brute_force_min(z, k, m, tables, mode="estimated", x=None):
                     best = candidate
         totals.append(best)
     return math.fsum(totals)
+
+
+def _rng_reference(seed):
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def iid_sample_reference(component, length, rng):
+    cdf = np.cumsum(component.probs)
+    u = rng.random(length)
+    return np.minimum((u[:, None] >= cdf[None, :-1]).sum(axis=1), component.alphabet_size - 1)
+
+
+def _draw_initial_reference(component, rng):
+    cdf = np.cumsum(component.initial)
+    return int(np.searchsorted(cdf, rng.random(), side="right").clip(0, component.alphabet_size - 1))
+
+
+def markov_sample_reference(component, length, rng):
+    state = _draw_initial_reference(component, rng)
+    return continue_from_reference(component, state, length, rng, include_start=True)
+
+
+def continue_from_reference(component, state, length, rng, include_start):
+    """Run the chain for ``length`` outputs, optionally emitting ``state`` first."""
+    q = component.alphabet_size
+    out = np.empty(length, dtype=np.int64)
+    if length == 0:
+        return out
+    pos = 0
+    if include_start:
+        out[0] = state
+        pos = 1
+    steps = length - pos
+    if steps <= 0:
+        return out
+    p = component.transition
+    if q == 2 and p[0, 0] == p[1, 1] and p[0, 1] == p[1, 0]:
+        # Symmetric binary chain: flips are i.i.d., so the path is a prefix parity.
+        flips = rng.random(steps) < p[0, 1]
+        out[pos:] = state ^ np.cumsum(flips).astype(np.int64) % 2
+    else:
+        cdf = np.cumsum(p, axis=1)
+        u = rng.random(steps)
+        s = state
+        for i in range(steps):
+            s = int(np.searchsorted(cdf[s], u[i], side="right"))
+            if s >= q:
+                s = q - 1
+            out[pos + i] = s
+    return out
+
+
+def component_sample_reference(component, length, rng):
+    if isinstance(component, MarkovComponent):
+        return markov_sample_reference(component, length, rng)
+    return iid_sample_reference(component, length, rng)
+
+
+def sample_piecewise_reference(spec, n, seed):
+    """The two block loops: one generator for a continuing spec, spawned children otherwise."""
+    if n < 1:
+        raise ValidationError("sequence length must be positive")
+    bounds = spec.block_bounds(n)
+    out = np.empty(n, dtype=np.int64)
+    if spec.continuing:
+        rng = _rng_reference(seed)
+        state = None
+        for (start, end), label in zip(bounds, spec.block_labels):
+            comp = spec.components[label]
+            if state is None:
+                block = markov_sample_reference(comp, end - start, rng)
+            else:
+                block = continue_from_reference(comp, state, end - start, rng, include_start=False)
+            out[start:end] = block
+            state = int(block[-1]) if block.size else state
+    else:
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(seed)
+        children = seed.spawn(len(bounds))
+        for (start, end), label, child in zip(bounds, spec.block_labels, children):
+            comp = spec.components[label]
+            out[start:end] = component_sample_reference(comp, end - start, _rng_reference(child))
+    return SymbolSequence(out, spec.alphabet_size)
+
+
+def corrupt_reference(x, channel, seed):
+    """The clamped compare-and-sum corruption, one draw per symbol."""
+    pi = channel.pi if isinstance(channel, ChannelModel) else np.asarray(channel, dtype=np.float64)
+    noisy = pi.shape[1]
+    rng = _rng_reference(seed)
+    cdf = np.cumsum(pi, axis=1)
+    u = rng.random(len(x))
+    z = (u[:, None] >= cdf[x.symbols][:, :-1]).sum(axis=1)
+    return SymbolSequence(np.minimum(z, noisy - 1), noisy)

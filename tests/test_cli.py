@@ -377,6 +377,14 @@ class TestExperimentCommands:
         assert err.startswith("sdude: error:") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["two-block", "switching-hmm", "concentration"])
+    def test_negative_seed_is_an_error_without_report(self, tmp_path, capsys, command):
+        code = main(["experiment", command, "--seed", "-1", "--out", str(tmp_path / "report")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sdude: error:") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["two-block", "concentration"])
     def test_zero_trials_is_an_error_without_report(self, tmp_path, capsys, command):
         base = tmp_path / "report"

@@ -1,6 +1,7 @@
 import json
 import sys
 
+import numpy as np
 import pytest
 
 import sdude
@@ -144,6 +145,25 @@ class TestSwitchingHmmExperiment:
         )
         for row in report.results:
             assert row.ber == 0.0
+
+
+class TestHarnessSeeds:
+    # Seeds were truncated with int(): 1.5 and 1.7 silently ran seed 1.
+    def test_two_block_refuses_a_fractional_seed(self):
+        with pytest.raises(ValidationError):
+            run_two_block_experiment(1000, 0.1, 0, 1, seeds=(1.5,))
+
+    def test_switching_hmm_refuses_a_fractional_seed(self):
+        with pytest.raises(ValidationError):
+            run_switching_hmm_experiment(1000, 0.1, 0.01, 0.2, 500, k_list=(1,), seed=1.7)
+
+    def test_concentration_refuses_a_negative_seed(self, bsc01):
+        with pytest.raises(ValidationError):
+            concentration_sweep("two-block", bsc01, 0, 1, n_list=(100,), trials=1, seed=-1)
+
+    def test_numpy_integer_seeds_report_as_ints(self):
+        report = run_two_block_experiment(1000, 0.1, 0, 1, seeds=(np.int64(3),))
+        assert report.to_json() == run_two_block_experiment(1000, 0.1, 0, 1, seeds=(3,)).to_json()
 
 
 class TestConcentrationSweep:

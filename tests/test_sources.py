@@ -1,5 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import (
+    component_sample_reference,
+    continue_from_reference,
+    corrupt_reference,
+    sample_piecewise_reference,
+)
 from scipy import stats
 
 from sdude import (
@@ -7,13 +15,14 @@ from sdude import (
     MarkovComponent,
     PiecewiseSourceSpec,
     SymbolSequence,
+    build_channel,
     bsc_channel,
     corrupt,
     identity_channel,
     sample_piecewise,
     stationary_distribution,
 )
-from sdude.errors import ValidationError
+from sdude.errors import DenoiseError, ValidationError
 
 
 def constant_component(symbol, size=2):
@@ -54,6 +63,48 @@ class TestSpecValidation:
         )
         with pytest.raises(ValidationError):
             sample_piecewise(spec, 10, 0)
+
+    @pytest.mark.parametrize(
+        "times, labels", [((2.7,), (0, 1)), ((2,), (0.2, 1.9)), (("3",), (0, 1))]
+    )
+    def test_switch_times_and_labels_must_be_integers(self, times, labels):
+        comps = (constant_component(0), constant_component(1))
+        with pytest.raises(ValidationError):
+            PiecewiseSourceSpec(comps, times, labels)
+
+    def test_numpy_integer_times_and_labels_are_accepted(self):
+        comps = (constant_component(0), constant_component(1))
+        spec = PiecewiseSourceSpec(comps, (np.int64(2),), (np.int32(0), np.uint8(1)))
+        assert spec.switch_times == (2,) and spec.block_labels == (0, 1)
+        assert type(spec.switch_times[0]) is int
+
+    def test_sequence_length_must_be_an_integer(self):
+        spec = PiecewiseSourceSpec((constant_component(0),), (), (0,))
+        with pytest.raises(ValidationError):
+            sample_piecewise(spec, 2.5, 0)
+
+
+class TestSeeds:
+    SPEC = PiecewiseSourceSpec((constant_component(0), constant_component(1)), (2,), (0, 1))
+
+    @pytest.mark.parametrize("seed", [1.5, -1, "3", None])
+    def test_sample_piecewise_refuses_bad_seeds(self, seed):
+        with pytest.raises(ValidationError):
+            sample_piecewise(self.SPEC, 5, seed)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, "3", None])
+    def test_corrupt_refuses_bad_seeds(self, seed):
+        x = SymbolSequence(np.zeros(5, dtype=np.int64), 2)
+        with pytest.raises(ValidationError):
+            corrupt(x, bsc_channel(0.1), seed)
+
+    def test_integer_and_seed_sequence_seeds_agree(self):
+        x = SymbolSequence(np.zeros(50, dtype=np.int64), 2)
+        for seed in (7, np.int64(7), np.random.SeedSequence(7)):
+            np.testing.assert_array_equal(
+                corrupt(x, bsc_channel(0.3), seed).symbols,
+                corrupt(x, bsc_channel(0.3), 7).symbols,
+            )
 
 
 class TestNonFiniteProbabilities:
@@ -158,6 +209,167 @@ class TestSampling:
         a = sample_piecewise(cont, 1000, 5).symbols
         b = sample_piecewise(indep, 1000, 5).symbols
         assert not np.array_equal(a, b)
+
+
+class ScriptedUniforms:
+    """Stands in for a Generator: hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+        self.used = 0
+
+    def random(self, size=None):
+        count = 1 if size is None else size
+        assert self.used + count <= len(self.values), "the script ran out of uniforms"
+        out = self.values[self.used : self.used + count].copy()
+        self.used += count
+        return float(out[0]) if size is None else out
+
+
+@st.composite
+def chains(draw):
+    """Row-stochastic matrices: q = 1-4 with zeros placed first, in the middle or
+    last, symmetric and asymmetric binary chains, and rows that sum to 1 - 1e-10."""
+    kind = draw(st.sampled_from(("general", "symmetric", "asymmetric")))
+    if kind == "general":
+        q = draw(st.integers(1, 4))
+        w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=q * q, max_size=q * q)))
+        w = w.reshape(q, q)
+        places = draw(st.lists(st.sampled_from((None, 0, q // 2, q - 1)), min_size=q, max_size=q))
+        for row, place in zip(w, places):
+            if place is not None and q > 1:
+                row[place] = 0.0
+    elif kind == "symmetric":
+        flip = draw(st.floats(0.0, 1.0))
+        w = np.array([[1.0 - flip, flip], [flip, 1.0 - flip]])
+    else:
+        a, b = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+        assume(a != b)
+        w = np.array([[1.0 - a, a], [b, 1.0 - b]])
+    p = w / w.sum(axis=1, keepdims=True)
+    if draw(st.booleans()):
+        p = p * (1.0 - 1e-10)
+    try:
+        return MarkovComponent(p)
+    except ValidationError:  # reducible chains without a unique stationary law
+        assume(False)
+
+
+BLOCK_LENGTHS = st.one_of(st.integers(1, 3), st.integers(200, 400))
+
+
+def edge_uniforms(comp, rng, count):
+    """Uniforms half of which sit on, just below or just above a CDF entry of the
+    chain (its rows and its stationary law), including every value past a
+    short row's last entry that a uniform can take."""
+    cdfs = np.concatenate([np.cumsum(comp.transition, axis=1).ravel(), np.cumsum(comp.initial)])
+    edges = np.concatenate(
+        [cdfs, np.nextafter(cdfs, 0.0), np.nextafter(cdfs, 1.0), [0.0, np.nextafter(1.0, 0.0)]]
+    )
+    edges = edges[(edges >= 0.0) & (edges < 1.0)]
+    return np.where(rng.random(count) < 0.5, rng.choice(edges, count), rng.random(count))
+
+
+class TestDrawRuleMatchesReference:
+    """The simulators equal their earlier implementations (``tests/oracles.py``)
+    bit for bit: same values, int64, and the same uniforms consumed."""
+
+    @staticmethod
+    def assert_same(make_rng, run, reference):
+        a, b = make_rng(), make_rng()
+        got, want = run(a), reference(b)
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(a.random(3), b.random(3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(comp=chains(), seed=st.integers(0, 2**32 - 1), length=BLOCK_LENGTHS)
+    def test_components(self, comp, seed, length):
+        script = edge_uniforms(comp, np.random.default_rng(seed), length + 4)
+        for make_rng in (
+            lambda: ScriptedUniforms(script),
+            lambda: np.random.Generator(np.random.Philox(seed)),
+        ):
+            self.assert_same(
+                make_rng,
+                lambda g: comp.sample(length, g),
+                lambda g: component_sample_reference(comp, length, g),
+            )
+            for state in range(comp.alphabet_size):
+                self.assert_same(
+                    make_rng,
+                    lambda g: comp.walk(state, length, g),
+                    lambda g: continue_from_reference(comp, state, length, g, False),
+                )
+            for probs in (*comp.transition, comp.initial):
+                iid = IIDComponent(probs)
+                self.assert_same(
+                    make_rng,
+                    lambda g: iid.sample(length, g),
+                    lambda g: component_sample_reference(iid, length, g),
+                )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        comp=chains(),
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(BLOCK_LENGTHS, min_size=1, max_size=4),
+        continuing=st.booleans(),
+    )
+    def test_piecewise_source_and_corruption(self, comp, seed, lengths, continuing):
+        q = comp.alphabet_size
+        rng = np.random.default_rng(seed)
+        other = MarkovComponent(rng.dirichlet(np.ones(q), size=q))
+        if continuing:
+            comps, labels = (comp, other), [i % 2 for i in range(len(lengths))]
+        else:
+            comps = (comp, IIDComponent(rng.dirichlet(np.ones(q))), other)
+            labels = [i % 3 for i in range(len(lengths))]
+        spec = PiecewiseSourceSpec(comps, tuple(np.cumsum(lengths)[:-1]), labels, continuing)
+        n = sum(lengths)
+        x = sample_piecewise(spec, n, seed)
+        want = sample_piecewise_reference(spec, n, seed)
+        assert x.symbols.dtype == want.symbols.dtype == np.int64
+        np.testing.assert_array_equal(x.symbols, want.symbols)
+        channels = [comp.transition]
+        try:
+            channels.append(build_channel(comp.transition))
+        except DenoiseError:  # rank-deficient or short rows: no channel model
+            pass
+        for channel in channels:
+            z, want = corrupt(x, channel, seed + 1), corrupt_reference(x, channel, seed + 1)
+            assert z.symbols.dtype == want.symbols.dtype == np.int64
+            assert z.alphabet_size == want.alphabet_size
+            np.testing.assert_array_equal(z.symbols, want.symbols)
+
+    @pytest.mark.parametrize("p2", [0.2, 0.3])
+    def test_switching_hmm_source_through_bsc(self, p2):
+        # The experiments' source: a continuing symmetric chain through BSC(0.1),
+        # seeded by spawned SeedSequence children as the harness seeds it.
+        comps = tuple(MarkovComponent([[1 - p, p], [p, 1 - p]]) for p in (0.01, p2))
+        spec = PiecewiseSourceSpec(comps, (500,), (0, 1), continuing=True)
+        for seed in range(3):
+            source, channel = np.random.SeedSequence(seed).spawn(2)
+            ref_source, ref_channel = np.random.SeedSequence(seed).spawn(2)
+            x = sample_piecewise(spec, 1000, source)
+            np.testing.assert_array_equal(
+                x.symbols, sample_piecewise_reference(spec, 1000, ref_source).symbols
+            )
+            np.testing.assert_array_equal(
+                corrupt(x, bsc_channel(0.1), channel).symbols,
+                corrupt_reference(x, bsc_channel(0.1), ref_channel).symbols,
+            )
+
+    @pytest.mark.parametrize("transition", [[[0.9, 0.1], [0.1, 0.9]], [[0.9, 0.1], [0.2, 0.8]]])
+    @pytest.mark.parametrize("state", [-1, 2])
+    def test_walk_refuses_a_state_outside_the_alphabet(self, transition, state):
+        # Unchecked, the parity branch walks state 5 through 5s and 4s and -1 reads the last row.
+        with pytest.raises(ValidationError):
+            MarkovComponent(transition).walk(state, 4, np.random.default_rng(0))
+
+    def test_markov_sample_of_length_zero_is_empty(self):
+        out = MarkovComponent([[0.9, 0.1], [0.3, 0.7]]).sample(0, np.random.default_rng(0))
+        assert out.shape == (0,) and out.dtype == np.int64
 
 
 class TestStationary:
