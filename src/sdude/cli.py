@@ -17,7 +17,6 @@ import numpy as np
 
 from . import evaluation, fileio
 from .core import SymbolSequence, bsc_channel, build_channel
-from .dude import dude_denoise
 from .errors import DenoiseError
 from .switching import sdude_denoise
 
@@ -47,18 +46,13 @@ def _cmd_denoise(args) -> int:
     if args.h_matrix:
         channel = build_channel(channel.pi, h_matrix=fileio.load_matrix(args.h_matrix))
     seq, shape = _read_input(args.input, args.format, channel.noisy_size)
-    if args.algorithm == "dude":
-        if args.emit_schedule:
-            raise DenoiseError("--emit-schedule requires --algorithm sdude")
-        out = dude_denoise(seq, args.k, channel, loss)
-    else:
-        out, schedule, estimated = sdude_denoise(seq, args.k, args.m, channel, loss)
-        if args.emit_schedule:
-            payload = fileio.schedule_to_json(schedule)
-            payload["estimated_loss"] = estimated
-            fileio.atomic_write_text(
-                args.emit_schedule, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            )
+    out, schedule, estimated = sdude_denoise(seq, args.k, args.m, channel, loss)
+    if args.emit_schedule:
+        payload = fileio.schedule_to_json(schedule)
+        payload["estimated_loss"] = estimated
+        fileio.atomic_write_text(
+            args.emit_schedule, json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )
     try:
         _write_output(args.output, args.format, out, shape)
     except BaseException:
@@ -129,8 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     den.add_argument("--channel", required=True, help="bsc:<delta>, identity:<n>, or a matrix file")
     den.add_argument("--loss", default="hamming", help="hamming[:<n>] or a matrix file")
     den.add_argument("--k", type=int, required=True, help="context half-width")
-    den.add_argument("--m", type=int, default=0, help="shift budget per context")
-    den.add_argument("--algorithm", choices=("sdude", "dude"), default="sdude")
+    den.add_argument("--m", type=int, default=0, help="shift budget per context; 0 is plain DUDE")
     den.add_argument("--emit-schedule", metavar="PATH", help="dump the chosen schedule as JSON")
     den.add_argument("--h-matrix", metavar="PATH", help="explicit channel right inverse")
     den.set_defaults(func=_cmd_denoise)

@@ -8,11 +8,7 @@ up to k = 4, ``uint16`` up to k = 8) and grouped by an LSD radix sort: one
 stable argsort per 16-bit digit.  Only contexts that actually occur are
 materialized, so memory stays O(n) for any k.  A
 partition owns the sequence it was built from, ``partition.z``; that is the
-only sequence it can be combined with, and per-position ids are read back
-from its windows rather than stored.
-
-All position arguments and results on the public surface are 1-based;
-0-based arrays are internal.
+only sequence it can be combined with.
 """
 
 from __future__ import annotations
@@ -67,38 +63,6 @@ class ContextPartition:
     def occurring_contexts(self) -> np.ndarray:
         """Ids of contexts that occur at least once, ascending."""
         return self._unique_ids.copy()
-
-    def context_of(self, t: int) -> int:
-        """Context id at 1-based interior position t."""
-        if not self.k + 1 <= t <= self.n - self.k:
-            raise RangeError(f"position {t} outside interior {self.k + 1}..{self.n - self.k}")
-        arr = self.z.symbols
-        cid = 0
-        for s in (*arr[t - self.k - 1 : t - 1].tolist(), *arr[t : t + self.k].tolist()):
-            cid = cid * self.noisy_size + s
-        return cid
-
-    def occurrences(self, context_id: int) -> np.ndarray:
-        """1-based positions where the context occurs, strictly increasing."""
-        cid = int(context_id)
-        i = int(np.searchsorted(self._unique_ids, cid))
-        if i == self._unique_ids.size or int(self._unique_ids[i]) != cid:
-            return np.empty(0, dtype=np.int64)
-        s = self._starts[i]
-        idx = self._order[s : s + self._counts[i]]
-        return idx + self.k + 1
-
-    def context_symbols(self, context_id: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Decode a context id into its (left window, right window) symbols."""
-        digits = []
-        cid = int(context_id)
-        for _ in range(2 * self.k):
-            digits.append(cid % self.noisy_size)
-            cid //= self.noisy_size
-        if cid != 0:
-            raise RangeError(f"context id {context_id} out of range for k={self.k}")
-        digits.reverse()
-        return tuple(digits[: self.k]), tuple(digits[self.k :])
 
 
 def _radix_sort(ids: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:

@@ -156,11 +156,6 @@ class LossMatrix:
     def recon_size(self) -> int:
         return self.lam.shape[1]
 
-    @property
-    def lambda_max(self) -> float:
-        """Largest single-letter loss."""
-        return float(self.lam.max())
-
 
 def build_loss(lam) -> LossMatrix:
     lam = np.asarray(lam, dtype=np.float64)

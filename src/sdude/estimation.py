@@ -22,8 +22,7 @@ class EstimatedLossTable:
     """Per-rule loss tables for one (channel, loss) pair.
 
     mappings[j, z] is rule j applied to symbol z; rho has shape
-    (clean, num_rules); ell has shape (noisy, num_rules).  ell_max is the
-    spread (max minus min) of the estimated losses.
+    (clean, num_rules); ell has shape (noisy, num_rules).
     """
 
     channel: ChannelModel
@@ -31,7 +30,6 @@ class EstimatedLossTable:
     mappings: np.ndarray
     rho: np.ndarray
     ell: np.ndarray
-    ell_max: float
 
     @property
     def num_rules(self) -> int:
@@ -62,5 +60,4 @@ def build_tables(channel: ChannelModel, loss: LossMatrix) -> EstimatedLossTable:
         mappings=mappings,
         rho=rho,
         ell=ell,
-        ell_max=float(ell.max() - ell.min()),
     )

@@ -133,6 +133,8 @@ def _scored(name, x, out, loss, delta, k, m, seed, **extra) -> DenoiserResult:
 
 def two_block_sequence(n: int) -> SymbolSequence:
     """The piecewise-constant sequence: n//2 zeros followed by ones."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError(f"sequence length must be a positive integer, got {n!r}")
     x = np.zeros(n, dtype=np.int64)
     x[n // 2 :] = 1
     return SymbolSequence(x, 2)
@@ -286,6 +288,8 @@ def concentration_sweep(
     """
     if trials < 1:
         raise ValidationError(f"need at least one trial per n, got {trials}")
+    if not n_list:
+        raise ValidationError("the concentration sweep needs at least one n")
     if loss is None:
         loss = hamming_loss(channel.clean_size)
     if x_provider == "two-block":

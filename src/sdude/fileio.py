@@ -3,8 +3,9 @@
 Matrix files are plain text: a first line "rows cols" followed by row-major
 whitespace-separated decimals.  Sequences are stored either raw (one symbol
 per byte, alphabets up to 256) or as whitespace-separated integers.  PBM
-covers both the ASCII (P1) and packed (P4) variants with 0 = white and
-1 = black.  All writes go through a temporary file and an atomic rename.
+bitmaps (0 = white, 1 = black) are read in the ASCII (P1) and packed (P4)
+variants and written packed.  All writes go through a temporary file and an
+atomic rename.
 """
 
 from __future__ import annotations
@@ -78,13 +79,6 @@ def load_matrix(path) -> np.ndarray:
             f"matrix file {path} declares {rows}x{cols} but holds {len(values)} values"
         )
     return np.array(values).reshape(rows, cols)
-
-
-def save_matrix(path, matrix) -> None:
-    matrix = np.asarray(matrix, dtype=np.float64)
-    lines = [f"{matrix.shape[0]} {matrix.shape[1]}"]
-    lines += [" ".join(repr(float(v)) for v in row) for row in matrix]
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def channel_from_spec(spec: str, size: int | None = None) -> ChannelModel:
@@ -201,20 +195,16 @@ def read_pbm(path) -> np.ndarray:
     raise ValidationError(f"{path} is not a P1/P4 PBM file")
 
 
-def write_pbm(path, image: np.ndarray, packed: bool = True) -> None:
+def write_pbm(path, image: np.ndarray) -> None:
+    """Write a (height, width) array of 0/1 as a packed (P4) bitmap."""
     image = np.asarray(image)
     if image.ndim != 2 or image.size == 0:
         raise ValidationError("PBM image must be a nonempty 2-D array")
     if not np.isin(image, (0, 1)).all():
         raise ValidationError("PBM pixels must be 0 or 1")
     height, width = image.shape
-    header = f"P4\n{width} {height}\n".encode() if packed else f"P1\n{width} {height}\n".encode()
-    if packed:
-        body = np.packbits(image.astype(np.uint8), axis=1).tobytes()
-        atomic_write_bytes(path, header + body)
-    else:
-        lines = [" ".join(str(int(v)) for v in row) for row in image]
-        atomic_write_bytes(path, header + ("\n".join(lines) + "\n").encode())
+    body = np.packbits(image.astype(np.uint8), axis=1).tobytes()
+    atomic_write_bytes(path, f"P4\n{width} {height}\n".encode() + body)
 
 
 def schedule_to_json(schedule: SwitchingSchedule) -> dict:

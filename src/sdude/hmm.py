@@ -26,7 +26,7 @@ coalesced (a filter that never forgets, such as an identity transition),
 runs step by step: with two states in a scalar loop on Python floats, with
 any other number as one more lock-step block of its own.  An observation
 of zero probability under the model raises ``ValidationError`` instead of
-returning NaN rows.
+returning NaN rows; so does one whose scaled messages underflow to zero.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .core import ChannelModel, LossMatrix, SymbolSequence
 from .errors import ValidationError
 from .sources import is_stochastic, stationary_distribution
 
-_IMPOSSIBLE = "observation has zero probability under the model"
+_IMPOSSIBLE = "observation has zero probability under the model, or its probability underflowed"
 
 
 def _validate_segments(segments, n: int, num_states: int) -> list[tuple[int, int, np.ndarray]]:

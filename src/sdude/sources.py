@@ -41,6 +41,13 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_seed_sequence(seed)))
 
 
+def _length(length) -> int:
+    """``length`` as an int, if it is a non-negative integer."""
+    if not isinstance(length, (int, np.integer)) or length < 0:
+        raise ValidationError(f"sample length must be a non-negative integer, got {length!r}")
+    return int(length)
+
+
 def _draw(heads: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The draw rule; ``heads`` is ``c[:-1]`` of one CDF row ``c``, or of one row per uniform."""
     return (u[:, None] >= heads).sum(axis=1)
@@ -88,7 +95,7 @@ class IIDComponent:
         return self.probs.shape[0]
 
     def sample(self, length: int, rng: np.random.Generator) -> np.ndarray:
-        return _draw(np.cumsum(self.probs)[:-1], rng.random(length))
+        return _draw(np.cumsum(self.probs)[:-1], rng.random(_length(length)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +126,7 @@ class MarkovComponent:
         return self.transition.shape[0]
 
     def sample(self, length: int, rng: np.random.Generator) -> np.ndarray:
+        length = _length(length)
         start = _draw(np.cumsum(self.initial)[:-1], rng.random(1))
         return np.concatenate((start, self.walk(int(start[0]), max(length - 1, 0), rng)))[:length]
 

@@ -10,6 +10,9 @@ that the optimized ones can be required to match them bit for bit:
 ``fused_reference`` (the switching DP run one context chain at a time),
 ``schedule_to_json_reference`` (the per-position schedule dump),
 ``partition_reference`` (the int64 argsort build of a context partition),
+``context_of`` / ``occurrences`` / ``context_symbols`` (a partition's
+per-position id, occurrence list and window decode, as the partition once
+offered them), ``save_matrix`` (the matrix-file writer),
 ``count_vector`` (per-context symbol counts) and ``b_h_rule`` /
 ``b_h_mapping`` (the count-based decision rule, computed per symbol), and
 ``sample_piecewise_reference`` / ``corrupt_reference`` (the simulators with
@@ -65,6 +68,49 @@ def partition_reference(z, k):
     return order, unique_ids, starts, counts
 
 
+def context_of(partition: ContextPartition, t: int) -> int:
+    """Context id at 1-based interior position t, packed from its windows."""
+    k, n = partition.k, partition.n
+    if not k + 1 <= t <= n - k:
+        raise RangeError(f"position {t} outside interior {k + 1}..{n - k}")
+    arr = partition.z.symbols
+    cid = 0
+    for s in (*arr[t - k - 1 : t - 1].tolist(), *arr[t : t + k].tolist()):
+        cid = cid * partition.noisy_size + s
+    return cid
+
+
+def occurrences(partition: ContextPartition, context_id: int) -> np.ndarray:
+    """1-based positions where the context occurs, strictly increasing."""
+    cid = int(context_id)
+    i = int(np.searchsorted(partition._unique_ids, cid))
+    if i == partition._unique_ids.size or int(partition._unique_ids[i]) != cid:
+        return np.empty(0, dtype=np.int64)
+    s = partition._starts[i]
+    return partition._order[s : s + partition._counts[i]] + partition.k + 1
+
+
+def context_symbols(partition: ContextPartition, context_id: int):
+    """Decode a context id into its (left window, right window) symbols."""
+    digits = []
+    cid = int(context_id)
+    for _ in range(2 * partition.k):
+        digits.append(cid % partition.noisy_size)
+        cid //= partition.noisy_size
+    if cid != 0:
+        raise RangeError(f"context id {context_id} out of range for k={partition.k}")
+    digits.reverse()
+    return tuple(digits[: partition.k]), tuple(digits[partition.k :])
+
+
+def save_matrix(path, matrix) -> None:
+    """Write a matrix file: a "rows cols" line, then one line of decimals per row."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    lines = [f"{matrix.shape[0]} {matrix.shape[1]}"]
+    lines += [" ".join(repr(float(v)) for v in row) for row in matrix]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def count_vector(partition: ContextPartition, z: SymbolSequence, context_id: int) -> np.ndarray:
     """Symbol counts within one context: counts[b] = #{t in occurrences: z_t = b}.
 
@@ -73,7 +119,7 @@ def count_vector(partition: ContextPartition, z: SymbolSequence, context_id: int
     """
     if z is not partition.z:
         raise ValidationError("count_vector takes only the sequence the partition was built from")
-    positions = partition.occurrences(context_id)
+    positions = occurrences(partition, context_id)
     return np.bincount(z.symbols[positions - 1], minlength=partition.noisy_size).astype(np.int64)
 
 
@@ -128,7 +174,7 @@ class DPState:
         on one level more than it returns: the library kernel stores every
         level but its top one in full.
         """
-        chain = self.partition.occurrences(self.partition.context_of(t))
+        chain = occurrences(self.partition, context_of(self.partition, t))
         idx = chain[: np.searchsorted(chain, t) + 1] - self.schedule.k - 1
         w = self.ell.T[:, self.codes[idx]][:, None]
         M, _, _ = _forward_batch(w, self.schedule.m + 2, np.array([idx.size - 1]))
@@ -397,7 +443,7 @@ def schedule_to_json_reference(schedule, partition):
                 runs.append(
                     {"position": int(idx[i]) + partition.k + 1, "denoiser": int(assigned[i])}
                 )
-        left, right = partition.context_symbols(cid)
+        left, right = context_symbols(partition, cid)
         contexts.append(
             {
                 "context_id": int(cid),

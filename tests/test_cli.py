@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from sdude import SymbolSequence, bsc_channel, corrupt, fileio
+from oracles import save_matrix
+from sdude import SymbolSequence, bsc_channel, corrupt, dude_denoise, fileio, hamming_loss
 from sdude.cli import main
 
 
@@ -56,26 +57,23 @@ class TestDenoiseCommand:
 
     def test_m0_sdude_equals_dude(self, tmp_path):
         rng = np.random.default_rng(1)
-        data = rng.integers(0, 2, size=4000, dtype=np.int64)
+        z = SymbolSequence(rng.integers(0, 2, size=4000, dtype=np.int64), 2)
         src = tmp_path / "in.raw"
-        fileio.write_raw_sequence(src, SymbolSequence(data, 2))
-        outs = {}
-        for algo in ("sdude", "dude"):
-            dst = tmp_path / f"{algo}.raw"
-            code = main(
-                [
-                    "denoise",
-                    "--input", str(src),
-                    "--output", str(dst),
-                    "--channel", "bsc:0.1",
-                    "--k", "2",
-                    "--m", "0",
-                    "--algorithm", algo,
-                ]
-            )
-            assert code == 0
-            outs[algo] = dst.read_bytes()
-        assert outs["sdude"] == outs["dude"]
+        dst = tmp_path / "out.raw"
+        fileio.write_raw_sequence(src, z)
+        code = main(
+            [
+                "denoise",
+                "--input", str(src),
+                "--output", str(dst),
+                "--channel", "bsc:0.1",
+                "--k", "2",
+                "--m", "0",
+            ]
+        )
+        assert code == 0
+        expected = dude_denoise(z, 2, bsc_channel(0.1), hamming_loss(2))
+        assert dst.read_bytes() == expected.symbols.astype(np.uint8).tobytes()
 
     def test_emit_schedule(self, tmp_path):
         src = tmp_path / "in.txt"
@@ -97,9 +95,10 @@ class TestDenoiseCommand:
         payload = json.loads(sched_path.read_text())
         assert payload["contexts"][0]["switches"] == 1
 
-    def test_emit_schedule_rejected_for_dude(self, tmp_path, capsys):
+    def test_m0_emits_a_schedule_without_switches(self, tmp_path):
         src = tmp_path / "in.txt"
-        fileio.write_text_sequence(src, SymbolSequence([0, 1, 0], 2))
+        fileio.write_text_sequence(src, SymbolSequence([0, 0, 0, 1, 1, 1], 2))
+        sched_path = tmp_path / "schedule.json"
         code = main(
             [
                 "denoise",
@@ -108,16 +107,17 @@ class TestDenoiseCommand:
                 "--format", "text",
                 "--channel", "bsc:0.1",
                 "--k", "0",
-                "--algorithm", "dude",
-                "--emit-schedule", str(tmp_path / "s.json"),
+                "--emit-schedule", str(sched_path),
             ]
         )
-        assert code == 1
-        assert "error" in capsys.readouterr().err
+        assert code == 0
+        payload = json.loads(sched_path.read_text())
+        assert payload["m"] == 0
+        assert [c["switches"] for c in payload["contexts"]] == [0]
 
     def test_explicit_h_matrix(self, tmp_path):
         h_path = tmp_path / "h.txt"
-        fileio.save_matrix(h_path, np.array([[1.125, -0.125], [-0.125, 1.125]]))
+        save_matrix(h_path, np.array([[1.125, -0.125], [-0.125, 1.125]]))
         src = tmp_path / "in.txt"
         fileio.write_text_sequence(src, SymbolSequence([0, 0, 1, 1, 0, 0], 2))
         code = main(
@@ -383,6 +383,16 @@ class TestExperimentCommands:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("sdude: error:") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv", [["two-block", "--n", "-1"], ["concentration", "--n-list", "-5"]]
+    )
+    def test_negative_length_is_an_error_without_report(self, tmp_path, capsys, argv):
+        code = main(["experiment", *argv, "--out", str(tmp_path / "report")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sdude: error:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["two-block", "concentration"])

@@ -184,7 +184,6 @@ class TestLossMatrix:
     def test_hamming(self):
         loss = hamming_loss(2)
         np.testing.assert_array_equal(loss.lam, [[0, 1], [1, 0]])
-        assert loss.lambda_max == 1.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):

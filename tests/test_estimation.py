@@ -20,7 +20,6 @@ class TestTables:
         np.testing.assert_allclose(tables01.ell[0, ALWAYS0], -0.125, atol=1e-12)
         np.testing.assert_allclose(tables01.ell[1, ALWAYS0], 1.125, atol=1e-12)
         np.testing.assert_allclose(tables01.ell[:, SAY], [0.1, 0.1], atol=1e-12)
-        assert tables01.ell_max == pytest.approx(1.25, abs=1e-12)
 
     def test_unbiasedness_identity(self, tables01):
         np.testing.assert_allclose(

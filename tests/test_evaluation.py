@@ -200,6 +200,15 @@ class TestConcentrationSweep:
         concentration_sweep(provider, bsc_channel(0.1), 0, 1, n_list=(300,), trials=2, seed=0)
         assert calls == [300]
 
+    def test_empty_n_list_is_refused(self):
+        with pytest.raises(ValidationError, match="at least one n"):
+            concentration_sweep("two-block", bsc_channel(0.1), 0, 1, n_list=(), trials=2)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5])
+    def test_two_block_sequence_refuses_a_length_that_is_not_positive(self, n):
+        with pytest.raises(ValidationError, match="positive integer"):
+            two_block_sequence(n)
+
     def test_csv_has_sweep_columns(self):
         report = concentration_sweep(
             "two-block", bsc_channel(0.1), 0, 1, n_list=(300,), trials=2, seed=0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import schedule_to_json_reference
+from oracles import save_matrix, schedule_to_json_reference
 from sdude import SymbolSequence
 from sdude import fileio
 from sdude.errors import ValidationError
@@ -15,7 +15,7 @@ class TestMatrixFiles:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "m.txt"
         matrix = np.array([[0.9, 0.1], [0.125, 0.875]])
-        fileio.save_matrix(path, matrix)
+        save_matrix(path, matrix)
         np.testing.assert_array_equal(fileio.load_matrix(path), matrix)
 
     def test_header_mismatch(self, tmp_path):
@@ -44,7 +44,7 @@ class TestSpecConstructors:
 
     def test_channel_from_file(self, tmp_path):
         path = tmp_path / "ch.txt"
-        fileio.save_matrix(path, np.array([[0.8, 0.2], [0.3, 0.7]]))
+        save_matrix(path, np.array([[0.8, 0.2], [0.3, 0.7]]))
         ch = fileio.channel_from_spec(str(path))
         np.testing.assert_allclose(ch.pi, [[0.8, 0.2], [0.3, 0.7]])
 
@@ -130,10 +130,15 @@ class TestSequenceFiles:
 class TestPbm:
     @pytest.mark.parametrize("packed", [True, False])
     def test_round_trip(self, tmp_path, packed):
+        # Bitmaps are written packed only; the ASCII (P1) file is written here.
         rng = np.random.default_rng(0)
         image = rng.integers(0, 2, size=(13, 21))
         path = tmp_path / "img.pbm"
-        fileio.write_pbm(path, image, packed=packed)
+        if packed:
+            fileio.write_pbm(path, image)
+        else:
+            rows = "\n".join(" ".join(map(str, row)) for row in image.tolist())
+            path.write_text(f"P1\n21 13\n{rows}\n")
         np.testing.assert_array_equal(fileio.read_pbm(path), image)
 
     def test_reads_comments_and_ascii(self, tmp_path):
@@ -147,7 +152,7 @@ class TestPbm:
         image[0, 0] = 1
         image[0, 8] = 1
         path = tmp_path / "p.pbm"
-        fileio.write_pbm(path, image, packed=True)
+        fileio.write_pbm(path, image)
         data = path.read_bytes()
         assert data.startswith(b"P4\n9 1\n")
         assert data[-2:] == bytes([0b10000000, 0b10000000])
@@ -223,7 +228,7 @@ class TestScheduleJson:
 
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_ternary_contexts_match_per_position_loop(self, k):
-        # Base-3 digits: the one-pass decode must agree with context_symbols.
+        # Base-3 digits: the one-pass decode must agree with the per-context decode.
         from sdude import build_loss, identity_channel, sdude_denoise
 
         rng = np.random.default_rng(30 + k)

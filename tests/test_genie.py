@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_force_min, schedule_min_by_product
+from oracles import brute_force_min, occurrences, schedule_min_by_product
 from sdude import (
     SymbolSequence,
     build_partition,
@@ -182,7 +182,7 @@ class TestSandwichAndNesting:
             assert value * (n - 2 * k) == pytest.approx(expected, abs=1e-12)
             part = build_partition(z, k)
             for cid in part.occurring_contexts():
-                occ = part.occurrences(cid) - (k + 1)
+                occ = occurrences(part, cid) - (k + 1)
                 assigned = schedule.assignment[occ]
                 switches = int((assigned[1:] != assigned[:-1]).sum())
                 assert switches <= min(occ.shape[0], m)

@@ -445,6 +445,14 @@ def test_zero_probability_observation_raises_on_both_paths(pi, segments, symbols
         _generic_posteriors(z.symbols, segs, ch.pi, stationary_distribution(segs[0][2]))
 
 
+def test_underflow_is_named_in_the_zero_probability_error(bsc01):
+    # Every symbol is possible, but the backward message for state 0 is
+    # (1/9)^t and underflows long before t = 1000.
+    z = SymbolSequence(np.ones(1000, dtype=np.int64), 2)
+    with pytest.raises(ValidationError, match="zero probability.*underflowed"):
+        fb_posteriors(z, [(1, 1000, np.eye(2))], bsc01)
+
+
 class TestMapDenoise:
     def test_majority_posterior(self, hamming2):
         post = np.array([[0.9, 0.1], [0.4, 0.6], [0.5, 0.5]])

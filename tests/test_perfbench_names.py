@@ -1,0 +1,58 @@
+"""The package names that the benchmark's layer tracer relies on still exist.
+
+``perfbench/spans.py`` finds its counters by name: a ``HOOKS`` key that no
+longer names a package function, or a traced entry point that is gone, makes
+a per-layer counter read 0 without an error.  These checks read
+``perfbench/spans.py`` and ``perfbench/test_bench.py`` as they are, so a
+change to the package that drops one of those names fails here.
+"""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import sdude.cli  # noqa: F401  (imports every layer)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _expected_wrapped() -> set:
+    """The ``expected`` set of wrapped names in ``perfbench/test_bench.py``."""
+    tree = ast.parse((PERFBENCH / "test_bench.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "expected" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/test_bench.py no longer names the wrapped functions")
+
+
+def test_every_hook_names_a_public_function_of_its_module():
+    spans = _spans()
+    assert spans.HOOKS
+    for key in spans.HOOKS:
+        layer, name = key.split(".")
+        assert layer in spans.TRACED_LAYERS, key
+        module = importlib.import_module(f"sdude.{layer}")
+        fn = getattr(module, name, None)
+        assert inspect.isfunction(fn) and not name.startswith("_"), key
+        # The tracer looks hooks up by the defining module and the function's own name.
+        assert (fn.__module__, fn.__name__) == (module.__name__, name), key
+
+
+def test_the_names_the_benchmark_expects_wrapped_are_wrapped():
+    spans = _spans()
+    expected = _expected_wrapped()
+    assert len(expected) == 3
+    with spans.Tracer():
+        assert expected <= set(spans.leftover_wrappers())
+    assert spans.leftover_wrappers() == []

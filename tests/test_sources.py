@@ -368,8 +368,20 @@ class TestDrawRuleMatchesReference:
             MarkovComponent(transition).walk(state, 4, np.random.default_rng(0))
 
     def test_markov_sample_of_length_zero_is_empty(self):
-        out = MarkovComponent([[0.9, 0.1], [0.3, 0.7]]).sample(0, np.random.default_rng(0))
+        rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+        out = MarkovComponent([[0.9, 0.1], [0.3, 0.7]]).sample(np.int64(0), rng)
         assert out.shape == (0,) and out.dtype == np.int64
+        # It still reads its start uniform, so the stream after it keeps its bits.
+        ref.random(1)
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize(
+        "comp", [IIDComponent([0.3, 0.7]), MarkovComponent([[0.9, 0.1], [0.3, 0.7]])]
+    )
+    @pytest.mark.parametrize("length", [-3, 2.5, "3", None])
+    def test_sample_refuses_a_length_that_is_not_a_non_negative_integer(self, comp, length):
+        with pytest.raises(ValidationError, match="sample length"):
+            comp.sample(length, np.random.default_rng(0))
 
 
 class TestStationary:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import sdude.switching as switching
-from oracles import denoiser_at, forward_pass, schedule_min_by_product
+from oracles import (
+    context_of,
+    denoiser_at,
+    forward_pass,
+    occurrences,
+    schedule_min_by_product,
+)
 from sdude import (
     SymbolSequence,
     bsc_channel,
@@ -128,7 +134,7 @@ class TestBackwardPass:
             schedule = state.schedule
             part = state.partition
             for group, cid in enumerate(part.occurring_contexts()):
-                occ = part.occurrences(cid) - (k + 1)
+                occ = occurrences(part, cid) - (k + 1)
                 assigned = schedule.assignment[occ]
                 switches = int((assigned[1:] != assigned[:-1]).sum())
                 assert switches == schedule.per_context_switches[group]
@@ -199,7 +205,7 @@ class TestAgainstProductEnumeration:
             z = SymbolSequence(rng.integers(0, 2, size=n), 2)
             part = build_partition(z, k)
             loss_rows = tables01.ell[z.symbols[k : n - k]]
-            ids = np.array([part.context_of(t) for t in range(k + 1, n - k + 1)])
+            ids = np.array([context_of(part, t) for t in range(k + 1, n - k + 1)])
             expected = schedule_min_by_product(loss_rows, ids, m)
             state = forward_pass(z, k, m, tables01)
             assert state.forward_min == pytest.approx(expected, abs=1e-12)
@@ -233,7 +239,7 @@ class TestMixedAlphabets:
             part = build_partition(z, k)
             if (recon**noisy) ** int(part._counts.max()) > 500_000:
                 continue
-            ids = np.array([part.context_of(t) for t in range(k + 1, n - k + 1)])
+            ids = np.array([context_of(part, t) for t in range(k + 1, n - k + 1)])
             w = tables.ell[z.symbols[k : n - k]]
             expected = schedule_min_by_product(w, ids, m)
             state = forward_pass(z, k, m, tables)
