@@ -9,7 +9,6 @@ deterministic given their flags and seeds.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -48,11 +47,7 @@ def _cmd_denoise(args) -> int:
     seq, shape = _read_input(args.input, args.format, channel.noisy_size)
     out, schedule, estimated = sdude_denoise(seq, args.k, args.m, channel, loss)
     if args.emit_schedule:
-        payload = fileio.schedule_to_json(schedule)
-        payload["estimated_loss"] = estimated
-        fileio.atomic_write_text(
-            args.emit_schedule, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        fileio.write_schedule(args.emit_schedule, schedule, estimated)
     try:
         _write_output(args.output, args.format, out, shape)
     except BaseException:
@@ -86,7 +81,7 @@ def _cmd_switching_hmm(args) -> int:
         args.delta,
         args.p1,
         args.p2,
-        args.switch_at if args.switch_at is not None else args.n // 2,
+        args.switch_at,
         k_list=tuple(args.k_list),
         m_list=tuple(args.m_list),
         seed=args.seed,

@@ -212,7 +212,7 @@ def run_switching_hmm_experiment(
     delta: float,
     p1: float,
     p2: float,
-    switch_at: int,
+    switch_at: int | None = None,
     k_list=(4, 6),
     m_list=(1,),
     seed: int = 0,
@@ -220,9 +220,13 @@ def run_switching_hmm_experiment(
     """State estimation for a binary Markov chain whose flip rate changes once.
 
     The clean chain keeps its state across the change point (only the
-    transition probability switches); the exact smoothing posteriors with
-    the change point known give the reference bit error rate.
+    transition probability switches, after ``switch_at`` symbols, by default
+    ``n // 2``); the exact smoothing posteriors with the change point known
+    give the reference bit error rate.
     """
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValidationError(f"switching-hmm needs a sequence length of at least 2, got {n!r}")
+    switch_at = n // 2 if switch_at is None else switch_at
     trans1 = np.array([[1.0 - p1, p1], [p1, 1.0 - p1]])
     trans2 = np.array([[1.0 - p2, p2], [p2, 1.0 - p2]])
     spec = PiecewiseSourceSpec(

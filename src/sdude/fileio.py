@@ -5,11 +5,14 @@ whitespace-separated decimals.  Sequences are stored either raw (one symbol
 per byte, alphabets up to 256) or as whitespace-separated integers.  PBM
 bitmaps (0 = white, 1 = black) are read in the ASCII (P1) and packed (P4)
 variants and written packed.  All writes go through a temporary file and an
-atomic rename.
+atomic rename.  A schedule (``write_schedule``) is ``json.dumps(doc, indent=2,
+sort_keys=True)`` plus a newline, for ``doc = {"contexts": [{"context_id", "left",
+"right", "runs": [{"denoiser", "position"}], "switches"}], "estimated_loss", "k", "m", "n"}``.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import tempfile
@@ -94,14 +97,14 @@ def channel_from_spec(spec: str, size: int | None = None) -> ChannelModel:
     return build_channel(load_matrix(spec))
 
 
-def loss_from_spec(spec: str, clean_size: int | None = None, recon_size: int | None = None) -> LossMatrix:
+def loss_from_spec(spec: str, clean_size: int | None = None) -> LossMatrix:
     """Build a loss from "hamming[:<size>]" or a matrix file path."""
     if spec == "hamming" or spec.startswith("hamming:"):
         if ":" in spec:
             clean_size = _spec_number(spec, int)
         if clean_size is None:
             raise ValidationError("hamming loss needs a size (hamming:<n>)")
-        return hamming_loss(clean_size, recon_size)
+        return hamming_loss(clean_size)
     return build_loss(load_matrix(spec))
 
 
@@ -207,43 +210,40 @@ def write_pbm(path, image: np.ndarray) -> None:
     atomic_write_bytes(path, f"P4\n{width} {height}\n".encode() + body)
 
 
-def schedule_to_json(schedule: SwitchingSchedule) -> dict:
-    """Schedule as per-context runs: each run starts at a 1-based position."""
+def write_schedule(path, schedule: SwitchingSchedule, estimated_loss: float) -> None:
+    """Write the schedule file described in the module docstring."""
     partition = schedule.partition
     # Interior indices grouped by context, chronological within each context.
-    order = partition._order
-    assigned = schedule.assignment[order]
-    starts_run = np.zeros(assigned.shape[0], dtype=bool)
-    starts_run[1:] = assigned[1:] != assigned[:-1]
+    order, assigned = partition._order, schedule.assignment[partition._order]
+    starts_run = np.r_[True, assigned[1:] != assigned[:-1]]
     starts_run[partition._starts] = True
     run_starts = np.flatnonzero(starts_run)
     positions = (order[run_starts] + partition.k + 1).tolist()
     rules = assigned[run_starts].tolist()
     bounds = np.searchsorted(run_starts, partition._starts).tolist() + [run_starts.shape[0]]
-    switches = schedule.per_context_switches.tolist()
-    # Every context's 2k base-q digits, most significant (leftmost) first,
-    # as its (left window, right window) pair.
-    k, ids = partition.k, partition._unique_ids
-    powers = partition.noisy_size ** np.arange(2 * k - 1, -1, -1, dtype=np.int64)
-    windows = (ids[:, None] // powers % partition.noisy_size).reshape(ids.size, 2, k).tolist()
-    contexts = []
-    for i, (cid, (left, right)) in enumerate(zip(ids.tolist(), windows)):
-        lo, hi = bounds[i], bounds[i + 1]
-        contexts.append(
-            {
-                "context_id": cid,
-                "left": left,
-                "right": right,
-                "switches": switches[i],
-                "runs": [
-                    {"position": p, "denoiser": d}
-                    for p, d in zip(positions[lo:hi], rules[lo:hi])
-                ],
-            }
-        )
-    return {
-        "n": schedule.n,
-        "k": schedule.k,
-        "m": schedule.m,
-        "contexts": contexts,
+    # A context id is its left window's k base-q digits, most significant first,
+    # then its right window's; each distinct window is formatted once.
+    k, q, ids = partition.k, partition.noisy_size, partition._unique_ids
+    lefts, rights = (half.tolist() for half in np.divmod(ids, q**k))
+    windows = np.array(list({*lefts, *rights}), dtype=np.int64)
+    digits = windows[:, None] // q ** np.arange(k - 1, -1, -1, dtype=np.int64) % q
+    window_text = {
+        w: "[\n        " + ",\n        ".join(map(str, d)) + "\n      ]" if k else "[]"
+        for w, d in zip(windows.tolist(), digits.tolist())
     }
+    run = '        {{\n          "denoiser": {},\n          "position": {}\n        }}'.format
+    contexts = (
+        f'    {{\n      "context_id": {cid},\n      "left": {window_text[left]},'
+        f'\n      "right": {window_text[right]},\n      "runs": [\n'
+        + ",\n".join(map(run, rules[lo:hi], positions[lo:hi]))
+        + f'\n      ],\n      "switches": {count}\n    }}'
+        for cid, left, right, count, lo, hi in zip(
+            ids.tolist(), lefts, rights, schedule.per_context_switches.tolist(), bounds, bounds[1:]
+        )
+    )
+    tail = (
+        f'\n  ],\n  "estimated_loss": {json.dumps(float(estimated_loss))},'
+        f'\n  "k": {schedule.k},\n  "m": {schedule.m},\n  "n": {schedule.n}\n}}\n'
+    )
+    # The joined contexts are a temporary: no second whole copy outlives the concatenation.
+    atomic_write_text(path, '{\n  "contexts": [\n' + ",\n".join(contexts) + tail)

@@ -395,6 +395,17 @@ class TestExperimentCommands:
         assert err.startswith("sdude: error:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_switching_hmm_too_short_names_the_length(self, tmp_path, capsys, n):
+        # The default switch point n // 2 is derived inside the experiment, so
+        # the refusal names the length the user gave, not --switch-at.
+        code = main(["experiment", "switching-hmm", "--n", n, "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sdude: error:") and err.count("\n") == 1
+        assert "sequence length" in err and f"got {n}" in err and "switch times" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["two-block", "concentration"])
     def test_zero_trials_is_an_error_without_report(self, tmp_path, capsys, command):
         base = tmp_path / "report"

@@ -146,6 +146,17 @@ class TestSwitchingHmmExperiment:
         for row in report.results:
             assert row.ber == 0.0
 
+    def test_switch_defaults_to_half_the_length(self):
+        default = run_switching_hmm_experiment(2001, 0.1, 0.01, 0.2, k_list=(1,), seed=3)
+        explicit = run_switching_hmm_experiment(2001, 0.1, 0.01, 0.2, 1000, k_list=(1,), seed=3)
+        assert default.to_json() == explicit.to_json()
+        assert default.sweep[0]["switch_at"] == 1000
+
+    @pytest.mark.parametrize("n", [0, 1, 2.0])
+    def test_refuses_a_length_without_room_for_the_switch(self, n):
+        with pytest.raises(ValidationError, match="sequence length"):
+            run_switching_hmm_experiment(n, 0.1, 0.01, 0.2, k_list=(0,))
+
 
 class TestHarnessSeeds:
     # Seeds were truncated with int(): 1.5 and 1.7 silently ran seed 1.

@@ -1,13 +1,22 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import save_matrix, schedule_to_json_reference
-from sdude import SymbolSequence
-from sdude import fileio
+from sdude import (
+    SymbolSequence,
+    bsc_channel,
+    build_loss,
+    fileio,
+    hamming_loss,
+    identity_channel,
+    sdude_denoise,
+    sdude_denoise_each,
+)
 from sdude.errors import ValidationError
 
 
@@ -194,50 +203,89 @@ class TestPbm:
         np.testing.assert_array_equal(fileio.read_pbm(path), [[0, 1, 1], [1, 0, 0]])
 
 
-class TestScheduleJson:
-    def test_runs_capture_switches(self):
-        from sdude import bsc_channel, hamming_loss, sdude_denoise
+def _reference_bytes(schedule, estimated_loss) -> bytes:
+    """The schedule file as the dict tree and ``json.dumps`` give it."""
+    reference = schedule_to_json_reference(schedule, schedule.partition)
+    reference["estimated_loss"] = estimated_loss
+    return (json.dumps(reference, indent=2, sort_keys=True) + "\n").encode()
 
+
+def _assert_writes_reference(path, schedule, estimated_loss):
+    fileio.write_schedule(path, schedule, estimated_loss)
+    got = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == hashlib.sha256(_reference_bytes(schedule, estimated_loss)).hexdigest()
+
+
+def _two_regime(n, seed):
+    """A binary chain that flips at rate 0.02, then 0.3 from n/2, through BSC(0.1)."""
+    rng = np.random.default_rng(seed)
+    flips = np.r_[rng.random(n // 2) < 0.02, rng.random(n - n // 2) < 0.3]
+    return SymbolSequence((np.cumsum(flips) % 2) ^ (rng.random(n) < 0.1), 2)
+
+
+class TestScheduleJson:
+    def test_runs_capture_switches(self, tmp_path):
         z = SymbolSequence([0, 0, 0, 1, 1, 1], 2)
-        ch, loss = bsc_channel(0.1), hamming_loss(2)
-        _, schedule, estimated = sdude_denoise(z, 0, 1, ch, loss)
-        payload = fileio.schedule_to_json(schedule)
-        assert payload["k"] == 0 and payload["m"] == 1
+        _, schedule, estimated = sdude_denoise(z, 0, 1, bsc_channel(0.1), hamming_loss(2))
+        path = tmp_path / "schedule.json"
+        fileio.write_schedule(path, schedule, estimated)
+        payload = json.loads(path.read_text())
+        assert payload["k"] == 0 and payload["m"] == 1 and payload["n"] == 6
+        assert payload["estimated_loss"] == estimated
         (ctx,) = payload["contexts"]
-        assert ctx["switches"] == 1
+        assert ctx["switches"] == 1 and ctx["left"] == ctx["right"] == []
         assert ctx["runs"] == [
             {"position": 1, "denoiser": 0},
             {"position": 4, "denoiser": 3},
         ]
 
     @pytest.mark.parametrize("k, m", [(0, 3), (2, 2), (4, 1), (7, 1)])
-    def test_matches_per_position_loop(self, k, m):
-        from sdude import bsc_channel, hamming_loss, sdude_denoise
-
-        rng = np.random.default_rng(20 + k)
-        flips = np.r_[rng.random(2500) < 0.02, rng.random(2500) < 0.3]
-        x = np.cumsum(flips) % 2
-        z = SymbolSequence(x ^ (rng.random(5000) < 0.1), 2)
-        _, schedule, _ = sdude_denoise(z, k, m, bsc_channel(0.1), hamming_loss(2))
-        got = fileio.schedule_to_json(schedule)
-        want = schedule_to_json_reference(schedule, schedule.partition)
+    def test_matches_per_position_loop(self, tmp_path, k, m):
+        z = _two_regime(5000, 20 + k)
+        _, schedule, estimated = sdude_denoise(z, k, m, bsc_channel(0.1), hamming_loss(2))
         assert schedule.total_switches > 0
-        assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(
-            want, indent=2, sort_keys=True
-        )
+        _assert_writes_reference(tmp_path / "schedule.json", schedule, estimated)
 
     @pytest.mark.parametrize("k", [0, 1, 3])
-    def test_ternary_contexts_match_per_position_loop(self, k):
+    def test_ternary_contexts_match_per_position_loop(self, tmp_path, k):
         # Base-3 digits: the one-pass decode must agree with the per-context decode.
-        from sdude import build_loss, identity_channel, sdude_denoise
-
         rng = np.random.default_rng(30 + k)
         z = SymbolSequence(rng.integers(0, 3, size=3000), 3)
-        _, schedule, _ = sdude_denoise(
+        _, schedule, estimated = sdude_denoise(
             z, k, 1, identity_channel(3), build_loss(1.0 - np.eye(3))
         )
-        got = fileio.schedule_to_json(schedule)
-        want = schedule_to_json_reference(schedule, schedule.partition)
-        assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(
-            want, indent=2, sort_keys=True
-        )
+        _assert_writes_reference(tmp_path / "schedule.json", schedule, estimated)
+
+    # At k = 10 and 12 nearly every window is its own context, and the
+    # reference's pure-Python json.dumps takes about 1.5 s per budget at
+    # 10^5 symbols, so those two run on 10^4 (still thousands of contexts).
+    @pytest.mark.parametrize(
+        "k, n", [(0, 100_000), (1, 100_000), (4, 100_000), (10, 10_000), (12, 10_000)]
+    )
+    def test_every_budget_matches_the_reference_bytes(self, tmp_path, k, n):
+        z = _two_regime(n, 40 + k)
+        solved = sdude_denoise_each(z, k, range(5), bsc_channel(0.1), hamming_loss(2))
+        for m, (_, schedule, estimated) in enumerate(solved):
+            assert schedule.m == m
+            _assert_writes_reference(tmp_path / f"schedule-{m}.json", schedule, estimated)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        # One file, overwritten by every example.
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        q=st.integers(2, 3),
+        k=st.integers(0, 2),
+        m=st.integers(0, 3),
+        symbols=st.lists(st.integers(0, 2), min_size=5, max_size=40),
+        estimated=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_short_inputs_match_the_reference_bytes(self, tmp_path, q, k, m, symbols, estimated):
+        # k = 0 gives one context, m = 0 one run per chain, and the estimated
+        # loss is written as given, negative or not.
+        z = SymbolSequence([s % q for s in symbols], q)
+        m = min(m, (len(symbols) - 2 * k) // 2)
+        _, schedule, _ = sdude_denoise(z, k, m, identity_channel(q), hamming_loss(q))
+        _assert_writes_reference(tmp_path / "schedule.json", schedule, estimated)

@@ -4,7 +4,9 @@
 longer names a package function, or a traced entry point that is gone, makes
 a per-layer counter read 0 without an error.  These checks read
 ``perfbench/spans.py`` and ``perfbench/test_bench.py`` as they are, so a
-change to the package that drops one of those names fails here.
+change to the package that drops one of those names fails here.  The
+byte counter reads ``len(data)`` of ``fileio.atomic_write_bytes``, so every
+file the command line writes must reach disk through that one call.
 """
 
 import ast
@@ -13,7 +15,9 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-import sdude.cli  # noqa: F401  (imports every layer)
+import numpy as np
+
+import sdude.cli  # imports every layer
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -56,3 +60,17 @@ def test_the_names_the_benchmark_expects_wrapped_are_wrapped():
     with spans.Tracer():
         assert expected <= set(spans.leftover_wrappers())
     assert spans.leftover_wrappers() == []
+
+
+def test_bytes_written_counts_the_output_and_the_schedule(tmp_path):
+    spans = _spans()
+    src, out, schedule = tmp_path / "in.raw", tmp_path / "out.raw", tmp_path / "schedule.json"
+    rng = np.random.default_rng(5)
+    (rng.random(3000) < 0.2).astype(np.uint8).tofile(src)
+    argv = ["denoise", "--input", str(src), "--output", str(out), "--channel", "bsc:0.1"]
+    argv += ["--k", "2", "--m", "1", "--emit-schedule", str(schedule)]
+    with spans.Tracer() as tracer:
+        assert sdude.cli.main(argv) == 0
+    written = out.stat().st_size + schedule.stat().st_size
+    assert schedule.stat().st_size > out.stat().st_size > 0
+    assert tracer.counts["fileio.bytes_written"] == written
