@@ -40,7 +40,7 @@ class ContextPartition:
         n_int = n - 2 * k
         ids = np.zeros(n_int, dtype=np.min_scalar_type(num_ids - 1))
         if k:
-            arr = z.symbols.astype(ids.dtype)
+            arr = z.symbols.astype(ids.dtype, copy=False)
             for off in list(range(-k, 0)) + list(range(1, k + 1)):
                 ids *= base
                 ids += arr[k + off : n - k + off]

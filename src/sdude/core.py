@@ -1,11 +1,14 @@
 """Alphabets, symbol sequences, channel/loss matrices, and single-symbol rules.
 
-Symbols of a finite alphabet of size q are the integers 0..q-1.  A channel is
-a row-stochastic matrix ``pi`` of shape (clean, noisy) together with a right
-inverse ``h_matrix`` satisfying ``pi @ h_matrix == I``; by default the
-Moore-Penrose choice ``pi.T @ inv(pi @ pi.T)`` is used so that results are
-reproducible.  A single-symbol rule is a mapping from the noisy alphabet into
-the reconstruction alphabet; the family of all such rules has size
+Symbols of a finite alphabet of size q are the integers 0..q-1.  A
+``SymbolSequence`` holds them in ``symbol_dtype(q)``, the smallest dtype
+that fits: ``uint8`` up to 256 symbols, ``uint16`` up to 65536, ``uint32``
+up to 2^32, ``int64`` beyond.  A channel is a row-stochastic matrix ``pi``
+of shape (clean, noisy) together with a right inverse ``h_matrix``
+satisfying ``pi @ h_matrix == I``; by default the Moore-Penrose choice
+``pi.T @ inv(pi @ pi.T)`` is used so that results are reproducible.  A
+single-symbol rule is a mapping from the noisy alphabet into the
+reconstruction alphabet; the family of all such rules has size
 ``recon_size ** noisy_size`` and is enumerated by the digit encoding
 ``index = sum(mapping[z] * recon_size**z)``.
 
@@ -50,9 +53,27 @@ class Alphabets:
         return self.recon_size ** self.noisy_size
 
 
+def symbol_dtype(alphabet_size: int) -> np.dtype:
+    """The smallest dtype that holds every symbol of an alphabet of this size.
+
+    ``uint8``, ``uint16`` or ``uint32`` when the symbols fit, else ``int64``:
+    the top rung stays signed because numpy combines uint64 with int64 into
+    float64.
+    """
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if alphabet_size <= np.iinfo(dtype).max + 1:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class SymbolSequence:
-    """An immutable integer sequence with symbols in 0..alphabet_size-1."""
+    """An immutable integer sequence with symbols in 0..alphabet_size-1.
+
+    ``symbols`` is a read-only copy of the input in
+    ``symbol_dtype(alphabet_size)``; code that combines symbols with other
+    integers widens them first.
+    """
 
     symbols: np.ndarray
     alphabet_size: int
@@ -64,20 +85,18 @@ class SymbolSequence:
         if not np.issubdtype(arr.dtype, np.integer):
             if arr.size and not np.array_equal(arr, arr.astype(np.int64)):
                 raise ValidationError("sequence symbols must be integers")
-            arr = arr.astype(np.int64)
-        else:
-            arr = arr.astype(np.int64, copy=True)
         if not isinstance(self.alphabet_size, (int, np.integer)) or self.alphabet_size < 1:
             raise ValidationError(
                 f"alphabet_size must be a positive integer, got {self.alphabet_size!r}"
             )
-        if arr.size and (arr.min() < 0 or arr.max() >= self.alphabet_size):
-            raise ValidationError(
-                f"symbols must lie in 0..{self.alphabet_size - 1}"
-            )
+        size = int(self.alphabet_size)
+        # The range is checked on the input, before the cast could wrap it.
+        if arr.size and (arr.min() < 0 or arr.max() >= min(size, 2**63)):
+            raise ValidationError(f"symbols must lie in 0..{min(size, 2**63) - 1}")
+        arr = arr.astype(symbol_dtype(size), copy=True)
         arr.flags.writeable = False
         object.__setattr__(self, "symbols", arr)
-        object.__setattr__(self, "alphabet_size", int(self.alphabet_size))
+        object.__setattr__(self, "alphabet_size", size)
 
     def __len__(self) -> int:
         return int(self.symbols.shape[0])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelModel, LossMatrix, SymbolSequence, bsc_channel, hamming_loss
+from .core import ChannelModel, LossMatrix, SymbolSequence, bsc_channel, hamming_loss, symbol_dtype
 from .errors import RangeError, ValidationError
 from .estimation import build_tables
 from .genie import genie_min_loss, genie_min_losses
@@ -135,7 +135,7 @@ def two_block_sequence(n: int) -> SymbolSequence:
     """The piecewise-constant sequence: n//2 zeros followed by ones."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"sequence length must be a positive integer, got {n!r}")
-    x = np.zeros(n, dtype=np.int64)
+    x = np.zeros(n, dtype=symbol_dtype(2))
     x[n // 2 :] = 1
     return SymbolSequence(x, 2)
 
@@ -244,8 +244,9 @@ def run_switching_hmm_experiment(
     tables = build_tables(channel, loss)
     z = corrupt(x, channel, channel_seed)
     segments = [(1, int(switch_at), trans1), (int(switch_at) + 1, n, trans2)]
-    posteriors = fb_posteriors(z, segments, channel)
-    results = [_scored("fb-genie", x, map_denoise(posteriors, loss), loss, delta, None, None, seed)]
+    # The posteriors are freed once their MAP output is formed, before the denoisers run.
+    fb_out = map_denoise(fb_posteriors(z, segments, channel), loss)
+    results = [_scored("fb-genie", x, fb_out, loss, delta, None, None, seed)]
     budgets = [m for m in map(int, m_list) if m != 0]
     for k in map(int, k_list):
         (out, _, _), *shifting = sdude_denoise_each(

@@ -60,6 +60,13 @@ def _read_tokens(path, what: str) -> list[str]:
         raise ValidationError(f"{what} {path} is not UTF-8 text") from None
 
 
+def _quote(token: str) -> str:
+    """``token`` for an error message: its first 20 characters and, when longer, its length."""
+    if len(token) <= 20:
+        return repr(token)
+    return f"{token[:20]!r}... ({len(token)} characters)"
+
+
 def _spec_number(spec: str, parse):
     """The number after the colon of a "<name>:<number>" spec."""
     try:
@@ -68,15 +75,19 @@ def _spec_number(spec: str, parse):
         raise ValidationError(f"bad number in {spec!r}") from None
 
 
+def _matrix_number(path, parse, token: str):
+    try:
+        return parse(token)
+    except ValueError:
+        raise ValidationError(f"matrix file {path} holds {_quote(token)}, not a number") from None
+
+
 def load_matrix(path) -> np.ndarray:
     tokens = _read_tokens(path, "matrix file")
     if len(tokens) < 2:
         raise ValidationError(f"matrix file {path} is missing its 'rows cols' header")
-    try:
-        rows, cols = int(tokens[0]), int(tokens[1])
-        values = [float(tok) for tok in tokens[2:]]
-    except ValueError as exc:
-        raise ValidationError(f"matrix file {path} is not numeric: {exc}") from None
+    rows, cols = (_matrix_number(path, int, tok) for tok in tokens[:2])
+    values = [_matrix_number(path, float, tok) for tok in tokens[2:]]
     if rows < 1 or cols < 1 or len(values) != rows * cols:
         raise ValidationError(
             f"matrix file {path} declares {rows}x{cols} but holds {len(values)} values"
@@ -117,7 +128,8 @@ def read_raw_sequence(path, alphabet_size: int) -> SymbolSequence:
 def write_raw_sequence(path, seq: SymbolSequence) -> None:
     if seq.alphabet_size > 256:
         raise ValidationError("raw format supports alphabets up to 256 symbols")
-    atomic_write_bytes(path, seq.symbols.astype(np.uint8).tobytes())
+    # Alphabets up to 256 are stored as uint8 already, so this is no copy.
+    atomic_write_bytes(path, seq.symbols.astype(np.uint8, copy=False).tobytes())
 
 
 def read_text_sequence(path, alphabet_size: int) -> SymbolSequence:
@@ -126,7 +138,7 @@ def read_text_sequence(path, alphabet_size: int) -> SymbolSequence:
     joined = "".join(tokens)
     if tokens and not (joined.isascii() and joined.isdigit()):
         bad = next(tok for tok in tokens if not (tok.isascii() and tok.isdigit()))
-        raise ValidationError(f"sequence file {path} holds {bad!r}, not a decimal symbol")
+        raise ValidationError(f"sequence file {path} holds {_quote(bad)}, not a decimal symbol")
     try:
         values = np.array(tokens, dtype=np.int64)
     except (ValueError, OverflowError):
@@ -165,7 +177,7 @@ def _pbm_header_tokens(data: bytes):
 
 
 def read_pbm(path) -> np.ndarray:
-    """Read a P1 or P4 bitmap as a (height, width) array of 0/1 (1 = black)."""
+    """Read a P1 or P4 bitmap as a (height, width) uint8 array of 0/1 (1 = black)."""
     with open(path, "rb") as handle:
         data = handle.read()
     tokens, offset = _pbm_header_tokens(data)
@@ -182,8 +194,7 @@ def read_pbm(path) -> np.ndarray:
             raise ValidationError(f"PBM {path} has raster bytes other than 0, 1 and whitespace")
         if len(digits) != width * height:
             raise ValidationError(f"PBM {path} holds {len(digits)} pixels, not {width}x{height}")
-        bits = np.frombuffer(digits, dtype=np.uint8) - 48
-        return bits.astype(np.int64).reshape(height, width)
+        return (np.frombuffer(digits, dtype=np.uint8) - 48).reshape(height, width)
     if magic == b"P4":
         row_bytes = (width + 7) // 8
         body = data[offset + 1 :]
@@ -193,8 +204,7 @@ def read_pbm(path) -> np.ndarray:
                 f" for {width}x{height}"
             )
         rows = np.frombuffer(body, dtype=np.uint8).reshape(height, row_bytes)
-        bits = np.unpackbits(rows, axis=1)[:, :width]
-        return bits.astype(np.int64)
+        return np.unpackbits(rows, axis=1, count=width)
     raise ValidationError(f"{path} is not a P1/P4 PBM file")
 
 

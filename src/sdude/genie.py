@@ -28,7 +28,8 @@ def _true_loss_table(
     """(codes, table) with table[codes[t], j] = lam[x_t, mappings[j, z_t]] at interior t."""
     n = len(z)
     noisy = mappings.shape[1]
-    codes = x.symbols[k : n - k] * noisy + z.symbols[k : n - k]
+    # Widened first: narrow symbols would wrap once clean x noisy exceeds their dtype.
+    codes = x.symbols[k : n - k].astype(np.intp) * noisy + z.symbols[k : n - k]
     table = lam[:, mappings.T].reshape(lam.shape[0] * noisy, mappings.shape[0])
     return codes, table
 

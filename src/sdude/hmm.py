@@ -252,9 +252,15 @@ def _posteriors(z, segments, pi, initial):
             state = _pass(state, z, max(start - 2, 0), end - 2, p, pi, g, False)
     except ZeroDivisionError:
         raise ValidationError(_IMPOSSIBLE) from None
+    # The products go into the forward buffers, and each buffer is freed once
+    # read, so no more than two n x q arrays are live here.
+    for x in range(q):
+        np.multiply(np.frombuffer(f[x]), np.frombuffer(g[x]), out=np.frombuffer(f[x]))
+        g[x] = None
     post = np.empty((n, q))
     for x in range(q):
-        np.multiply(np.frombuffer(f[x]), np.frombuffer(g[x]), out=post[:, x])
+        post[:, x] = np.frombuffer(f[x])
+        f[x] = None
     # The sum of a two-entry row is the one addition post.sum(axis=1) does.
     norm = np.add(post[:, 0], post[:, 1]) if q == 2 else post.sum(axis=1)
     # A row whose sum is zero or not finite would come out as NaN; such an

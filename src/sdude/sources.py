@@ -24,7 +24,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import ChannelModel, SymbolSequence
+from .core import ChannelModel, SymbolSequence, symbol_dtype
 from .errors import ValidationError
 
 
@@ -201,7 +201,7 @@ def sample_piecewise(spec: PiecewiseSourceSpec, n: int, seed) -> SymbolSequence:
     bounds = spec.block_bounds(n)
     seed = _seed_sequence(seed)
     rngs = repeat(_rng(seed)) if spec.continuing else map(_rng, seed.spawn(len(bounds)))
-    out = np.empty(n, dtype=np.int64)
+    out = np.empty(n, dtype=symbol_dtype(spec.alphabet_size))
     for (start, end), label, rng in zip(bounds, spec.block_labels, rngs):
         comp = spec.components[label]
         if spec.continuing and start > 0:

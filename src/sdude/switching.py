@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contexts import ContextPartition, build_partition
-from .core import ChannelModel, LossMatrix, SymbolSequence
+from .core import ChannelModel, LossMatrix, SymbolSequence, symbol_dtype
 from .errors import RangeError, TooLarge, ValidationError
 from .estimation import EstimatedLossTable, build_tables
 
@@ -359,7 +359,8 @@ def _table_sum(table: np.ndarray, codes: np.ndarray, assignment: np.ndarray) -> 
     visiting every position, and adds the counted entries exactly as
     integer multiples of a common power-of-two unit.
     """
-    uses = np.bincount(codes * table.shape[1] + assignment, minlength=table.size)
+    # Widened first: narrow codes would wrap once codes x rules exceeds their dtype.
+    uses = np.bincount(codes.astype(np.intp) * table.shape[1] + assignment, minlength=table.size)
     picked = np.flatnonzero(uses)
     ratios = [value.as_integer_ratio() for value in table.ravel()[picked].tolist()]
     unit = max(den for _, den in ratios)
@@ -402,9 +403,11 @@ def sdude_denoise_each(
         fill = None
     else:
         fill = 0
+    dtype = symbol_dtype(recon)
     results = []
     for schedule, _ in _solve_chains(partition, codes, tables.ell, budgets):
-        out = z.symbols.copy() if fill is None else np.full(n, fill, dtype=np.int64)
+        # In the reconstruction alphabet's dtype, which may be wider than z's.
+        out = z.symbols.astype(dtype) if fill is None else np.full(n, fill, dtype=dtype)
         out[k : n - k] = tables.mappings[schedule.assignment, codes]
         estimated = _table_sum(tables.ell, codes, schedule.assignment) / codes.size
         results.append((SymbolSequence(out, recon), schedule, estimated))

@@ -304,6 +304,26 @@ class TestCliBehavior:
         err = capsys.readouterr().err
         assert err.startswith("sdude: error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [["--format", "text", "--input"], ["--channel"]])
+    def test_a_long_bad_token_is_quoted_briefly(self, tmp_path, capsys, flags):
+        # One 1000-character token: a raw binary file read as text, or a matrix value.
+        bad = tmp_path / "bad.txt"
+        raw = bytes(np.random.default_rng(3).integers(0, 2, size=1000, dtype=np.uint8))
+        bad.write_bytes(raw if "--input" in flags else b"2 2\n0.9 0.1 " + b"x" * 1000 + b" 0.9\n")
+        src = tmp_path / "in.raw"
+        src.write_bytes(bytes([0, 1, 1, 0]))
+        out = tmp_path / "never.out"
+        options = {"--input": str(src), "--channel": "bsc:0.1"}
+        options[flags[-1]] = str(bad)
+        argv = ["denoise", "--output", str(out), "--k", "0", *flags[:-1]]
+        argv += [token for pair in options.items() for token in pair]
+        assert main(argv) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("sdude: error:") and "1000 characters" in err
+        # The first 20 characters, escaped, take at most 4 bytes each.
+        assert len(err) < len(str(bad)) + 200
+
 
 class TestExperimentCommands:
     def test_two_block_writes_json_and_csv(self, tmp_path):

@@ -329,7 +329,8 @@ class TestDrawRuleMatchesReference:
         n = sum(lengths)
         x = sample_piecewise(spec, n, seed)
         want = sample_piecewise_reference(spec, n, seed)
-        assert x.symbols.dtype == want.symbols.dtype == np.int64
+        # q <= 4: symbols are stored in the smallest dtype, uint8.
+        assert x.symbols.dtype == want.symbols.dtype == np.uint8
         np.testing.assert_array_equal(x.symbols, want.symbols)
         channels = [comp.transition]
         try:
@@ -338,7 +339,7 @@ class TestDrawRuleMatchesReference:
             pass
         for channel in channels:
             z, want = corrupt(x, channel, seed + 1), corrupt_reference(x, channel, seed + 1)
-            assert z.symbols.dtype == want.symbols.dtype == np.int64
+            assert z.symbols.dtype == want.symbols.dtype == np.uint8
             assert z.alphabet_size == want.alphabet_size
             np.testing.assert_array_equal(z.symbols, want.symbols)
 

@@ -298,7 +298,7 @@ class TestSdudeDenoise:
         monkeypatch.undo()
         # Without a boundary (k = 0) the value is ignored.
         out, _, _ = sdude_denoise(z, 0, 1, bsc01, hamming2, boundary=1.5)
-        assert out.symbols.dtype == np.int64
+        assert out.symbols.dtype == np.uint8
 
     def test_matches_staged_two_pass_bitwise(self, bsc01, hamming2, tables01):
         # sdude_denoise and the forward pass it runs through must agree
