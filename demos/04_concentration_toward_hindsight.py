@@ -7,10 +7,10 @@ gap that comes from misplacing the shift by a few positions; the gap decays
 roughly like 1/n because the misplacement does not grow with n.
 """
 
-from sdude import bsc_channel, concentration_sweep
+from sdude import bsc_channel, concentration_sweep, two_block_sequence
 
 report = concentration_sweep(
-    "two-block",
+    two_block_sequence,
     bsc_channel(0.1),
     k=0,
     m=1,

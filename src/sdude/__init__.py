@@ -32,7 +32,6 @@ if "numpy" not in _sys.modules and not (
 
 from .contexts import ContextPartition, build_partition
 from .core import (
-    Alphabets,
     ChannelModel,
     LossMatrix,
     SymbolSequence,
@@ -77,7 +76,6 @@ from .switching import SwitchingSchedule, sdude_denoise, sdude_denoise_each
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabets",
     "ChannelModel",
     "ContextPartition",
     "DenoiseError",

@@ -92,7 +92,7 @@ def _cmd_switching_hmm(args) -> int:
 
 def _cmd_concentration(args) -> int:
     report = evaluation.concentration_sweep(
-        "two-block",
+        evaluation.two_block_sequence,
         bsc_channel(args.delta),
         args.k,
         args.m,

@@ -1,4 +1,4 @@
-"""Alphabets, symbol sequences, channel/loss matrices, and single-symbol rules.
+"""Symbol sequences, channel/loss matrices, and single-symbol rules.
 
 Symbols of a finite alphabet of size q are the integers 0..q-1.  A
 ``SymbolSequence`` holds them in ``symbol_dtype(q)``, the smallest dtype
@@ -29,28 +29,6 @@ ATOL = 1e-9
 # Enumerating all recon**noisy single-symbol rules is only sensible for
 # small alphabets; refuse silly table sizes outright.
 MAX_RULES = 4096
-
-
-@dataclass(frozen=True)
-class Alphabets:
-    """Sizes of the clean, noisy, and reconstruction alphabets."""
-
-    clean_size: int
-    noisy_size: int
-    recon_size: int
-
-    def __post_init__(self):
-        for name in ("clean_size", "noisy_size", "recon_size"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValidationError(f"{name} must be a positive integer, got {v!r}")
-            # Python ints, so that sizes computed from them never wrap.
-            object.__setattr__(self, name, int(v))
-
-    @property
-    def num_denoisers(self) -> int:
-        """Number of single-symbol rules: recon_size ** noisy_size."""
-        return self.recon_size ** self.noisy_size
 
 
 def symbol_dtype(alphabet_size: int) -> np.dtype:
@@ -186,20 +164,24 @@ def build_loss(lam) -> LossMatrix:
     return LossMatrix(lam=lam)
 
 
-def all_denoiser_mappings(alphabets: Alphabets) -> np.ndarray:
-    """Table of every rule's mapping, shape (num_denoisers, noisy_size).
+def all_denoiser_mappings(noisy_size: int, recon_size: int) -> np.ndarray:
+    """Table of every rule's mapping, shape (recon_size ** noisy_size, noisy_size).
 
     Row j is the mapping of the rule with index j, so the table realizes the
     digit encoding in bulk.  More than ``MAX_RULES`` rules raise ``TooLarge``.
     """
-    recon = alphabets.recon_size
-    if alphabets.num_denoisers > MAX_RULES:
+    for name, v in (("noisy_size", noisy_size), ("recon_size", recon_size)):
+        if not isinstance(v, (int, np.integer)) or v < 1:
+            raise ValidationError(f"{name} must be a positive integer, got {v!r}")
+    # Python ints, so that the rule count never wraps.
+    noisy, recon = int(noisy_size), int(recon_size)
+    num_rules = recon**noisy
+    if num_rules > MAX_RULES:
         raise TooLarge(
-            f"{recon}^{alphabets.noisy_size} single-symbol rules exceed the "
-            f"table budget of {MAX_RULES}"
+            f"{recon}^{noisy} single-symbol rules exceed the table budget of {MAX_RULES}"
         )
-    idx = np.arange(alphabets.num_denoisers, dtype=np.int64)[:, None]
-    powers = recon ** np.arange(alphabets.noisy_size, dtype=np.int64)[None, :]
+    idx = np.arange(num_rules, dtype=np.int64)[:, None]
+    powers = recon ** np.arange(noisy, dtype=np.int64)[None, :]
     table = (idx // powers) % recon
     table.flags.writeable = False
     return table

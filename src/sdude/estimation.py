@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Alphabets, ChannelModel, LossMatrix, all_denoiser_mappings
+from .core import ChannelModel, LossMatrix, all_denoiser_mappings
 from .errors import ValidationError
 
 
@@ -43,9 +43,7 @@ def build_tables(channel: ChannelModel, loss: LossMatrix) -> EstimatedLossTable:
             "loss matrix rows must match the channel's clean alphabet "
             f"({loss.clean_size} != {channel.clean_size})"
         )
-    mappings = all_denoiser_mappings(
-        Alphabets(channel.clean_size, channel.noisy_size, loss.recon_size)
-    )
+    mappings = all_denoiser_mappings(channel.noisy_size, loss.recon_size)
     # rho[x, j] = sum_z lam[x, mappings[j, z]] * pi[x, z]
     per_symbol = loss.lam[:, mappings]            # (clean, rules, noisy)
     rho = np.einsum("xjz,xz->xj", per_symbol, channel.pi)

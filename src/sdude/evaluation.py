@@ -7,7 +7,11 @@ where applicable.  Given identical seeds a harness produces byte-identical
 reports.  Each harness partitions a noisy sequence once per k and solves it
 once per loss: the plain and the shifting denoiser are budgets 0 and m of one
 estimated-loss solve, and their hindsight targets budgets 0 and m of one
-true-loss solve on the denoiser's own ``schedule.partition``.
+true-loss solve on the denoiser's own ``schedule.partition``; nothing of one
+k's solve is held while the next k's runs.  The concentration sweep draws its
+clean sequence from a callable n -> SymbolSequence (the command line passes
+``two_block_sequence``) and scores Hamming loss on the channel's clean
+alphabet.
 """
 
 from __future__ import annotations
@@ -244,19 +248,23 @@ def run_switching_hmm_experiment(
     tables = build_tables(channel, loss)
     z = corrupt(x, channel, channel_seed)
     segments = [(1, int(switch_at), trans1), (int(switch_at) + 1, n, trans2)]
-    # The posteriors are freed once their MAP output is formed, before the denoisers run.
+    # The posteriors and their MAP output are freed before the denoisers run.
     fb_out = map_denoise(fb_posteriors(z, segments, channel), loss)
     results = [_scored("fb-genie", x, fb_out, loss, delta, None, None, seed)]
-    budgets = [m for m in map(int, m_list) if m != 0]
+    del fb_out
+    budgets = (0, *(m for m in map(int, m_list) if m != 0))
     for k in map(int, k_list):
-        (out, _, _), *shifting = sdude_denoise_each(
-            z, k, (0, *budgets), channel, loss, tables=tables
-        )
-        results.append(_scored("dude", x, out, loss, delta, k, 0, seed))
-        for m, (out, _, estimated) in zip(budgets, shifting):
-            results.append(
-                _scored("sdude", x, out, loss, delta, k, m, seed, estimated_loss=estimated)
+        # One k's outputs and schedules, with the partition they share, go
+        # out of scope with this comprehension, before the next k's solve.
+        results += [
+            _scored(
+                "sdude" if m else "dude", x, out, loss, delta, k, m, seed,
+                estimated_loss=estimated if m else None,
             )
+            for m, (out, _, estimated) in zip(
+                budgets, sdude_denoise_each(z, k, budgets, channel, loss, tables=tables)
+            )
+        ]
     return EvalReport(
         experiment="switching-hmm",
         n=int(n),
@@ -283,31 +291,25 @@ def concentration_sweep(
     n_list=(10**3, 10**4, 10**5),
     trials: int = 50,
     seed: int = 0,
-    loss: LossMatrix | None = None,
 ) -> EvalReport:
     """Monte Carlo gap between the shifting denoiser's true loss and the hindsight target.
 
-    For each n the fixed clean sequence is corrupted ``trials`` times; the
-    sweep rows report the mean and max of the interior true-loss gap.
-    ``x_provider`` is "two-block" or a callable n -> SymbolSequence.
+    For each n the fixed clean sequence ``x_provider(n)`` is corrupted
+    ``trials`` times; the sweep rows report the mean and max of the interior
+    true-loss gap, under Hamming loss on the channel's clean alphabet.
     """
     if trials < 1:
         raise ValidationError(f"need at least one trial per n, got {trials}")
     if not n_list:
         raise ValidationError("the concentration sweep needs at least one n")
-    if loss is None:
-        loss = hamming_loss(channel.clean_size)
-    if x_provider == "two-block":
-        provider = two_block_sequence
-    elif callable(x_provider):
-        provider = x_provider
-    else:
-        raise ValidationError("x_provider must be 'two-block' or a callable")
+    if not callable(x_provider):
+        raise ValidationError("x_provider must be a callable n -> SymbolSequence")
+    loss = hamming_loss(channel.clean_size)
     tables = build_tables(channel, loss)
     seed = _seed_sequence(seed).entropy
     rows = []
     for ni, n in enumerate(n_list):
-        x = provider(int(n))
+        x = x_provider(int(n))
         gaps = []
         for trial in range(trials):
             z = corrupt(x, channel, np.random.SeedSequence((seed, ni, trial)))

@@ -128,7 +128,7 @@ def read_raw_sequence(path, alphabet_size: int) -> SymbolSequence:
 def write_raw_sequence(path, seq: SymbolSequence) -> None:
     if seq.alphabet_size > 256:
         raise ValidationError("raw format supports alphabets up to 256 symbols")
-    # Alphabets up to 256 are stored as uint8 already, so this is no copy.
+    # Symbols of up to 256 values are stored as uint8 already, so this is no copy.
     atomic_write_bytes(path, seq.symbols.astype(np.uint8, copy=False).tobytes())
 
 

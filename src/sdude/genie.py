@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .contexts import ContextPartition, build_partition
-from .core import Alphabets, LossMatrix, SymbolSequence, all_denoiser_mappings
+from .core import LossMatrix, SymbolSequence, all_denoiser_mappings
 from .errors import ValidationError
 from .switching import SwitchingSchedule, _solve_chains
 
@@ -56,7 +56,7 @@ def genie_min_losses(
     for m in budgets:
         if not isinstance(m, (int, np.integer)) or m < 0:
             raise ValidationError(f"shift budget m must be a nonnegative integer, got {m!r}")
-    mappings = all_denoiser_mappings(Alphabets(lam.shape[0], z.alphabet_size, lam.shape[1]))
+    mappings = all_denoiser_mappings(z.alphabet_size, lam.shape[1])
     codes, table = _true_loss_table(x, z, k, lam, mappings)
     solved = _solve_chains(partition, codes, table, budgets)
     return [(forward_min / partition.num_interior, schedule) for schedule, forward_min in solved]

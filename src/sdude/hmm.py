@@ -117,9 +117,9 @@ def _lockstep(symbols, start, pi, cols, forward):
     """
     blocks, steps = symbols.shape
     q = len(cols)
-    emit = np.empty((q, steps, blocks))
-    for x in range(q):
-        emit[x] = pi[x][symbols.T]
+    by_step = symbols.T
+    # Each step's emission probabilities, gathered from pi when it runs.
+    emit = np.empty((q, blocks))
     values = np.empty((steps, q, blocks))
     # Pass 1: every block from the state before the segment.  Block 0 starts
     # there for real, so its values are exact; the others start from a guess.
@@ -127,7 +127,8 @@ def _lockstep(symbols, start, pi, cols, forward):
     state.T[...] = start
     work = _work(cols, blocks)
     for j in range(steps):
-        _step(state, emit[:, j], values[j], work, forward)
+        np.take(pi, by_step[j], axis=1, out=emit)
+        _step(state, emit, values[j], work, forward)
         state = values[j]
     # Pass 2: block b again, from block b-1's pass-1 end, overwriting until
     # its values equal pass 1's; from that step on they stay equal.  Block b
@@ -139,9 +140,11 @@ def _lockstep(symbols, start, pi, cols, forward):
     state = values[-1, :, :-1].copy()
     new = np.empty((q, blocks - 1))
     same = np.empty((q, blocks - 1), dtype=bool)
+    emit = np.empty((q, blocks - 1))
     work = _work(cols, blocks - 1)
     for j in range(steps):
-        _step(state, emit[:, j, 1:], new, work, forward)
+        np.take(pi, by_step[j, 1:], axis=1, out=emit)
+        _step(state, emit, new, work, forward)
         np.equal(new, later[j], out=same)
         np.copyto(later[j], new)
         if same.all():

@@ -135,12 +135,15 @@ class MarkovComponent:
         if not 0 <= state < self.alphabet_size:
             raise ValidationError(f"state {state!r} is outside the chain's alphabet")
         p = self.transition
-        u = rng.random(steps)
         if self.alphabet_size == 2 and p[0, 0] == p[1, 1] and p[0, 1] == p[1, 0]:
-            # Symmetric binary chain: flips are i.i.d., so the path is a prefix parity.
-            return state ^ np.cumsum(u < p[0, 1]).astype(np.int64) % 2
+            # Symmetric binary chain: flips are i.i.d., so the path is a prefix
+            # parity, formed in place on one bool per step.
+            flips = rng.random(steps) < p[0, 1]
+            np.logical_xor.accumulate(flips, out=flips)
+            return np.bitwise_xor(flips, state, dtype=np.int64)
         rows = np.cumsum(p, axis=1)[:, :-1].tolist()
-        return np.array([state := bisect_right(rows[state], v) for v in u.tolist()], dtype=np.int64)
+        u = rng.random(steps).tolist()
+        return np.array([state := bisect_right(rows[state], v) for v in u], dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,7 +34,8 @@ solve serves every shift budget: each batch is scanned once to the deepest
 budget's level, and every budget walks back from its own top level (never
 more levels than the longest chain has occurrences), giving the same bits as
 a solve of that budget alone.  ``sdude_denoise_each`` maps one solve to one
-output per budget and fills in the boundary; each schedule carries the
+output per budget; its boundary positions copy z, or emit 0 when the
+reconstruction alphabet is the smaller.  Each schedule carries the
 partition, for the genie to reuse, and its shifts per context as an array in
 the partition's group order.  ``sdude_denoise`` solves a single budget.  The
 plain sliding-window denoiser is the m = 0 budget, and the genie runs the
@@ -75,11 +76,9 @@ class SwitchingSchedule:
     ``assignment[p]`` is the rule index applied at interior position
     t = p + k + 1 (1-based).  ``per_context_switches[i]`` is the number of
     shifts used by the context ``partition.occurring_contexts()[i]``.  Both
-    arrays are read-only.
+    arrays are read-only; ``n`` and ``k`` are the partition's.
     """
 
-    n: int
-    k: int
     m: int
     assignment: np.ndarray
     per_context_switches: np.ndarray = field(repr=False)
@@ -89,6 +88,14 @@ class SwitchingSchedule:
     def __post_init__(self):
         self.assignment.flags.writeable = False
         self.per_context_switches.flags.writeable = False
+
+    @property
+    def n(self) -> int:
+        return self.partition.n
+
+    @property
+    def k(self) -> int:
+        return self.partition.k
 
     @property
     def total_switches(self) -> int:
@@ -320,8 +327,6 @@ def _solve_chains(
     return [
         (
             SwitchingSchedule(
-                n=partition.n,
-                k=partition.k,
                 m=int(m),
                 assignment=assignments[lv],
                 per_context_switches=switches[lv],
@@ -331,24 +336,6 @@ def _solve_chains(
         )
         for m, lv in zip(budgets, levels)
     ]
-
-
-def _estimated_problem(
-    z: SymbolSequence, k: int, budgets: tuple, tables: EstimatedLossTable
-) -> tuple[ContextPartition, np.ndarray]:
-    """z's order-k partition and interior codes, once the budgets and alphabet are checked."""
-    if not budgets:
-        raise ValidationError("need at least one shift budget")
-    partition = build_partition(z, k)
-    for m in budgets:
-        if not isinstance(m, (int, np.integer)) or not 0 <= m <= partition.num_interior // 2:
-            raise RangeError(
-                f"shift budget m must satisfy 0 <= m <= {partition.num_interior // 2}, got {m!r}"
-            )
-    if z.alphabet_size != tables.channel.noisy_size:
-        raise ValidationError("sequence alphabet does not match the channel's noisy alphabet")
-    # The interior noisy symbols are the rows of ``tables.ell`` that score each position.
-    return partition, z.symbols[k : len(z) - k]
 
 
 def _table_sum(table: np.ndarray, codes: np.ndarray, assignment: np.ndarray) -> float:
@@ -374,7 +361,6 @@ def sdude_denoise_each(
     budgets,
     channel: ChannelModel,
     loss: LossMatrix,
-    boundary: int | None = None,
     tables: EstimatedLossTable | None = None,
 ) -> list[tuple[SymbolSequence, SwitchingSchedule, float]]:
     """``sdude_denoise`` for each shift budget in ``budgets``, from one solve.
@@ -393,21 +379,27 @@ def sdude_denoise_each(
     ):
         raise ValidationError("tables were built for another channel or loss")
     budgets = tuple(budgets)
-    partition, codes = _estimated_problem(z, k, budgets, tables)
+    if not budgets:
+        raise ValidationError("need at least one shift budget")
+    partition = build_partition(z, k)
+    for m in budgets:
+        if not isinstance(m, (int, np.integer)) or not 0 <= m <= partition.num_interior // 2:
+            raise RangeError(
+                f"shift budget m must satisfy 0 <= m <= {partition.num_interior // 2}, got {m!r}"
+            )
+    if z.alphabet_size != tables.channel.noisy_size:
+        raise ValidationError("sequence alphabet does not match the channel's noisy alphabet")
     n, recon = len(z), tables.loss.recon_size
-    if k > 0 and boundary is not None:
-        if not isinstance(boundary, (int, np.integer)) or not 0 <= boundary < recon:
-            raise RangeError(f"boundary symbol {boundary!r} outside the reconstruction alphabet")
-        fill = boundary
-    elif recon >= tables.channel.noisy_size:
-        fill = None
-    else:
-        fill = 0
+    # The interior noisy symbols are the rows of ``tables.ell`` that score each position.
+    codes = z.symbols[k : n - k]
+    # Boundary positions copy z when every noisy symbol is a reconstruction
+    # symbol, else emit 0; in the reconstruction alphabet's dtype, which may
+    # be wider than z's.
     dtype = symbol_dtype(recon)
+    copy = recon >= tables.channel.noisy_size
     results = []
     for schedule, _ in _solve_chains(partition, codes, tables.ell, budgets):
-        # In the reconstruction alphabet's dtype, which may be wider than z's.
-        out = z.symbols.astype(dtype) if fill is None else np.full(n, fill, dtype=dtype)
+        out = z.symbols.astype(dtype) if copy else np.zeros(n, dtype=dtype)
         out[k : n - k] = tables.mappings[schedule.assignment, codes]
         estimated = _table_sum(tables.ell, codes, schedule.assignment) / codes.size
         results.append((SymbolSequence(out, recon), schedule, estimated))
@@ -420,7 +412,6 @@ def sdude_denoise(
     m: int,
     channel: ChannelModel,
     loss: LossMatrix,
-    boundary: int | None = None,
     tables: EstimatedLossTable | None = None,
 ) -> tuple[SymbolSequence, SwitchingSchedule, float]:
     """Denoise with the best context-wise schedule of at most m shifts.
@@ -431,6 +422,6 @@ def sdude_denoise(
 
     Boundary positions (t <= k and t > n-k) copy the noisy symbol when the
     reconstruction alphabet is at least as large as the noisy one, else emit
-    symbol 0; an explicit ``boundary`` symbol overrides that when k > 0.
+    symbol 0.
     """
-    return sdude_denoise_each(z, k, (m,), channel, loss, boundary, tables)[0]
+    return sdude_denoise_each(z, k, (m,), channel, loss, tables)[0]

@@ -46,7 +46,7 @@ from sdude import (
 from sdude.errors import RangeError, TooLarge, ValidationError
 from sdude.genie import _true_loss_table
 from sdude.hmm import _IMPOSSIBLE
-from sdude.switching import _estimated_problem, _forward_batch, _solve_chains
+from sdude.switching import _forward_batch, _solve_chains
 
 BRUTE_FORCE_BUDGET = 10**6
 
@@ -183,8 +183,14 @@ class DPState:
 
 
 def forward_pass(z: SymbolSequence, k: int, m: int, tables: EstimatedLossTable) -> DPState:
-    """Solve every context chain's DP for the estimated loss, schedule included."""
-    partition, codes = _estimated_problem(z, k, (m,), tables)
+    """Solve every context chain's DP for the estimated loss, schedule included.
+
+    A budget outside 0..num_interior // 2 raises ``RangeError``, as in the denoiser.
+    """
+    partition = build_partition(z, k)
+    if not 0 <= m <= partition.num_interior // 2:
+        raise RangeError(f"shift budget m must satisfy 0 <= m <= {partition.num_interior // 2}")
+    codes = z.symbols[k : len(z) - k]
     [(schedule, forward_min)] = _solve_chains(partition, codes, tables.ell, (m,))
     return DPState(schedule=schedule, codes=codes, ell=tables.ell, forward_min=forward_min)
 

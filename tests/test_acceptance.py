@@ -21,6 +21,7 @@ from sdude import (
     run_switching_hmm_experiment,
     run_two_block_experiment,
     sdude_denoise,
+    two_block_sequence,
 )
 from sdude.errors import RankError
 
@@ -263,7 +264,7 @@ def test_criterion_8_linear_complexity():
 
 def test_criterion_9_concentration_toward_the_genie():
     report = concentration_sweep(
-        "two-block",
+        two_block_sequence,
         bsc_channel(0.1),
         0,
         1,

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import sdude
 from oracles import solve_right_inverse_2x2
 from sdude import (
-    Alphabets,
     SymbolSequence,
     all_denoiser_mappings,
     bsc_channel,
@@ -15,13 +14,12 @@ from sdude import (
     hamming_loss,
     identity_channel,
 )
-from sdude.errors import RankError, ValidationError
+from sdude.errors import RankError, TooLarge, ValidationError
 
 
 def test_public_names():
     # Helpers only tests use live in tests/oracles.py, not on this list.
     assert sorted(sdude.__all__) == [
-        "Alphabets",
         "ChannelModel",
         "ContextPartition",
         "DenoiseError",
@@ -151,7 +149,7 @@ class TestSymbolSequence:
 class TestDenoiserIndexing:
     def test_binary_rules_match_named_set(self):
         # The four binary rules: always-0, flip, say-what-you-see, always-1.
-        table = all_denoiser_mappings(Alphabets(2, 2, 2))
+        table = all_denoiser_mappings(2, 2)
         assert tuple(table[0]) == (0, 0)
         assert tuple(table[1]) == (1, 0)
         assert tuple(table[2]) == (0, 1)
@@ -160,24 +158,27 @@ class TestDenoiserIndexing:
 
     def test_numpy_sizes_are_held_as_python_ints(self):
         # np.int64(2) ** np.int64(64) wraps to 0; the rule count must not.
-        alphabets = Alphabets(np.int64(2), np.int64(64), np.int64(2))
-        for size in (alphabets.clean_size, alphabets.noisy_size, alphabets.recon_size):
-            assert type(size) is int
-        assert alphabets.num_denoisers == 2**64
+        with pytest.raises(TooLarge):
+            all_denoiser_mappings(np.int64(64), np.int64(2))
+
+    @pytest.mark.parametrize("noisy,recon", [(0, 2), (2, 0), (2.0, 2), (2, "2")])
+    def test_sizes_must_be_positive_integers(self, noisy, recon):
+        with pytest.raises(ValidationError, match="positive integer"):
+            all_denoiser_mappings(noisy, recon)
 
     @pytest.mark.parametrize("noisy,recon", [(2, 2), (3, 2), (2, 3), (12, 2), (6, 4)])
     def test_encoding_is_a_bijection(self, noisy, recon):
-        alphabets = Alphabets(2, noisy, recon)
-        assert alphabets.num_denoisers <= 4096
+        num_rules = recon**noisy
+        assert num_rules <= 4096
         # Row j is the rule with index j = sum(mapping[z] * recon**z).
         seen = set()
-        table = all_denoiser_mappings(alphabets)
-        assert table.shape == (alphabets.num_denoisers, noisy)
+        table = all_denoiser_mappings(noisy, recon)
+        assert table.shape == (num_rules, noisy)
         for index, mapping in enumerate(table.tolist()):
             assert all(0 <= v < recon for v in mapping)
             assert sum(v * recon**z for z, v in enumerate(mapping)) == index
             seen.add(tuple(mapping))
-        assert len(seen) == alphabets.num_denoisers
+        assert len(seen) == num_rules
 
 
 class TestLossMatrix:

@@ -8,7 +8,7 @@ from sdude import (
     identity_channel,
     sdude_denoise,
 )
-from sdude.errors import RangeError, SequenceTooShort
+from sdude.errors import SequenceTooShort
 
 
 def test_balanced_counts_reproduce_the_noisy_sequence(bsc01, hamming2):
@@ -40,20 +40,6 @@ def test_boundary_copies_noisy_symbols_by_default(bsc01, hamming2):
     out = dude_denoise(z, 2, bsc01, hamming2)
     np.testing.assert_array_equal(out.symbols[:2], z.symbols[:2])
     np.testing.assert_array_equal(out.symbols[-2:], z.symbols[-2:])
-    forced = dude_denoise(z, 2, bsc01, hamming2, boundary=0)
-    assert (forced.symbols[:2] == 0).all() and (forced.symbols[-2:] == 0).all()
-
-
-@pytest.mark.parametrize("boundary", [-1, 2])
-def test_out_of_range_boundary_is_rejected_when_k_is_positive(boundary, bsc01, hamming2):
-    z = SymbolSequence([1, 0, 0, 0, 0, 0, 1, 1], 2)
-    with pytest.raises(RangeError):
-        dude_denoise(z, 2, bsc01, hamming2, boundary=boundary)
-    with pytest.raises(RangeError):
-        sdude_denoise(z, 2, 1, bsc01, hamming2, boundary=boundary)
-    # With k = 0 there are no boundary positions, so the symbol goes unused.
-    out = dude_denoise(z, 0, bsc01, hamming2, boundary=boundary)
-    np.testing.assert_array_equal(out.symbols, dude_denoise(z, 0, bsc01, hamming2).symbols)
 
 
 def test_boundary_defaults_to_zero_when_reconstruction_alphabet_is_smaller():

@@ -72,7 +72,9 @@ class TestSharedPartitions:
         assert partitions_built == [1, 3]
 
     def test_concentration_partitions_once_per_trial(self, partitions_built):
-        concentration_sweep("two-block", bsc_channel(0.1), 1, 1, n_list=(200, 400), trials=3)
+        concentration_sweep(
+            two_block_sequence, bsc_channel(0.1), 1, 1, n_list=(200, 400), trials=3
+        )
         assert len(partitions_built) == 6
 
 
@@ -170,7 +172,9 @@ class TestHarnessSeeds:
 
     def test_concentration_refuses_a_negative_seed(self, bsc01):
         with pytest.raises(ValidationError):
-            concentration_sweep("two-block", bsc01, 0, 1, n_list=(100,), trials=1, seed=-1)
+            concentration_sweep(
+                two_block_sequence, bsc01, 0, 1, n_list=(100,), trials=1, seed=-1
+            )
 
     def test_numpy_integer_seeds_report_as_ints(self):
         report = run_two_block_experiment(1000, 0.1, 0, 1, seeds=(np.int64(3),))
@@ -180,7 +184,7 @@ class TestHarnessSeeds:
 class TestConcentrationSweep:
     def test_identity_channel_zero_gaps(self, hamming2):
         report = concentration_sweep(
-            "two-block", identity_channel(2), 0, 1, n_list=(200, 400), trials=3, seed=0
+            two_block_sequence, identity_channel(2), 0, 1, n_list=(200, 400), trials=3, seed=0
         )
         for row in report.sweep:
             assert row["mean_gap"] == 0.0
@@ -188,7 +192,7 @@ class TestConcentrationSweep:
 
     def test_gaps_are_nonnegative_and_shrink(self):
         report = concentration_sweep(
-            "two-block", bsc_channel(0.1), 0, 1, n_list=(500, 5000), trials=5, seed=0
+            two_block_sequence, bsc_channel(0.1), 0, 1, n_list=(500, 5000), trials=5, seed=0
         )
         gaps = [row["mean_gap"] for row in report.sweep]
         assert all(g >= 0.0 for g in gaps)
@@ -197,7 +201,7 @@ class TestConcentrationSweep:
     def test_large_switch_budget_gap_stays_nonnegative(self):
         # Even with the maximal budget the true loss cannot beat hindsight.
         report = concentration_sweep(
-            "two-block", bsc_channel(0.1), 0, 150, n_list=(300,), trials=5, seed=1
+            two_block_sequence, bsc_channel(0.1), 0, 150, n_list=(300,), trials=5, seed=1
         )
         assert report.sweep[0]["mean_gap"] >= 0.0
 
@@ -213,7 +217,12 @@ class TestConcentrationSweep:
 
     def test_empty_n_list_is_refused(self):
         with pytest.raises(ValidationError, match="at least one n"):
-            concentration_sweep("two-block", bsc_channel(0.1), 0, 1, n_list=(), trials=2)
+            concentration_sweep(two_block_sequence, bsc_channel(0.1), 0, 1, n_list=(), trials=2)
+
+    def test_provider_must_be_callable(self):
+        # The clean sequence comes only from a callable n -> SymbolSequence.
+        with pytest.raises(ValidationError, match="callable"):
+            concentration_sweep("two-block", bsc_channel(0.1), 0, 1, n_list=(300,), trials=2)
 
     @pytest.mark.parametrize("n", [0, -1, 2.5])
     def test_two_block_sequence_refuses_a_length_that_is_not_positive(self, n):
@@ -222,7 +231,7 @@ class TestConcentrationSweep:
 
     def test_csv_has_sweep_columns(self):
         report = concentration_sweep(
-            "two-block", bsc_channel(0.1), 0, 1, n_list=(300,), trials=2, seed=0
+            two_block_sequence, bsc_channel(0.1), 0, 1, n_list=(300,), trials=2, seed=0
         )
         header = report.to_csv().splitlines()[0]
         assert set(header.split(",")) == {"n", "trials", "mean_gap", "max_gap"}

@@ -32,7 +32,6 @@ from sdude import (
     MarkovComponent,
     PiecewiseSourceSpec,
     SymbolSequence,
-    Alphabets,
     all_denoiser_mappings,
     bsc_channel,
     build_loss,
@@ -107,7 +106,7 @@ class TestAgainstChainReference:
         # The genie's table: row x * |Z| + z holds lam[x, mappings[:, z]].
         rng = np.random.default_rng(6)
         lam = np.round(rng.uniform(0, 3, size=(3, 2)))
-        mappings = all_denoiser_mappings(Alphabets(3, 3, 2))
+        mappings = all_denoiser_mappings(3, 2)
         table = lam[:, mappings.T].reshape(9, mappings.shape[0])
         x = rng.integers(0, 3, size=500)
         z = SymbolSequence(rng.integers(0, 3, size=500), 3)
@@ -173,13 +172,13 @@ class TestEveryBudget:
         rng = np.random.default_rng(11)
         z = SymbolSequence(rng.integers(0, 2, size=3000), 2)
         budgets = (3, 0, 3, 1)
-        for k, boundary in ((0, None), (2, None), (3, 1)):
+        for k in (0, 2, 3):
             for kwargs in ({}, {"tables": tables01}):
-                each = sdude_denoise_each(z, k, budgets, bsc01, hamming2, boundary, **kwargs)
+                each = sdude_denoise_each(z, k, budgets, bsc01, hamming2, **kwargs)
                 assert len(each) == len(budgets)
                 for m, (out, schedule, estimated) in zip(budgets, each):
                     want_out, want, want_estimated = switching.sdude_denoise(
-                        z, k, m, bsc01, hamming2, boundary
+                        z, k, m, bsc01, hamming2
                     )
                     assert np.array_equal(out.symbols, want_out.symbols)
                     assert np.array_equal(schedule.assignment, want.assignment)
@@ -187,7 +186,7 @@ class TestEveryBudget:
                         schedule.per_context_switches, want.per_context_switches
                     )
                     assert schedule.m == m and estimated == want_estimated
-            plain = dude_denoise(z, k, bsc01, hamming2, boundary)
+            plain = dude_denoise(z, k, bsc01, hamming2)
             assert np.array_equal(each[1][0].symbols, plain.symbols)
 
     def test_genie_min_losses_equals_one_budget_calls(self, hamming2):
@@ -261,7 +260,7 @@ def test_every_budget_equals_its_own_solve(
     z_int = z.symbols[k : n - k]
     if true_loss:
         lam = random_table(rng, noisy, recon, style)
-        mappings = all_denoiser_mappings(Alphabets(noisy, noisy, recon))
+        mappings = all_denoiser_mappings(noisy, recon)
         table = lam[:, mappings.T].reshape(noisy * noisy, mappings.shape[0])
         codes = rng.integers(0, noisy, size=z_int.size) * noisy + z_int
     else:

@@ -1,4 +1,4 @@
-"""Peak traced memory per symbol of the smoother and the switching-HMM experiment.
+"""Peak traced memory per symbol of the sampler, the smoother and the switching-HMM experiment.
 
 Each bound is the peak measured at n = 10^5 (numpy 2.4, Python 3.11) plus
 about 10%.  A stage that keeps a buffer alive after its last use, or symbols
@@ -20,11 +20,15 @@ from sdude import (
 )
 
 N = 10**5
-# Measured 48.3 B per symbol: the forward and backward messages (16 B each)
-# and one segment's lock-step values and emissions (8 B each).
-FB_POSTERIORS_BYTES = 53
-# Measured 52.9 B per symbol; the posteriors are freed before the denoisers run.
-SWITCHING_HMM_BYTES = 58
+# Measured 9.0 B per symbol: one block's uniforms (8 B) and flips (1 B), then
+# the flips and the int64 path.
+SAMPLE_PIECEWISE_BYTES = 10
+# Measured 40.4 B per symbol: the forward and backward messages (16 B each)
+# and one segment's lock-step values (8 B); emissions are gathered per step.
+FB_POSTERIORS_BYTES = 44
+# Measured 47.5 B per symbol, in the k = 4 solve; the posteriors are freed
+# before the denoisers run, and each k's outputs before the next k's solve.
+SWITCHING_HMM_BYTES = 52
 
 
 def traced_peak(fn, *args) -> int:
@@ -36,9 +40,19 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+FLIPS = [np.array([[1 - p, p], [p, 1 - p]]) for p in (0.01, 0.2)]
+SPEC = PiecewiseSourceSpec(tuple(map(MarkovComponent, FLIPS)), (N // 2,), (0, 1), True)
+
+
+def test_sample_piecewise_peak_per_symbol():
+    # A first run makes numpy's one-time allocations outside the trace.
+    sample_piecewise(SPEC, N, 4)
+    peak = traced_peak(sample_piecewise, SPEC, N, 5)
+    assert peak / N < SAMPLE_PIECEWISE_BYTES
+
+
 def test_fb_posteriors_peak_per_symbol():
-    flips = [np.array([[1 - p, p], [p, 1 - p]]) for p in (0.01, 0.2)]
-    spec = PiecewiseSourceSpec(tuple(map(MarkovComponent, flips)), (N // 2,), (0, 1), True)
+    flips, spec = FLIPS, SPEC
     channel = bsc_channel(0.1)
     z = corrupt(sample_piecewise(spec, N, 5), channel, 6)
     segments = [(1, N // 2, flips[0]), (N // 2 + 1, N, flips[1])]

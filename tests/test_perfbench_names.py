@@ -6,7 +6,8 @@ a per-layer counter read 0 without an error.  These checks read
 ``perfbench/spans.py`` and ``perfbench/test_bench.py`` as they are, so a
 change to the package that drops one of those names fails here.  The
 byte counter reads ``len(data)`` of ``fileio.atomic_write_bytes``, so every
-file the command line writes must reach disk through that one call.
+file the command line writes must reach disk through that one call, and
+the switching counter binds ``sdude_denoise``'s arguments by name.
 """
 
 import ast
@@ -74,3 +75,10 @@ def test_bytes_written_counts_the_output_and_the_schedule(tmp_path):
     written = out.stat().st_size + schedule.stat().st_size
     assert schedule.stat().st_size > out.stat().st_size > 0
     assert tracer.counts["fileio.bytes_written"] == written
+    # The switching counter binds sdude_denoise's arguments by name: 4 binary
+    # rules on each of the m + 1 levels at every interior position.
+    n, k, m = 3000, 2, 1
+    assert tracer.counts["switching.dp_cells"] == (n - 2 * k) * (m + 1) * 4, (
+        "perfbench's switching hook no longer binds sdude_denoise's z, k, m, "
+        "tables, channel and loss"
+    )

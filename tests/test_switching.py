@@ -283,23 +283,6 @@ class TestSdudeDenoise:
         with pytest.raises(RangeError):
             sdude_denoise(SymbolSequence([0, 1, 0, 1], 2), 0, 5, bsc01, hamming2)
 
-    def test_boundary_is_an_integer_checked_before_solving(self, monkeypatch, bsc01, hamming2):
-        z = SymbolSequence(np.tile([0, 1, 1], 10), 2)
-        with pytest.raises(RangeError):
-            sdude_denoise(z, 1, 1, bsc01, hamming2, boundary=1.5)
-
-        def no_solve(*args):
-            raise AssertionError("the solve started before the boundary was checked")
-
-        monkeypatch.setattr(switching, "_solve_chains", no_solve)
-        for boundary in (7, -1, 1.5, np.float64(1.0)):
-            with pytest.raises(RangeError):
-                sdude_denoise(z, 1, 1, bsc01, hamming2, boundary=boundary)
-        monkeypatch.undo()
-        # Without a boundary (k = 0) the value is ignored.
-        out, _, _ = sdude_denoise(z, 0, 1, bsc01, hamming2, boundary=1.5)
-        assert out.symbols.dtype == np.uint8
-
     def test_matches_staged_two_pass_bitwise(self, bsc01, hamming2, tables01):
         # sdude_denoise and the forward pass it runs through must agree
         # exactly: same schedule, same minimum.

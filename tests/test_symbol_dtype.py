@@ -27,7 +27,7 @@ from sdude import (
     sample_piecewise,
     sdude_denoise_each,
 )
-from sdude.core import Alphabets, all_denoiser_mappings, symbol_dtype
+from sdude.core import all_denoiser_mappings, symbol_dtype
 from sdude.errors import ValidationError
 from sdude.evaluation import two_block_sequence
 from sdude.genie import _true_loss_table, genie_min_loss
@@ -123,7 +123,7 @@ class TestNoWraparound:
         z = SymbolSequence(rng.integers(0, 12, n), 12)
         assert x.symbols.dtype == z.symbols.dtype == np.uint8
         lam = rng.random((22, 2))
-        mappings = all_denoiser_mappings(Alphabets(22, 12, 2))
+        mappings = all_denoiser_mappings(12, 2)
         codes, table = _true_loss_table(x, z, 0, lam, mappings)
         want = x.symbols.astype(np.int64) * 12 + z.symbols.astype(np.int64)
         np.testing.assert_array_equal(codes, want)
