@@ -164,15 +164,19 @@ def build_loss(lam) -> LossMatrix:
     return LossMatrix(lam=lam)
 
 
+def _check_size(name: str, v) -> None:
+    if not isinstance(v, (int, np.integer)) or v < 1:
+        raise ValidationError(f"{name} must be a positive integer (at least 1), got {v!r}")
+
+
 def all_denoiser_mappings(noisy_size: int, recon_size: int) -> np.ndarray:
     """Table of every rule's mapping, shape (recon_size ** noisy_size, noisy_size).
 
     Row j is the mapping of the rule with index j, so the table realizes the
     digit encoding in bulk.  More than ``MAX_RULES`` rules raise ``TooLarge``.
     """
-    for name, v in (("noisy_size", noisy_size), ("recon_size", recon_size)):
-        if not isinstance(v, (int, np.integer)) or v < 1:
-            raise ValidationError(f"{name} must be a positive integer, got {v!r}")
+    _check_size("noisy_size", noisy_size)
+    _check_size("recon_size", recon_size)
     # Python ints, so that the rule count never wraps.
     noisy, recon = int(noisy_size), int(recon_size)
     num_rules = recon**noisy
@@ -196,17 +200,13 @@ def bsc_channel(delta: float) -> ChannelModel:
 
 def identity_channel(size: int) -> ChannelModel:
     """Noiseless channel on an alphabet of the given size."""
-    if int(size) < 1:
-        raise ValidationError(f"alphabet size must be at least 1, got {size}")
+    _check_size("alphabet size", size)
     return build_channel(np.eye(int(size)))
 
 
-def hamming_loss(clean_size: int, recon_size: int | None = None) -> LossMatrix:
+def hamming_loss(clean_size: int) -> LossMatrix:
     """0/1 loss: zero on the diagonal, one elsewhere."""
-    if recon_size is None:
-        recon_size = clean_size
-    if min(int(clean_size), int(recon_size)) < 1:
-        raise ValidationError(f"alphabet sizes must be at least 1, got {clean_size}, {recon_size}")
-    lam = np.ones((int(clean_size), int(recon_size)))
+    _check_size("alphabet size", clean_size)
+    lam = np.ones((int(clean_size), int(clean_size)))
     np.fill_diagonal(lam, 0.0)
     return build_loss(lam)

@@ -20,18 +20,16 @@ every block before it has coalesced with its pass-1 run; this is the
 coupling check of Propp and Wilson's exact sampling ("Exact sampling with
 coupled Markov chains", 1996).  Each ufunc call is one IEEE operation of
 the scalar recursion, in its order, so two-state posteriors equal the plain
-two-state recursion bit for bit.  What the blocks leave, a segment's tail
-shorter than a block and the rest of a segment after a block that never
-coalesced (a filter that never forgets, such as an identity transition),
-runs step by step: with two states in a scalar loop on Python floats, with
-any other number as one more lock-step block of its own.  An observation
+two-state recursion bit for bit.  What the blocks leave, position 0, a
+segment's tail shorter than a block and the rest of a segment after a block
+that never coalesced (a filter that never forgets, such as an identity
+transition), runs in one step loop on Python floats that does the same
+operations in the same order, for any number of states.  An observation
 of zero probability under the model raises ``ValidationError`` instead of
 returning NaN rows; so does one whose scaled messages underflow to zero.
 """
 
 from __future__ import annotations
-
-from array import array
 
 import numpy as np
 
@@ -153,117 +151,102 @@ def _lockstep(symbols, start, pi, cols, forward):
     return values, 2 + int(np.argmin(same.all(axis=0)))
 
 
-def _run(symbols, state, pi, cols, forward, dests):
-    """``_lockstep`` from ``state``, storing its exact steps' values in ``dests``.
-
-    Returns the state after the last exact step and the number of exact steps.
-    """
-    with np.errstate(all="ignore"):
-        values, exact = _lockstep(symbols, state, pi, cols, forward)
-    done = exact * symbols.shape[1]
-    for x, dest in enumerate(dests):
-        dest[:done].reshape(exact, -1)[...] = values[:, x, :exact].T
-    state = values[-1, :, exact - 1].tolist()
-    if state[0] != state[0]:
-        # A zero normalizer in the exact run left NaN, which persists.
-        raise ValidationError(_IMPOSSIBLE)
-    return state, done
-
-
 def _pass(state, z, lo, hi, p, pi, out, forward):
     """Advance the exact state over steps lo..hi of one segment, storing each.
 
     The forward pass visits lo, ..., hi and emits ``z[t]`` at step t; the
     backward pass visits hi, ..., lo and emits ``z[t + 1]``.  Both read the
-    symbols and the destinations once, in step order.  Whole blocks go
-    through ``_lockstep``.  What follows its exact blocks (a tail shorter
-    than a block, or everything after a block that never coalesced) runs in
-    the scalar loop with two states, and otherwise as one more block of its
-    own.  Returns the state after the last step.
+    symbols and write ``out`` (q, n) once, in step order.  Whole blocks go
+    through ``_lockstep``; what follows its exact blocks (a tail shorter than
+    a block, or everything after a block that never coalesced) runs in one
+    step loop on Python floats, doing ``_step``'s IEEE operations in its
+    order.  Returns the state after the last step, as a list.
     """
+    q = len(state)
     steps = range(lo, hi + 1)
     symbols = z[lo : hi + 1]
-    dests = [np.frombuffer(buf)[lo : hi + 1] for buf in out]
-    cols = tuple(p[:, :, None])
+    dest = out[:, lo : hi + 1]
+    # weights[y, x] weighs term y of state x's sum.
+    weights = p
     if not forward:
         steps = steps[::-1]
         symbols = z[lo + 1 : hi + 2][::-1]
-        dests = [dest[::-1] for dest in dests]
-        cols = tuple(p.T[:, :, None])
+        dest = dest[:, ::-1]
+        weights = p.T
     done = 0
     blocks = len(symbols) // BLOCK
     if blocks:
         whole = symbols[: blocks * BLOCK].reshape(blocks, BLOCK)
-        state, done = _run(whole, state, pi, cols, forward, dests)
-    if len(state) != 2:
-        if done < len(symbols):
-            rest = [dest[done:] for dest in dests]
-            state, _ = _run(symbols[None, done:], state, pi, cols, forward, rest)
-        return state
-    a0, a1 = state
-    c0, c1 = out
-    e0, e1 = (tuple(row) for row in pi.tolist())
-    p00, p01, p10, p11 = p.ravel().tolist()
-    todo = zip(steps[done:], symbols[done:].tolist())
-    if forward:
-        for t, zt in todo:
-            b0 = (a0 * p00 + a1 * p10) * e0[zt]
-            b1 = (a0 * p01 + a1 * p11) * e1[zt]
-            s = b0 + b1
-            a0 = b0 / s
-            a1 = b1 / s
-            c0[t] = a0
-            c1[t] = a1
-    else:
-        for t, zt in todo:
-            w0 = e0[zt] * a0
-            w1 = e1[zt] * a1
-            b0 = p00 * w0 + p01 * w1
-            b1 = p10 * w0 + p11 * w1
-            s = b0 + b1
-            a0 = b0 / s
-            a1 = b1 / s
-            c0[t] = a0
-            c1[t] = a1
-    return a0, a1
+        with np.errstate(all="ignore"):
+            values, exact = _lockstep(whole, state, pi, tuple(weights[:, :, None]), forward)
+        done = exact * BLOCK
+        dest[:, :done].reshape(q, exact, BLOCK)[...] = values[:, :, :exact].transpose(1, 2, 0)
+        state = values[-1, :, exact - 1].tolist()
+        if state[0] != state[0]:
+            # A zero normalizer in the exact run left NaN, which persists.
+            raise ValidationError(_IMPOSSIBLE)
+    # The forward step weighs the sum by the emissions after it, the
+    # backward step weighs each term before it; the other side multiplies
+    # by 1.0, which is exact, so one loop serves both.
+    emits = [tuple(col) for col in pi.T.tolist()]
+    ones = [(1.0,) * q] * len(emits)
+    before, after = (ones, emits) if forward else (emits, ones)
+    cols = weights.T.tolist()
+    rows = [memoryview(row) for row in out]
+    a, w, b = list(state), list(state), list(state)
+    xs, ys = range(q), range(1, q)
+    for t, zt in zip(steps[done:], symbols[done:].tolist()):
+        eb, ea = before[zt], after[zt]
+        for y in xs:
+            w[y] = eb[y] * a[y]
+        for x in xs:
+            col = cols[x]
+            acc = w[0] * col[0]
+            for y in ys:
+                acc += w[y] * col[y]
+            b[x] = acc * ea[x]
+        s = b[0]
+        for y in ys:
+            s += b[y]
+        for x in xs:
+            rows[x][t] = a[x] = b[x] / s
+    return a
 
 
 def _posteriors(z, segments, pi, initial):
-    """Scaled forward-backward; with two states, bit for bit the scalar loop's.
+    """Scaled forward-backward; with two states, bit for bit the plain recursion's.
 
     Position 0 is a forward step from ``initial`` through the identity
     matrix, whose sums ``a_x * 1 + 0 + ...`` are ``a_x`` exactly.  Then each
     segment's forward steps, and each segment's backward steps from the
-    last, go through ``_pass`` into flat ``array('d')`` buffers, one per
-    state.  A zero normalizer (the observation is impossible, or underflowed)
-    surfaces as NaN in a lock-step run or as ZeroDivisionError in the scalar
-    loop; either raises ``ValidationError``.
+    last, go through ``_pass`` into two (q, n) arrays.  A zero normalizer
+    (the observation is impossible, or underflowed) surfaces as NaN in a
+    lock-step run or as ZeroDivisionError in the step loop; either raises
+    ``ValidationError``.
     """
     n = len(z)
     q = len(initial)
-    f, g = ([array("d", [0.0]) * n for _ in range(q)] for _ in range(2))
+    f = np.empty((q, n))
+    g = np.empty((q, n))
     try:
         state = _pass(initial.tolist(), z, 0, 0, np.eye(q), pi, f, True)
         # Both passes give the step between positions t and t+1 (0-based)
         # the matrix of the segment holding t+1.
         for start, end, p in segments:
             state = _pass(state, z, max(start - 1, 1), end - 1, p, pi, f, True)
-        for buf in g:
-            buf[n - 1] = 1.0
-        state = (1.0,) * q
+        g[:, n - 1] = 1.0
+        state = [1.0] * q
         for start, end, p in reversed(segments):
             state = _pass(state, z, max(start - 2, 0), end - 2, p, pi, g, False)
     except ZeroDivisionError:
         raise ValidationError(_IMPOSSIBLE) from None
-    # The products go into the forward buffers, and each buffer is freed once
-    # read, so no more than two n x q arrays are live here.
-    for x in range(q):
-        np.multiply(np.frombuffer(f[x]), np.frombuffer(g[x]), out=np.frombuffer(f[x]))
-        g[x] = None
-    post = np.empty((n, q))
-    for x in range(q):
-        post[:, x] = np.frombuffer(f[x])
-        f[x] = None
+    # The products go into the forward messages, and the backward ones are
+    # freed before the transposed copy, so no more than two n x q arrays are
+    # live here.
+    np.multiply(f, g, out=f)
+    del g
+    post = f.T.copy()
+    del f
     # The sum of a two-entry row is the one addition post.sum(axis=1) does.
     norm = np.add(post[:, 0], post[:, 1]) if q == 2 else post.sum(axis=1)
     # A row whose sum is zero or not finite would come out as NaN; such an

@@ -11,9 +11,14 @@ at the boundaries (the step into a new block already uses the new matrix).
 All randomness comes from the counter-based Philox generator seeded through
 ``numpy.random.SeedSequence``; per-block streams are spawned children of the
 top seed, so every sample is reproducible bit for bit from (spec, n, seed).
-Every draw from a CDF row ``c`` with a uniform ``u`` is the number of entries
-of ``c[:-1]`` at or below ``u``, and a Markov walk reads exactly one uniform
-per step, in order: a rewrite that keeps both keeps every stream.
+A draw from a CDF row ``c`` with a uniform ``u`` is the number of entries of
+``c[:-1]`` at or below ``u``: so are i.i.d. symbols, a Markov chain's first
+state, each step of a Markov walk and each corrupted symbol, with one
+exception.  A symmetric binary chain's walk flips the state when
+``u < p01``.  From state 1 that is the draw rule's event; from state 0 it is
+not (the rule moves to 1 when ``u >= p00``).  A Markov walk reads exactly
+one uniform per step, in order: a rewrite that keeps these rules keeps every
+stream.
 """
 
 from __future__ import annotations
@@ -131,7 +136,11 @@ class MarkovComponent:
         return np.concatenate((start, self.walk(int(start[0]), max(length - 1, 0), rng)))[:length]
 
     def walk(self, state: int, steps: int, rng: np.random.Generator) -> np.ndarray:
-        """The ``steps`` states after ``state``, one uniform per step bisecting a CDF row."""
+        """The ``steps`` states after ``state``, one uniform ``u`` per step.
+
+        A symmetric binary chain flips its state when ``u < p01``; any other
+        chain moves by the draw rule on its current state's CDF row.
+        """
         if not 0 <= state < self.alphabet_size:
             raise ValidationError(f"state {state!r} is outside the chain's alphabet")
         p = self.transition

@@ -191,6 +191,21 @@ class TestLossMatrix:
             build_loss([[0.0, -1.0]])
 
 
+@pytest.mark.parametrize("build", [hamming_loss, identity_channel])
+@pytest.mark.parametrize("size", [2.5, 2.0, "3", None, 0, np.int64(-1)])
+def test_sizes_must_be_positive_integers(build, size):
+    # 2.5 used to build a 2 x 2 matrix and "3" a 3 x 3 one.
+    with pytest.raises(ValidationError, match="positive integer"):
+        build(size)
+
+
+def test_sizes_may_be_numpy_integers_and_hamming_loss_is_square():
+    np.testing.assert_array_equal(hamming_loss(np.int64(3)).lam, 1.0 - np.eye(3))
+    np.testing.assert_array_equal(identity_channel(np.int8(3)).pi, np.eye(3))
+    with pytest.raises(TypeError):
+        hamming_loss(2, 3)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 2))
 def test_random_channels_satisfy_right_inverse(seed, clean, extra):

@@ -1,5 +1,3 @@
-from array import array
-
 import numpy as np
 import pytest
 
@@ -315,9 +313,9 @@ class TestLockStepMatchesReferenceBitwise:
         # gives a zero normalizer on the first lock-step step.
         pi = np.eye(2)
         z = np.ones(3 * BLOCK + 1, dtype=np.int64)
-        out = tuple(array("d", [0.0]) * len(z) for _ in range(2))
+        out = np.empty((2, len(z)))
         with pytest.raises(ValidationError, match="zero probability"):
-            hmm._pass((1.0, 0.0), z, 0, 3 * BLOCK - 1, np.eye(2), pi, out, False)
+            hmm._pass([1.0, 0.0], z, 0, 3 * BLOCK - 1, np.eye(2), pi, out, False)
 
     def test_error_state_is_restored(self, bsc01):
         rng = np.random.default_rng(14)
@@ -377,13 +375,14 @@ class TestOneSmootherForEveryAlphabet:
         with pytest.raises(ValidationError, match="zero probability"):
             fb_posteriors(SymbolSequence(symbols, 3), [(1, 2000, [[1.0, 0.0, 0.0]] * 3)], ch)
         assert np.geterr() == before
-        # Position 0 is a one-step block of its own.
-        assert lockstep_runs == [(1, 1), (7, 4)]
+        # Position 0 runs in the step loop, as with two states.
+        assert lockstep_runs == [(7, 4)]
 
-    def test_identity_segment_finishes_in_one_block(self, monkeypatch):
+    def test_identity_segment_finishes_in_the_step_loop(self, monkeypatch):
         # An identity transition never forgets, so block 1 of the second
         # segment never coalesces, and each pass runs the rest of that
-        # segment, 2 * BLOCK + 17 steps, as one block.
+        # segment, 2 * BLOCK + 17 steps, in the step loop: every lock-step
+        # run is of whole blocks.
         runs = []
 
         def recorded(symbols, start, pi, cols, forward):
@@ -398,8 +397,7 @@ class TestOneSmootherForEveryAlphabet:
         segments = [(1, 2 * BLOCK, three(0.3)), (2 * BLOCK + 1, n, np.eye(3))]
         ch = build_channel(np.full((3, 3), 0.3) + np.eye(3) * 0.1)
         assert_matches_generic(SymbolSequence(rng.integers(0, 3, size=n), 3), segments, ch)
-        assert runs.count(((4, BLOCK), 2)) == 2
-        assert runs.count(((1, 2 * BLOCK + 17), 1)) == 2
+        assert runs == [((1, BLOCK), 1), ((4, BLOCK), 2), ((4, BLOCK), 2), ((1, BLOCK), 1)]
 
     def test_single_state_chain(self, lockstep_runs):
         n = 3 * BLOCK + 5
@@ -412,6 +410,55 @@ class TestOneSmootherForEveryAlphabet:
         symbols[2 * BLOCK] = 1
         with pytest.raises(ValidationError, match="zero probability"):
             fb_posteriors(SymbolSequence(symbols, 2), [(1, n, [[1.0]])], build_channel([[1.0, 0.0]]))
+
+
+def near_identity(q, flip):
+    return np.full((q, q), flip / (q - 1)) + np.eye(q) * (1.0 - flip - flip / (q - 1))
+
+
+class TestStepLoopMatchesBlocksBitwise:
+    """The step loop does the lock-step's operations in its order, so a run
+    with ``BLOCK`` above n, all in the loop, must equal the default run."""
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_random_tilings(self, monkeypatch, lockstep_runs, q):
+        rng = np.random.default_rng(30 + q)
+        matrices = [
+            lambda r: np.eye(q),
+            lambda r: near_identity(q, 10.0 ** -r.integers(4, 13)),
+            lambda r: r.dirichlet([3.0] * q, size=q),
+        ]
+        for trial in range(12):
+            # Whole blocks and a tail of 1 to BLOCK - 1 steps in each segment.
+            tails = rng.integers(1, BLOCK, size=3)
+            tails[: trial % 3] = (1, BLOCK - 1)[: trial % 3]
+            lengths = rng.integers(0, 4, size=3) * BLOCK + tails
+            bounds = np.cumsum([0, *lengths]).tolist()
+            segments = [
+                (a + 1, b, matrices[(trial + i) % 3](rng))
+                for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
+            ]
+            ch = build_channel(near_identity(q, 0.3))
+            n = bounds[-1]
+            z = SymbolSequence(rng.integers(0, q, size=n), q)
+            blocked = fb_posteriors(z, segments, ch)
+            with monkeypatch.context() as patched:
+                patched.setattr(hmm, "BLOCK", n + 1)
+                assert np.array_equal(fb_posteriors(z, segments, ch), blocked)
+        assert any(blocks > 1 and exact == blocks for blocks, exact in lockstep_runs)
+        assert any(exact < blocks for blocks, exact in lockstep_runs)
+
+    def test_impossible_observation_inside_a_tail_raises(self, lockstep_runs):
+        # State 0 never emits 1 and every step leads to state 0, so the 1 at
+        # position 2 * BLOCK + 20, in the forward pass's 49-step tail, has
+        # zero probability.  No RuntimeWarning may escape.
+        ch = build_channel(np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]))
+        n = 2 * BLOCK + 50
+        symbols = np.zeros(n, dtype=np.int64)
+        symbols[2 * BLOCK + 20] = 1
+        with pytest.raises(ValidationError, match="zero probability"):
+            fb_posteriors(SymbolSequence(symbols, 3), [(1, n, [[1.0, 0.0, 0.0]] * 3)], ch)
+        assert lockstep_runs == [(2, 2)]
 
 
 # Observations that are impossible under the model once products underflow.

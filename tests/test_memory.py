@@ -23,8 +23,9 @@ N = 10**5
 # Measured 9.0 B per symbol: one block's uniforms (8 B) and flips (1 B), then
 # the flips and the int64 path.
 SAMPLE_PIECEWISE_BYTES = 10
-# Measured 40.4 B per symbol: the forward and backward messages (16 B each)
-# and one segment's lock-step values (8 B); emissions are gathered per step.
+# Measured 40.3 B per symbol: the forward and backward messages, one (2, n)
+# array each (16 B each), and one segment's lock-step values (8 B); emissions
+# are gathered per step.
 FB_POSTERIORS_BYTES = 44
 # Measured 47.5 B per symbol, in the k = 4 solve; the posteriors are freed
 # before the denoisers run, and each k's outputs before the next k's solve.
