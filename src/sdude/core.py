@@ -30,6 +30,9 @@ ATOL = 1e-9
 # small alphabets; refuse silly table sizes outright.
 MAX_RULES = 4096
 
+# Square matrices built from a size alone hold at most this many entries (8 MiB of float64).
+MAX_MATRIX_ENTRIES = 2**20
+
 
 def symbol_dtype(alphabet_size: int) -> np.dtype:
     """The smallest dtype that holds every symbol of an alphabet of this size.
@@ -198,15 +201,19 @@ def bsc_channel(delta: float) -> ChannelModel:
     return build_channel([[1.0 - delta, delta], [delta, 1.0 - delta]])
 
 
+def _square_side(size) -> int:
+    """``size`` as the side of a square matrix within ``MAX_MATRIX_ENTRIES``."""
+    _check_size("alphabet size", size)
+    if int(size) ** 2 > MAX_MATRIX_ENTRIES:
+        raise TooLarge(f"a {size}x{size} matrix exceeds the budget of {MAX_MATRIX_ENTRIES} entries")
+    return int(size)
+
+
 def identity_channel(size: int) -> ChannelModel:
     """Noiseless channel on an alphabet of the given size."""
-    _check_size("alphabet size", size)
-    return build_channel(np.eye(int(size)))
+    return build_channel(np.eye(_square_side(size)))
 
 
 def hamming_loss(clean_size: int) -> LossMatrix:
     """0/1 loss: zero on the diagonal, one elsewhere."""
-    _check_size("alphabet size", clean_size)
-    lam = np.ones((int(clean_size), int(clean_size)))
-    np.fill_diagonal(lam, 0.0)
-    return build_loss(lam)
+    return build_loss(1.0 - np.eye(_square_side(clean_size)))

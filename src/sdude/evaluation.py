@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelModel, LossMatrix, SymbolSequence, bsc_channel, hamming_loss, symbol_dtype
+from .core import (
+    ChannelModel, LossMatrix, SymbolSequence, _check_size, bsc_channel, hamming_loss, symbol_dtype
+)
 from .errors import RangeError, ValidationError
-from .estimation import build_tables
 from .genie import genie_min_loss, genie_min_losses
 from .hmm import fb_posteriors, map_denoise
 from .sources import MarkovComponent, PiecewiseSourceSpec, _seed_sequence, corrupt, sample_piecewise
@@ -41,6 +42,10 @@ def cumulative_loss(
     n = len(x)
     if len(xhat) != n:
         raise ValidationError(f"sequence lengths differ ({n} != {len(xhat)})")
+    if x.alphabet_size > loss.clean_size or xhat.alphabet_size > loss.recon_size:
+        raise ValidationError(
+            f"alphabets {x.alphabet_size}, {xhat.alphabet_size} exceed the {loss.lam.shape} loss"
+        )
     if end is None:
         end = n
     if not 1 <= start <= end <= n:
@@ -137,8 +142,7 @@ def _scored(name, x, out, loss, delta, k, m, seed, **extra) -> DenoiserResult:
 
 def two_block_sequence(n: int) -> SymbolSequence:
     """The piecewise-constant sequence: n//2 zeros followed by ones."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"sequence length must be a positive integer, got {n!r}")
+    _check_size("sequence length", n)
     x = np.zeros(n, dtype=symbol_dtype(2))
     x[n // 2 :] = 1
     return SymbolSequence(x, 2)
@@ -153,7 +157,6 @@ def run_two_block_experiment(
     """
     channel = bsc_channel(delta)
     loss = hamming_loss(2)
-    tables = build_tables(channel, loss)
     x = two_block_sequence(n)
     seeds = tuple(_seed_sequence(s).entropy for s in seeds)
     if not seeds:
@@ -163,7 +166,7 @@ def run_two_block_experiment(
     for seed in seeds:
         z = corrupt(x, channel, seed)
         (dude_out, schedule, _), (sdude_out, _, estimated) = sdude_denoise_each(
-            z, k, (0, m), channel, loss, tables=tables
+            z, k, (0, m), channel, loss
         )
         (dude_target, _), (sdude_target, _) = genie_min_losses(
             x, schedule.partition, (0, m), loss
@@ -230,39 +233,40 @@ def run_switching_hmm_experiment(
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValidationError(f"switching-hmm needs a sequence length of at least 2, got {n!r}")
-    switch_at = n // 2 if switch_at is None else switch_at
     trans1 = np.array([[1.0 - p1, p1], [p1, 1.0 - p1]])
     trans2 = np.array([[1.0 - p2, p2], [p2, 1.0 - p2]])
     spec = PiecewiseSourceSpec(
         components=(MarkovComponent(trans1), MarkovComponent(trans2)),
-        switch_times=(int(switch_at),),
+        switch_times=(n // 2 if switch_at is None else switch_at,),
         block_labels=(0, 1),
         continuing=True,
     )
+    # The spec refuses a switch time that is not an integer, and holds it as an int.
+    [switch_at] = spec.switch_times
     ss = _seed_sequence(seed)
     seed = ss.entropy
     source_seed, channel_seed = ss.spawn(2)
     x = sample_piecewise(spec, n, source_seed)
     channel = bsc_channel(delta)
     loss = hamming_loss(2)
-    tables = build_tables(channel, loss)
     z = corrupt(x, channel, channel_seed)
-    segments = [(1, int(switch_at), trans1), (int(switch_at) + 1, n, trans2)]
+    segments = [(1, switch_at, trans1), (switch_at + 1, n, trans2)]
     # The posteriors and their MAP output are freed before the denoisers run.
     fb_out = map_denoise(fb_posteriors(z, segments, channel), loss)
     results = [_scored("fb-genie", x, fb_out, loss, delta, None, None, seed)]
     del fb_out
-    budgets = (0, *(m for m in map(int, m_list) if m != 0))
-    for k in map(int, k_list):
+    # sdude_denoise_each checks k and the budgets before they are converted for the report.
+    budgets = (0, *(m for m in m_list if m != 0))
+    for k in k_list:
         # One k's outputs and schedules, with the partition they share, go
         # out of scope with this comprehension, before the next k's solve.
         results += [
             _scored(
-                "sdude" if m else "dude", x, out, loss, delta, k, m, seed,
+                "sdude" if m else "dude", x, out, loss, delta, int(k), int(m), seed,
                 estimated_loss=estimated if m else None,
             )
             for m, (out, _, estimated) in zip(
-                budgets, sdude_denoise_each(z, k, budgets, channel, loss, tables=tables)
+                budgets, sdude_denoise_each(z, k, budgets, channel, loss)
             )
         ]
     return EvalReport(
@@ -277,7 +281,7 @@ def run_switching_hmm_experiment(
             {
                 "p1": float(p1),
                 "p2": float(p2),
-                "switch_at": int(switch_at),
+                "switch_at": switch_at,
             },
         ),
     )
@@ -298,14 +302,14 @@ def concentration_sweep(
     ``trials`` times; the sweep rows report the mean and max of the interior
     true-loss gap, under Hamming loss on the channel's clean alphabet.
     """
-    if trials < 1:
-        raise ValidationError(f"need at least one trial per n, got {trials}")
+    _check_size("trials", trials)
     if not n_list:
         raise ValidationError("the concentration sweep needs at least one n")
+    for n in n_list:
+        _check_size("sequence length", n)
     if not callable(x_provider):
         raise ValidationError("x_provider must be a callable n -> SymbolSequence")
     loss = hamming_loss(channel.clean_size)
-    tables = build_tables(channel, loss)
     seed = _seed_sequence(seed).entropy
     rows = []
     for ni, n in enumerate(n_list):
@@ -313,7 +317,7 @@ def concentration_sweep(
         gaps = []
         for trial in range(trials):
             z = corrupt(x, channel, np.random.SeedSequence((seed, ni, trial)))
-            [(out, schedule, _)] = sdude_denoise_each(z, k, (m,), channel, loss, tables=tables)
+            [(out, schedule, _)] = sdude_denoise_each(z, k, (m,), channel, loss)
             true_loss = cumulative_loss(x, out, loss, k + 1, len(x) - k)
             [(genie_val, _)] = genie_min_losses(x, schedule.partition, (m,), loss)
             gaps.append(true_loss - genie_val)

@@ -12,6 +12,7 @@ sort_keys=True)`` plus a newline, for ``doc = {"contexts": [{"context_id", "left
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -95,28 +96,29 @@ def load_matrix(path) -> np.ndarray:
     return np.array(values).reshape(rows, cols)
 
 
+def _spec_size(spec: str, name: str, size: int | None, kind: str) -> int | None:
+    """The size of a "<name>[:<size>]" spec, ``size`` when it names none; None for other specs."""
+    if spec != name and not spec.startswith(name + ":"):
+        return None
+    if ":" in spec:
+        size = _spec_number(spec, int)
+    if size is None:
+        raise ValidationError(f"{name} {kind} needs a size ({name}:<n>)")
+    return size
+
+
 def channel_from_spec(spec: str, size: int | None = None) -> ChannelModel:
     """Build a channel from "bsc:<delta>", "identity[:<size>]", or a matrix file path."""
     if spec.startswith("bsc:"):
         return bsc_channel(_spec_number(spec, float))
-    if spec == "identity" or spec.startswith("identity:"):
-        if ":" in spec:
-            size = _spec_number(spec, int)
-        if size is None:
-            raise ValidationError("identity channel needs a size (identity:<n>)")
-        return identity_channel(size)
-    return build_channel(load_matrix(spec))
+    size = _spec_size(spec, "identity", size, "channel")
+    return build_channel(load_matrix(spec)) if size is None else identity_channel(size)
 
 
 def loss_from_spec(spec: str, clean_size: int | None = None) -> LossMatrix:
     """Build a loss from "hamming[:<size>]" or a matrix file path."""
-    if spec == "hamming" or spec.startswith("hamming:"):
-        if ":" in spec:
-            clean_size = _spec_number(spec, int)
-        if clean_size is None:
-            raise ValidationError("hamming loss needs a size (hamming:<n>)")
-        return hamming_loss(clean_size)
-    return build_loss(load_matrix(spec))
+    size = _spec_size(spec, "hamming", clean_size, "loss")
+    return build_loss(load_matrix(spec)) if size is None else hamming_loss(size)
 
 
 def read_raw_sequence(path, alphabet_size: int) -> SymbolSequence:
@@ -154,42 +156,32 @@ def write_text_sequence(path, seq: SymbolSequence) -> None:
     atomic_write_text(path, " ".join(map(str, seq.symbols.tolist())) + "\n")
 
 
-def _pbm_header_tokens(data: bytes):
-    """Yield header tokens, skipping '#' comments; return (tokens, body offset)."""
-    tokens = []
-    i = 0
-    while len(tokens) < 3:
-        if i >= len(data):
-            raise ValidationError("truncated PBM header")
-        c = data[i : i + 1]
-        if c == b"#":
-            while i < len(data) and data[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-    return tokens, i
+# A header token, or a comment that runs to the end of its line.
+_PBM_HEADER = re.compile(rb"#[^\r\n]*|[^\s#]+")
+
+
+def _pbm_header(data: bytes):
+    """The magic, width and height tokens, skipping '#' comments, and the offset after them."""
+    words = (m for m in _PBM_HEADER.finditer(data) if m[0][:1] != b"#")
+    header = list(itertools.islice(words, 3))
+    if len(header) < 3:
+        raise ValidationError("truncated PBM header")
+    return [m[0] for m in header], header[-1].end()
 
 
 def read_pbm(path) -> np.ndarray:
     """Read a P1 or P4 bitmap as a (height, width) uint8 array of 0/1 (1 = black)."""
     with open(path, "rb") as handle:
         data = handle.read()
-    tokens, offset = _pbm_header_tokens(data)
-    magic = tokens[0]
+    (magic, width, height), offset = _pbm_header(data)
     try:
-        width, height = int(tokens[1]), int(tokens[2])
+        width, height = int(width), int(height)
     except ValueError:
         raise ValidationError(f"bad PBM dimensions in {path}") from None
     if width < 1 or height < 1:
         raise ValidationError(f"bad PBM dimensions in {path}")
     if magic == b"P1":
-        digits = b"".join(re.sub(rb"#[^\r\n]*", b"", data[offset:]).split())
+        digits = re.sub(rb"#[^\r\n]*|\s", b"", data[offset:])
         if digits.translate(None, b"01"):
             raise ValidationError(f"PBM {path} has raster bytes other than 0, 1 and whitespace")
         if len(digits) != width * height:
@@ -197,7 +189,10 @@ def read_pbm(path) -> np.ndarray:
         return (np.frombuffer(digits, dtype=np.uint8) - 48).reshape(height, width)
     if magic == b"P4":
         row_bytes = (width + 7) // 8
-        body = data[offset + 1 :]
+        # One whitespace byte ends the header, or a comment through its newline, as in netpbm.
+        # A match here is a comment: the height token before it is as long as it can be.
+        comment = _PBM_HEADER.match(data, offset)
+        body = data[(comment.end() if comment else offset) + 1 :]
         if len(body) != row_bytes * height:
             raise ValidationError(
                 f"PBM {path} holds {len(body)} pixel bytes, not {row_bytes * height}"

@@ -92,10 +92,8 @@ def _step(state, emit, out, work, forward):
         np.add(u, v, out=u)
     if forward:
         np.multiply(u, emit, out=u)
-    if len(u) == 2:
-        np.add(u[0], u[1], out=s)
-    else:
-        np.sum(u, axis=0, out=s)
+    # Rows add in order, as in the scalar loop; numpy sums one column of 8+ rows pairwise.
+    np.add.reduce(u, axis=0, out=s)
     np.divide(u, s, out=out)
 
 
@@ -240,22 +238,18 @@ def _posteriors(z, segments, pi, initial):
             state = _pass(state, z, max(start - 2, 0), end - 2, p, pi, g, False)
     except ZeroDivisionError:
         raise ValidationError(_IMPOSSIBLE) from None
-    # The products go into the forward messages, and the backward ones are
-    # freed before the transposed copy, so no more than two n x q arrays are
-    # live here.
+    # The products go into the forward messages and are normalized there; the
+    # backward ones are freed first, so no more than two n x q arrays are live.
     np.multiply(f, g, out=f)
     del g
-    post = f.T.copy()
-    del f
-    # The sum of a two-entry row is the one addition post.sum(axis=1) does.
-    norm = np.add(post[:, 0], post[:, 1]) if q == 2 else post.sum(axis=1)
-    # A row whose sum is zero or not finite would come out as NaN; such an
+    norm = np.add.reduce(f, axis=0)
+    # A position whose sum is zero or not finite would come out as NaN; such an
     # observation is impossible under the model (or underflowed), so it is
     # rejected once here, before the divide.  (``min`` is NaN when any sum is.)
     if not (norm.min() > 0.0 and norm.max() < np.inf):
         raise ValidationError(_IMPOSSIBLE)
-    post /= norm[:, None]
-    return post
+    f /= norm
+    return f.T.copy()
 
 
 def fb_posteriors(z: SymbolSequence, segments, channel: ChannelModel) -> np.ndarray:

@@ -29,7 +29,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import ChannelModel, SymbolSequence, symbol_dtype
+from .core import ChannelModel, SymbolSequence, _check_size, symbol_dtype
 from .errors import ValidationError
 
 
@@ -208,8 +208,7 @@ class PiecewiseSourceSpec:
 
 def sample_piecewise(spec: PiecewiseSourceSpec, n: int, seed) -> SymbolSequence:
     """Draw one length-n realization of the piecewise source."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"sequence length must be a positive integer, got {n!r}")
+    _check_size("sequence length", n)
     bounds = spec.block_bounds(n)
     seed = _seed_sequence(seed)
     rngs = repeat(_rng(seed)) if spec.continuing else map(_rng, seed.spawn(len(bounds)))

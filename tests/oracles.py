@@ -10,6 +10,7 @@ that the optimized ones can be required to match them bit for bit:
 ``fused_reference`` (the switching DP run one context chain at a time),
 ``schedule_to_json_reference`` (the per-position schedule dump),
 ``partition_reference`` (the int64 argsort build of a context partition),
+``pbm_header_reference`` (the byte-by-byte PBM header tokenizer),
 ``context_of`` / ``occurrences`` / ``context_symbols`` (a partition's
 per-position id, occurrence list and window decode, as the partition once
 offered them), ``save_matrix`` (the matrix-file writer),
@@ -465,6 +466,28 @@ def schedule_to_json_reference(schedule, partition):
         "m": schedule.m,
         "contexts": contexts,
     }
+
+
+def pbm_header_reference(data: bytes):
+    """Yield header tokens, skipping '#' comments; return (tokens, body offset)."""
+    tokens = []
+    i = 0
+    while len(tokens) < 3:
+        if i >= len(data):
+            raise ValidationError("truncated PBM header")
+        c = data[i : i + 1]
+        if c == b"#":
+            while i < len(data) and data[i : i + 1] not in (b"\n", b"\r"):
+                i += 1
+        elif c.isspace():
+            i += 1
+        else:
+            j = i
+            while j < len(data) and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
+                j += 1
+            tokens.append(data[i:j])
+            i = j
+    return tokens, i
 
 
 def _enumeration_size(length: int, budget: int, num_rules: int) -> int:

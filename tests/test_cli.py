@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import save_matrix
 from sdude import SymbolSequence, bsc_channel, corrupt, dude_denoise, fileio, hamming_loss
@@ -158,6 +164,27 @@ class TestDenoiseCommand:
         assert "sdude: error:" in capsys.readouterr().err
 
 
+def _joined(pieces):
+    return st.lists(st.sampled_from(pieces), max_size=24).map(b"".join)
+
+
+# (--format, file bytes): random bytes, and pieces of valid and malformed files of each format.
+_INPUTS = st.one_of(
+    st.tuples(st.sampled_from(["raw", "text", "pbm"]), st.binary(max_size=40)),
+    st.tuples(st.just("raw"), _joined([b"\x00", b"\x01", b"\x02"])),
+    st.tuples(st.just("text"), _joined([b"0", b"1", b"2", b"01", b" ", b"\n", b"x", b"\xff"])),
+    st.tuples(
+        st.just("pbm"),
+        st.tuples(
+            st.sampled_from(
+                [b"P1 4 2\n", b"P1\n#c\n3 2 0 1 1 0 0", b"P4 8 2\n\xa5", b"P4\n8 1#c\n", b"P4 3"]
+            ),
+            _joined([b"0", b"1", b" ", b"\xff", b"\x00", b"#c\n", b"2"]),
+        ).map(b"".join),
+    ),
+)
+
+
 class TestCliBehavior:
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -270,8 +297,12 @@ class TestCliBehavior:
             (["--format", "text", "--input", "BAD"], "bad.txt"),
             (["--channel", "identity:0"], "at least 1"),
             (["--loss", "hamming:0"], "at least 1"),
+            (["--channel", "identity:1025"], "1048576 entries"),
+            (["--channel", "identity:99999999999"], "1048576 entries"),
+            (["--loss", "hamming:99999999999"], "1048576 entries"),
         ],
-        ids=["bsc", "identity", "hamming", "matrix-file", "text-input", "identity-0", "hamming-0"],
+        ids=["bsc", "identity", "hamming", "matrix-file", "text-input", "identity-0", "hamming-0",
+             "identity-1025", "identity-huge", "hamming-huge"],
     )
     def test_malformed_spec_or_text_file_is_an_error_without_output(
         self, tmp_path, capsys, flags, named
@@ -289,6 +320,31 @@ class TestCliBehavior:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("sdude: error:") and named in err
+
+    @given(
+        fmt_data=_INPUTS,
+        k=st.integers(0, 2),
+        m=st.integers(0, 2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_input_ends_in_an_output_or_one_error_line(self, fmt_data, k, m):
+        fmt, data = fmt_data
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            src, out, schedule = tmp / "in", tmp / "out", tmp / "schedule.json"
+            src.write_bytes(data)
+            argv = ["denoise", "--input", str(src), "--output", str(out), "--format", fmt,
+                    "--channel", "bsc:0.1", "--k", str(k), "--m", str(m),
+                    "--emit-schedule", str(schedule)]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            if code == 0:
+                assert out.exists() and schedule.exists() and err.getvalue() == ""
+            else:
+                assert code == 1
+                assert err.getvalue().startswith("sdude: error:") and err.getvalue().count("\n") == 1
+                assert [p.name for p in tmp.iterdir()] == ["in"]
 
     @pytest.mark.parametrize("token", [str(2**63), "\u0661", "+1"])
     def test_text_input_outside_ascii_digits_is_an_error_without_output(

@@ -199,6 +199,20 @@ def test_sizes_must_be_positive_integers(build, size):
         build(size)
 
 
+@pytest.mark.parametrize("build", [hamming_loss, identity_channel])
+@pytest.mark.parametrize("size", [1025, np.int64(99999999999)])
+def test_square_matrices_past_the_entry_budget_are_too_large(build, size):
+    # 99999999999 used to end in numpy's "array is too big" ValueError; sizes
+    # past the budget are refused before anything is allocated.
+    with pytest.raises(TooLarge, match=f"budget of {sdude.core.MAX_MATRIX_ENTRIES} entries"):
+        build(size)
+
+
+def test_the_entry_budget_admits_a_1024_symbol_loss():
+    assert sdude.core.MAX_MATRIX_ENTRIES == 1024**2
+    assert hamming_loss(1024).lam.shape == (1024, 1024)
+
+
 def test_sizes_may_be_numpy_integers_and_hamming_loss_is_square():
     np.testing.assert_array_equal(hamming_loss(np.int64(3)).lam, 1.0 - np.eye(3))
     np.testing.assert_array_equal(identity_channel(np.int8(3)).pi, np.eye(3))

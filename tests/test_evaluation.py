@@ -42,6 +42,13 @@ class TestCumulativeLoss:
         with pytest.raises(ValidationError):
             cumulative_loss(x, SymbolSequence([0], 2), hamming2)
 
+    def test_alphabets_beyond_the_loss_are_refused(self, hamming2):
+        # Symbol 2 used to index past the 2 x 2 loss and raise IndexError.
+        three, two = SymbolSequence([0, 1, 2], 3), SymbolSequence([0, 1, 1], 2)
+        for x, xhat in ((two, three), (three, two)):
+            with pytest.raises(ValidationError, match="exceed"):
+                cumulative_loss(x, xhat, hamming2)
+
 
 @pytest.fixture
 def partitions_built(monkeypatch):
@@ -179,6 +186,42 @@ class TestHarnessSeeds:
     def test_numpy_integer_seeds_report_as_ints(self):
         report = run_two_block_experiment(1000, 0.1, 0, 1, seeds=(np.int64(3),))
         assert report.to_json() == run_two_block_experiment(1000, 0.1, 0, 1, seeds=(3,)).to_json()
+
+
+class TestHarnessArguments:
+    # Each value used to run truncated by int(), or to raise TypeError.
+    def test_concentration_refuses_fractional_trials(self, bsc01):
+        with pytest.raises(ValidationError, match="trials"):
+            concentration_sweep(two_block_sequence, bsc01, 0, 1, n_list=(100,), trials=1.5)
+
+    def test_concentration_refuses_a_fractional_length(self, bsc01):
+        with pytest.raises(ValidationError, match="sequence length"):
+            concentration_sweep(two_block_sequence, bsc01, 0, 1, n_list=(100.7,), trials=1)
+
+    def test_switching_hmm_refuses_a_fractional_switch(self):
+        with pytest.raises(ValidationError, match="switch times"):
+            run_switching_hmm_experiment(100, 0.1, 0.01, 0.2, 50.5, k_list=(1,))
+
+    def test_switching_hmm_refuses_a_fractional_k(self):
+        with pytest.raises(RangeError, match="context half-width"):
+            run_switching_hmm_experiment(100, 0.1, 0.01, 0.2, 50, k_list=(4.5,))
+
+    def test_switching_hmm_refuses_a_fractional_budget(self):
+        with pytest.raises(RangeError, match="shift budget"):
+            run_switching_hmm_experiment(100, 0.1, 0.01, 0.2, 50, k_list=(1,), m_list=(1.5,))
+
+    def test_numpy_integer_arguments_report_as_ints(self, bsc01):
+        args = (100, 0.1, 0.01, 0.2)
+        report = run_switching_hmm_experiment(
+            *args, np.int64(50), k_list=(np.int64(1),), m_list=(np.int8(1),)
+        )
+        assert report.to_json() == run_switching_hmm_experiment(*args, 50, k_list=(1,)).to_json()
+        sweep = concentration_sweep(
+            two_block_sequence, bsc01, 0, 1, n_list=(np.int64(100),), trials=np.int64(2)
+        )
+        assert sweep.to_json() == concentration_sweep(
+            two_block_sequence, bsc01, 0, 1, n_list=(100,), trials=2
+        ).to_json()
 
 
 class TestConcentrationSweep:

@@ -1,13 +1,16 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import save_matrix, schedule_to_json_reference
+from oracles import pbm_header_reference, save_matrix, schedule_to_json_reference
 from sdude import (
+    ChannelModel,
+    LossMatrix,
     SymbolSequence,
     bsc_channel,
     build_loss,
@@ -17,7 +20,32 @@ from sdude import (
     sdude_denoise,
     sdude_denoise_each,
 )
-from sdude.errors import ValidationError
+from sdude.errors import DenoiseError, ValidationError
+
+
+# Pieces of PBM headers: tokens, whitespace, comments and bytes around them.
+_HEADER_PIECES = [b"P1", b"P4", b"8", b"12", b"x", b" ", b"\t", b"\n", b"\r", b"\x0b", b"#", b"#c",
+                  b"\xff", b"\x00"]
+# Whitespace and comments between two header tokens.
+_SEPARATORS = st.lists(
+    st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0c", b"#\n", b"# x 1\r", b"#P4\n"]),
+    min_size=1,
+    max_size=3,
+).map(b"".join)
+# Random bytes, and byte strings made of the pieces of every input format.
+_RANDOM_BYTES = st.one_of(
+    st.binary(max_size=48),
+    st.lists(
+        st.sampled_from(
+            [b"P1 3 2\n", b"P4 8 2\n", b"P1", b"P4", b"0", b"1", b"2", b"01", b"\x01", b"\xff",
+             b"\x00", b" ", b"\n", b"\r", b"#", b"#c\n", b"-1", b"x", b"\xc3\xa9"]
+        ),
+        max_size=24,
+    ).map(b"".join),
+)
+# Pieces of matrix files: numbers, junk and separators.
+_MATRIX_PIECES = [b"2", b"1", b"0", b"0.5", b"0.9", b"0.1", b"-1", b"1e400", b"nan", b"inf", b"x",
+                  b"\xff", b" ", b"\n", b"2 2\n", b"1 2\n"]
 
 
 class TestMatrixFiles:
@@ -201,6 +229,109 @@ class TestPbm:
         path = tmp_path / "ok.pbm"
         path.write_bytes(b"P1\n3 2 # size\n0 1\t1\r\n# row two\n100\n")
         np.testing.assert_array_equal(fileio.read_pbm(path), [[0, 1, 1], [1, 0, 0]])
+
+    def test_p4_comment_after_the_height_ends_at_its_newline(self, tmp_path):
+        # Netpbm reads the comment, through its newline, as the byte that ends
+        # the header; this used to be refused as 3 pixel bytes.
+        path = tmp_path / "c.pbm"
+        path.write_bytes(b"P4\n8 1#c\n\xff")
+        np.testing.assert_array_equal(fileio.read_pbm(path), [[1] * 8])
+
+    @given(st.lists(st.sampled_from(_HEADER_PIECES), max_size=12).map(b"".join))
+    @settings(max_examples=300, deadline=None)
+    def test_header_tokens_and_offset_match_the_reference(self, data):
+        try:
+            expected = pbm_header_reference(data)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=re.escape(str(exc))):
+                fileio._pbm_header(data)
+        else:
+            assert fileio._pbm_header(data) == expected
+
+    @given(
+        gaps=st.lists(_SEPARATORS, min_size=2, max_size=2),
+        end=st.sampled_from([b" ", b"\t", b"\n", b"\r", b"#\n", b"# c\n", b"#\r", b"##\r"]),
+        width=st.integers(1, 20),
+        height=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_p4_raster_follows_one_whitespace_byte_or_a_comment_line(
+        self, tmp_path_factory, gaps, end, width, height, seed
+    ):
+        row_bytes = (width + 7) // 8
+        body = np.random.default_rng(seed).integers(0, 256, (height, row_bytes), dtype=np.uint8)
+        header = b"P4" + gaps[0] + str(width).encode() + gaps[1] + str(height).encode() + end
+        path = tmp_path_factory.mktemp("p4") / "img.pbm"
+        path.write_bytes(header + body.tobytes())
+        np.testing.assert_array_equal(
+            fileio.read_pbm(path), np.unpackbits(body, axis=1, count=width)
+        )
+        if not end.startswith(b"#"):
+            # Everywhere else the raster starts one byte after the reference's offset.
+            assert pbm_header_reference(header)[1] + 1 == len(header)
+
+
+class TestParsersOnlyRaiseDenoiseError:
+    """Malformed input ends in a DenoiseError and nothing else."""
+
+    @given(data=_RANDOM_BYTES, alphabet=st.sampled_from([1, 2, 3, 256]))
+    @settings(max_examples=80, deadline=None)
+    def test_sequence_files(self, tmp_path_factory, data, alphabet):
+        path = tmp_path_factory.mktemp("seq") / "in"
+        path.write_bytes(data)
+        for read in (fileio.read_raw_sequence, fileio.read_text_sequence):
+            try:
+                seq = read(path, alphabet)
+            except DenoiseError:
+                continue
+            assert seq.symbols.size == 0 or int(seq.symbols.max()) < alphabet
+
+    @given(data=_RANDOM_BYTES)
+    @settings(max_examples=150, deadline=None)
+    def test_pbm_files(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("pbm") / "in.pbm"
+        path.write_bytes(data)
+        try:
+            image = fileio.read_pbm(path)
+        except DenoiseError:
+            return
+        assert image.ndim == 2 and image.size and set(np.unique(image).tolist()) <= {0, 1}
+
+    @given(data=st.lists(st.sampled_from(_MATRIX_PIECES), max_size=12).map(b"".join))
+    @settings(max_examples=100, deadline=None)
+    def test_matrix_files(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("matrix") / "m.txt"
+        path.write_bytes(data)
+        for build in (fileio.channel_from_spec, fileio.loss_from_spec):
+            try:
+                build(str(path))
+            except DenoiseError:
+                pass
+
+    @given(
+        build=st.sampled_from(
+            [
+                (fileio.channel_from_spec, "bsc:"),
+                (fileio.channel_from_spec, "identity:"),
+                (fileio.loss_from_spec, "hamming:"),
+            ]
+        ),
+        number=st.one_of(
+            st.text(max_size=8),
+            st.integers(-3, 40).map(str),
+            st.integers(10**10, 10**30).map(str),
+            st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_specs(self, build, number):
+        build, prefix = build
+        try:
+            built = build(prefix + number)
+        except DenoiseError:
+            return
+        assert isinstance(built, (ChannelModel, LossMatrix))
 
 
 def _reference_bytes(schedule, estimated_loss) -> bytes:

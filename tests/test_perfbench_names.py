@@ -1,8 +1,9 @@
 """The package names that the benchmark's layer tracer relies on still exist.
 
-``perfbench/spans.py`` finds its counters by name: a ``HOOKS`` key that no
-longer names a package function, or a traced entry point that is gone, makes
-a per-layer counter read 0 without an error.  These checks read
+``perfbench/spans.py`` finds its counters by name: a ``LAYERS`` entry that no
+longer names a package module, a ``HOOKS`` key that no longer names a package
+function, or a traced entry point that is gone, makes a per-layer counter
+read 0 without an error.  These checks read
 ``perfbench/spans.py`` and ``perfbench/test_bench.py`` as they are, so a
 change to the package that drops one of those names fails here.  The
 byte counter reads ``len(data)`` of ``fileio.atomic_write_bytes``, so every
@@ -52,6 +53,15 @@ def test_every_hook_names_a_public_function_of_its_module():
         assert inspect.isfunction(fn) and not name.startswith("_"), key
         # The tracer looks hooks up by the defining module and the function's own name.
         assert (fn.__module__, fn.__name__) == (module.__name__, name), key
+
+
+def test_every_layer_names_a_package_module():
+    # A layer whose module is renamed would have no spans, and its per-layer
+    # metrics would read 0 without an error.
+    spans = _spans()
+    assert spans.LAYERS and spans.PACKAGE == "sdude"
+    for layer in spans.LAYERS:
+        importlib.import_module(f"sdude.{layer}")
 
 
 def test_the_names_the_benchmark_expects_wrapped_are_wrapped():
