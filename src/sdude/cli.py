@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import evaluation, fileio
-from .core import SymbolSequence, bsc_channel, build_channel
+from .core import SymbolSequence, _rule_count, bsc_channel, build_channel
 from .errors import DenoiseError
 from .switching import sdude_denoise
 
@@ -40,10 +40,12 @@ def _write_output(path, fmt, seq, shape):
 
 def _cmd_denoise(args) -> int:
     size_hint = 2 if args.format == "pbm" else None
-    channel = fileio.channel_from_spec(args.channel, size=size_hint)
-    loss = fileio.loss_from_spec(args.loss, clean_size=channel.clean_size)
-    if args.h_matrix:
-        channel = build_channel(channel.pi, h_matrix=fileio.load_matrix(args.h_matrix))
+    pi = fileio.channel_matrix(args.channel, size=size_hint)
+    loss = fileio.loss_from_spec(args.loss, clean_size=pi.shape[0])
+    # The rule budget is checked before the channel's SVDs, which are cubic in its size.
+    _rule_count(pi.shape[1], loss.recon_size)
+    h_matrix = fileio.load_matrix(args.h_matrix) if args.h_matrix else None
+    channel = build_channel(pi, h_matrix=h_matrix)
     seq, shape = _read_input(args.input, args.format, channel.noisy_size)
     out, schedule, estimated = sdude_denoise(seq, args.k, args.m, channel, loss)
     if args.emit_schedule:

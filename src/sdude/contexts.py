@@ -23,16 +23,9 @@ class ContextPartition:
     """Partition of the interior positions of a sequence by two-sided context."""
 
     def __init__(self, z: SymbolSequence, k: int):
-        if not isinstance(k, (int, np.integer)) or k < 0:
-            raise RangeError(f"context half-width k must be a nonnegative integer, got {k!r}")
-        k = int(k)
-        n = len(z)
-        if n <= 2 * k:
-            raise SequenceTooShort(f"need n > 2k, got n={n}, k={k}")
-        base = z.alphabet_size
+        n, base = len(z), z.alphabet_size
+        k = _check_k(k, n, base)
         num_ids = base ** (2 * k)
-        if num_ids > 2**62:
-            raise TooLarge(f"context ids for |Z|={base}, k={k} overflow 64-bit packing")
         self.z = z
         self.k = k
         self.n = n
@@ -63,6 +56,18 @@ class ContextPartition:
     def occurring_contexts(self) -> np.ndarray:
         """Ids of contexts that occur at least once, ascending."""
         return self._unique_ids.copy()
+
+
+def _check_k(k, n: int, base: int) -> int:
+    """k as an int, once it is a valid half-width for n symbols of an alphabet of ``base``."""
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise RangeError(f"context half-width k must be a nonnegative integer, got {k!r}")
+    k = int(k)
+    if n <= 2 * k:
+        raise SequenceTooShort(f"need n > 2k, got n={n}, k={k}")
+    if base ** (2 * k) > 2**62:
+        raise TooLarge(f"context ids for |Z|={base}, k={k} overflow 64-bit packing")
+    return k
 
 
 def _radix_sort(ids: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:

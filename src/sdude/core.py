@@ -172,12 +172,8 @@ def _check_size(name: str, v) -> None:
         raise ValidationError(f"{name} must be a positive integer (at least 1), got {v!r}")
 
 
-def all_denoiser_mappings(noisy_size: int, recon_size: int) -> np.ndarray:
-    """Table of every rule's mapping, shape (recon_size ** noisy_size, noisy_size).
-
-    Row j is the mapping of the rule with index j, so the table realizes the
-    digit encoding in bulk.  More than ``MAX_RULES`` rules raise ``TooLarge``.
-    """
+def _rule_count(noisy_size: int, recon_size: int) -> int:
+    """The number of rules, recon_size ** noisy_size; over ``MAX_RULES`` raises ``TooLarge``."""
     _check_size("noisy_size", noisy_size)
     _check_size("recon_size", recon_size)
     # Python ints, so that the rule count never wraps.
@@ -187,6 +183,17 @@ def all_denoiser_mappings(noisy_size: int, recon_size: int) -> np.ndarray:
         raise TooLarge(
             f"{recon}^{noisy} single-symbol rules exceed the table budget of {MAX_RULES}"
         )
+    return num_rules
+
+
+def all_denoiser_mappings(noisy_size: int, recon_size: int) -> np.ndarray:
+    """Table of every rule's mapping, shape (recon_size ** noisy_size, noisy_size).
+
+    Row j is the mapping of the rule with index j, so the table realizes the
+    digit encoding in bulk.  More than ``MAX_RULES`` rules raise ``TooLarge``.
+    """
+    num_rules = _rule_count(noisy_size, recon_size)
+    noisy, recon = int(noisy_size), int(recon_size)
     idx = np.arange(num_rules, dtype=np.int64)[:, None]
     powers = recon ** np.arange(noisy, dtype=np.int64)[None, :]
     table = (idx // powers) % recon

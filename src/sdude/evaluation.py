@@ -32,13 +32,19 @@ from .errors import RangeError, ValidationError
 from .genie import genie_min_loss, genie_min_losses
 from .hmm import fb_posteriors, map_denoise
 from .sources import MarkovComponent, PiecewiseSourceSpec, _seed_sequence, corrupt, sample_piecewise
-from .switching import sdude_denoise_each
+from .switching import _check_budgets, _table_sum, sdude_denoise_each
 
 
 def cumulative_loss(
     x: SymbolSequence, xhat: SymbolSequence, loss: LossMatrix, start: int = 1, end: int | None = None
 ) -> float:
-    """Normalized loss between 1-based positions start and end, inclusive."""
+    """Normalized loss between 1-based positions start and end, inclusive.
+
+    The sum of the picked loss entries is correctly rounded (math.fsum's)
+    before the division by the span.  numpy's pairwise sum gives the same
+    bits whenever it is exact, as for every integer-valued loss such as
+    Hamming's; for other losses the two may differ in the last bit.
+    """
     n = len(x)
     if len(xhat) != n:
         raise ValidationError(f"sequence lengths differ ({n} != {len(xhat)})")
@@ -50,8 +56,8 @@ def cumulative_loss(
         end = n
     if not 1 <= start <= end <= n:
         raise RangeError(f"need 1 <= start <= end <= {n}, got [{start}, {end}]")
-    seg = loss.lam[x.symbols[start - 1 : end], xhat.symbols[start - 1 : end]]
-    return float(seg.sum() / (end - start + 1))
+    span = slice(start - 1, end)
+    return _table_sum(loss.lam, x.symbols[span], xhat.symbols[span]) / (end - start + 1)
 
 
 @dataclass(frozen=True)
@@ -233,6 +239,11 @@ def run_switching_hmm_experiment(
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValidationError(f"switching-hmm needs a sequence length of at least 2, got {n!r}")
+    # Every k and budget is checked as the denoisers check them, before anything is sampled.
+    k_list, budgets = tuple(k_list), (0, *m_list)
+    for k in k_list:
+        _check_budgets(n, k, 2, budgets)
+    budgets = (0, *(m for m in budgets if m != 0))
     trans1 = np.array([[1.0 - p1, p1], [p1, 1.0 - p1]])
     trans2 = np.array([[1.0 - p2, p2], [p2, 1.0 - p2]])
     spec = PiecewiseSourceSpec(
@@ -255,8 +266,6 @@ def run_switching_hmm_experiment(
     fb_out = map_denoise(fb_posteriors(z, segments, channel), loss)
     results = [_scored("fb-genie", x, fb_out, loss, delta, None, None, seed)]
     del fb_out
-    # sdude_denoise_each checks k and the budgets before they are converted for the report.
-    budgets = (0, *(m for m in m_list if m != 0))
     for k in k_list:
         # One k's outputs and schedules, with the partition they share, go
         # out of scope with this comprehension, before the next k's solve.

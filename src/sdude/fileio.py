@@ -24,11 +24,11 @@ from .core import (
     ChannelModel,
     LossMatrix,
     SymbolSequence,
+    _square_side,
     bsc_channel,
     build_channel,
     build_loss,
     hamming_loss,
-    identity_channel,
 )
 from .errors import ValidationError
 from .switching import SwitchingSchedule
@@ -107,12 +107,20 @@ def _spec_size(spec: str, name: str, size: int | None, kind: str) -> int | None:
     return size
 
 
+def channel_matrix(spec: str, size: int | None = None) -> np.ndarray:
+    """The matrix of "bsc:<delta>", "identity[:<size>]", or a matrix file path.
+
+    Only a bsc spec is validated here; ``build_channel`` checks the others.
+    """
+    if spec.startswith("bsc:"):
+        return bsc_channel(_spec_number(spec, float)).pi
+    size = _spec_size(spec, "identity", size, "channel")
+    return load_matrix(spec) if size is None else np.eye(_square_side(size))
+
+
 def channel_from_spec(spec: str, size: int | None = None) -> ChannelModel:
     """Build a channel from "bsc:<delta>", "identity[:<size>]", or a matrix file path."""
-    if spec.startswith("bsc:"):
-        return bsc_channel(_spec_number(spec, float))
-    size = _spec_size(spec, "identity", size, "channel")
-    return build_channel(load_matrix(spec)) if size is None else identity_channel(size)
+    return build_channel(channel_matrix(spec, size))
 
 
 def loss_from_spec(spec: str, clean_size: int | None = None) -> LossMatrix:

@@ -92,8 +92,10 @@ def _step(state, emit, out, work, forward):
         np.add(u, v, out=u)
     if forward:
         np.multiply(u, emit, out=u)
-    # Rows add in order, as in the scalar loop; numpy sums one column of 8+ rows pairwise.
-    np.add.reduce(u, axis=0, out=s)
+    # The rows add in order, as in the step loop; one state adds 0.0, which is exact.
+    np.add(u[0], u[1] if len(u) > 1 else 0.0, out=s)
+    for y in range(2, len(u)):
+        np.add(s, u[y], out=s)
     np.divide(u, s, out=out)
 
 

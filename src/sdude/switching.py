@@ -35,13 +35,20 @@ budget's level, and every budget walks back from its own top level (never
 more levels than the longest chain has occurrences), giving the same bits as
 a solve of that budget alone.  ``sdude_denoise_each`` maps one solve to one
 output per budget; its boundary positions copy z, or emit 0 when the
-reconstruction alphabet is the smaller.  Each schedule carries the
-partition, for the genie to reuse, and its shifts per context as an array in
-the partition's group order.  ``sdude_denoise`` solves a single budget.  The
-plain sliding-window denoiser is the m = 0 budget, and the genie runs the
-kernel on the true loss.  Time is O(m * n); memory is one batch of DP values,
-at most about ``_BATCH_FLOATS`` floats unless a single chain is longer, plus
-one compact assignment per budget.
+reconstruction alphabet is the smaller.  Each budget forms one flat index
+per interior symbol, code * rules + rule, in the narrowest unsigned dtype
+(``uint8`` for binary data): one ``np.take`` of the rule table maps it
+into the output (with mode "clip", which needs no buffer; every index is
+in range), and one count of the same index gives the correctly rounded
+estimated loss, as ``evaluation.cumulative_loss`` gives the true one.  Each
+schedule carries the partition, for the genie to reuse, and its shifts per
+context as an array in the partition's group order.  ``sdude_denoise``
+solves a single budget.  The plain sliding-window denoiser is the m = 0
+budget, and the genie runs the kernel on the true loss.  Time is
+O(m * n); memory is one batch of DP values, at most about
+``_BATCH_FLOATS`` floats unless a single chain is longer (a batch's values
+are freed before the next batch's are built), plus one compact assignment
+per budget.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contexts import ContextPartition, build_partition
+from .contexts import ContextPartition, _check_k, build_partition
 from .core import ChannelModel, LossMatrix, SymbolSequence, symbol_dtype
 from .errors import RangeError, TooLarge, ValidationError
 from .estimation import EstimatedLossTable, build_tables
@@ -175,7 +182,10 @@ def _forward_batch(
     offset 0 and needs no clamping.  On finite values ``fmin`` finds it as
     ``minimum`` does, differing only in which zero of a +-0 tie it keeps.
     No comparison sees that, and no sum S + floor shows it: where S[j, p] is
-    -0, every w[j, :p+1] is -0 and every zero the scan meets is +0.
+    -0, every w[j, :p+1] is -0 and every zero the scan meets is +0.  Each
+    stored level's subtraction, scan and addition run in place in its own
+    slot of M; the top level's masked minimum takes one rule at a time
+    through a single (chains, L - 1) buffer.
 
     Returns (M, best, top).  M holds the levels below the top one, of shape
     (levels - 1, N, chains, L), and best their minima over the rules; with
@@ -189,21 +199,23 @@ def _forward_batch(
     M = np.empty((max(levels - 1, 1), num_rules, chains, L))
     best = np.empty((levels - 1, chains, L))
     S = np.cumsum(w, axis=2, out=M[0])
-    floor = np.empty((num_rules, chains, L - 1))
     for i in range(1, levels):
         np.minimum.reduce(M[i - 1], axis=0, out=best[i - 1])
-        np.subtract(best[i - 1, None, :, : L - 1], S[:, :, : L - 1], out=floor)
         if i == levels - 1:
             break
-        level = M[i]
-        level[:, :, 0] = w[:, :, 0]
+        M[i, :, :, 0] = w[:, :, 0]
+        floor = M[i, :, :, 1:]
+        np.subtract(best[i - 1, None, :, : L - 1], S[:, :, : L - 1], out=floor)
         np.fmin.accumulate(floor, axis=2, out=floor)
-        np.add(S[:, :, 1:], floor, out=level[:, :, 1:])
+        np.add(S[:, :, 1:], floor, out=floor)
     top = S[:, np.arange(chains), last]
     if levels > 1:
         before = np.arange(L - 1) < last[:, None]
-        reach = np.minimum.reduce(floor, axis=2, where=before, initial=np.inf)
-        np.add(top, reach, out=top, where=last > 0)
+        floor = np.empty((chains, L - 1))
+        for j in range(num_rules):
+            np.subtract(best[-1, :, : L - 1], S[j, :, : L - 1], out=floor)
+            reach = np.minimum.reduce(floor, axis=1, where=before, initial=np.inf)
+            np.add(top[j], reach, out=top[j], where=last > 0)
     return M, best, top
 
 
@@ -244,19 +256,21 @@ def _backward_batch(
     the schedule uses as few shifts as possible.  Every step lowers r by
     one, so the walk is one vector step per level for the whole batch; the
     new rule is an argmin over the rules at the chosen occurrence only.
-    Returns the (chains, L) rule assignment, whose slots past a chain's end
-    repeat the rule of its last run, and the shifts used per chain.
+    Each shift records the run it ends (chain, start, rule), and one
+    ``np.repeat`` of the runs, sorted by chain and start, lays out the
+    (chains, L) rule assignment, whose slots past a chain's end repeat the
+    rule of its last run.  With no level below the top (``best`` empty)
+    nothing is walked and ``row`` is not read.  Returns the assignment and
+    the shifts used per chain.
     """
-    chains, L = row.shape
+    chains, L = last.size, M.shape[-1]
     cols = np.arange(L)
     top = r = best.shape[0]
     q = q.copy()
     upper = last.copy()
     switches = np.zeros(chains, dtype=np.int64)
-    # The rule change at each run start; its running sum along a chain is
-    # the rule at every occurrence.  Rule indices are below core.MAX_RULES
-    # (4096), so every change fits int16.
-    change = np.zeros((chains, L), dtype=np.int16)
+    # The start (chain * L + occurrence) and rule of each run; a run lasts until the next.
+    starts, rules = [], []
     active = np.flatnonzero(upper > 0)
     while r > 0 and active.size:
         stay = row[active] if r == top else M[r][q[active], active]
@@ -267,14 +281,16 @@ def _backward_batch(
         active = active[found]
         p = last_hit[found] + 1
         r -= 1
-        run_rule = q[active]
+        starts.append(active * L + p)
+        rules.append(q[active])
         q[active] = M[r][:, active, p - 1].argmin(axis=0)
-        change[active, p] = run_rule - q[active]
         upper[active] = p - 1
         switches[active] += 1
         active = active[p > 1]
-    change[:, 0] = q
-    return np.cumsum(change, axis=1, out=change), switches
+    starts = np.concatenate([*starts, np.arange(chains) * L])
+    order = np.argsort(starts)
+    lengths = np.diff(starts[order], append=chains * L)
+    return np.repeat(np.concatenate([*rules, q])[order], lengths).reshape(chains, L), switches
 
 
 def _solve_chains(
@@ -312,17 +328,19 @@ def _solve_chains(
         last = lengths - 1
         w = np.take(rules_major, np.take(codes, pos), axis=1)
         M, best, top = _forward_batch(w, tops[-1], last)
+        del w
         for lv in tops:
             at_last = top if lv == tops[-1] else M[lv - 1][:, np.arange(chains.size), last]
             q = at_last.argmin(axis=0)
             mins[lv][chains] = np.minimum.reduce(at_last, axis=0)
-            row = _level_row(M, best, lv - 1, q)
+            row = _level_row(M, best, lv - 1, q) if lv > 1 else None
             assign, switches[lv][chains] = _backward_batch(
                 M[: lv - 1], best[: lv - 1], last, q, row
             )
             # A padded slot repeats its chain's last position and carries the
             # rule of the last run, so writing it again stores the same value.
             assignments[lv][pos] = np.take(keep, assign)
+        del M, best, top, row, assign
     # fsum rounds the exact sum once, so the chains' order does not matter.
     return [
         (
@@ -338,21 +356,47 @@ def _solve_chains(
     ]
 
 
-def _table_sum(table: np.ndarray, codes: np.ndarray, assignment: np.ndarray) -> float:
-    """Correctly rounded sum of table[codes[t], assignment[t]] over all t.
+def _flat_index(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Where table[rows[t], cols[t]] is in ``table.ravel()``, in the narrowest dtype that fits.
 
-    Equal to math.fsum over the picked entries, since both round the exact
-    sum once; it counts how often each table entry is picked instead of
-    visiting every position, and adds the counted entries exactly as
-    integer multiples of a common power-of-two unit.
+    The dtype also holds the row width, which multiplies the rows in place.
     """
-    # Widened first: narrow codes would wrap once codes x rules exceeds their dtype.
-    uses = np.bincount(codes.astype(np.intp) * table.shape[1] + assignment, minlength=table.size)
+    index = rows.astype(np.min_scalar_type(max(table.size - 1, table.shape[1])))
+    return np.add(np.multiply(index, table.shape[1], out=index), cols, out=index, casting="unsafe")
+
+
+def _index_sum(table: np.ndarray, index: np.ndarray) -> float:
+    """Correctly rounded sum of ``table.ravel()[index]``, equal to math.fsum's.
+
+    ``np.add.at`` counts each entry's picks from the narrow index as it is
+    (``np.bincount`` would copy it to intp first); each count times its
+    entry is added exactly as an integer multiple of a common power-of-two
+    unit, and the sum rounded once.
+    """
+    uses = np.zeros(table.size, dtype=np.intp)
+    np.add.at(uses, index, 1)
     picked = np.flatnonzero(uses)
     ratios = [value.as_integer_ratio() for value in table.ravel()[picked].tolist()]
     unit = max(den for _, den in ratios)
     counts = uses[picked].tolist()
     return sum(num * (unit // den) * c for (num, den), c in zip(ratios, counts)) / unit
+
+
+def _table_sum(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
+    """Correctly rounded sum of table[rows[t], cols[t]] over all t."""
+    return _index_sum(table, _flat_index(table, rows, cols))
+
+
+def _check_budgets(n: int, k, base: int, budgets) -> tuple:
+    """The shift budgets as a tuple, once k and each budget are valid for n symbols."""
+    budgets = tuple(budgets)
+    if not budgets:
+        raise ValidationError("need at least one shift budget")
+    most = (n - 2 * _check_k(k, n, base)) // 2
+    for m in budgets:
+        if not isinstance(m, (int, np.integer)) or not 0 <= m <= most:
+            raise RangeError(f"shift budget m must satisfy 0 <= m <= {most}, got {m!r}")
+    return budgets
 
 
 def sdude_denoise_each(
@@ -378,15 +422,8 @@ def sdude_denoise_each(
         and np.array_equal(tables.loss.lam, loss.lam)
     ):
         raise ValidationError("tables were built for another channel or loss")
-    budgets = tuple(budgets)
-    if not budgets:
-        raise ValidationError("need at least one shift budget")
+    budgets = _check_budgets(len(z), k, z.alphabet_size, budgets)
     partition = build_partition(z, k)
-    for m in budgets:
-        if not isinstance(m, (int, np.integer)) or not 0 <= m <= partition.num_interior // 2:
-            raise RangeError(
-                f"shift budget m must satisfy 0 <= m <= {partition.num_interior // 2}, got {m!r}"
-            )
     if z.alphabet_size != tables.channel.noisy_size:
         raise ValidationError("sequence alphabet does not match the channel's noisy alphabet")
     n, recon = len(z), tables.loss.recon_size
@@ -397,11 +434,13 @@ def sdude_denoise_each(
     # be wider than z's.
     dtype = symbol_dtype(recon)
     copy = recon >= tables.channel.noisy_size
+    maps = np.ascontiguousarray(tables.mappings.T, dtype=dtype)
     results = []
     for schedule, _ in _solve_chains(partition, codes, tables.ell, budgets):
         out = z.symbols.astype(dtype) if copy else np.zeros(n, dtype=dtype)
-        out[k : n - k] = tables.mappings[schedule.assignment, codes]
-        estimated = _table_sum(tables.ell, codes, schedule.assignment) / codes.size
+        index = _flat_index(tables.ell, codes, schedule.assignment)
+        np.take(maps, index, out=out[k : n - k], mode="clip")
+        estimated = _index_sum(tables.ell, index) / codes.size
         results.append((SymbolSequence(out, recon), schedule, estimated))
     return results
 

@@ -8,6 +8,9 @@ that the optimized ones can be required to match them bit for bit:
 ``binary_posteriors_reference`` (the two-state forward-backward loop),
 ``generic_posteriors_reference`` (the per-step numpy forward-backward),
 ``fused_reference`` (the switching DP run one context chain at a time),
+``backward_batch_reference`` (the batched walk that summed int16 rule
+changes along each chain), ``cumulative_loss_reference`` (the pairwise
+float sum of the picked losses),
 ``schedule_to_json_reference`` (the per-position schedule dump),
 ``partition_reference`` (the int64 argsort build of a context partition),
 ``pbm_header_reference`` (the byte-by-byte PBM header tokenizer),
@@ -437,6 +440,65 @@ def fused_reference(partition, loss_rows, m, levels=None):
         assignment[idx] = assign
         per_context.append(switches)
     return assignment, np.array(per_context, dtype=np.int64), math.fsum(mins)
+
+
+def backward_batch_reference(
+    M: np.ndarray, best: np.ndarray, last: np.ndarray, q: np.ndarray, row: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Recover every chain's optimal rule runs from its forward values.
+
+    ``last[c]`` is the final occurrence of chain c.  The walk starts at
+    level r = len(best) in rule q[c] (the argmin at that occurrence), whose
+    values along the chain are row[c]; M and best hold the levels below r.
+    Walking from the last occurrence toward the first with current level r
+    and rule q, a shift is recorded at occurrence p exactly when the forward
+    recursion's shift branch was strictly better there:
+    best[r-1, p-1] < M[r, q, p-1].  Both quantities are stored forward
+    values, so the test reproduces the forward decisions bit for bit (a
+    subtraction of the current loss would reintroduce rounding and could
+    turn exact ties into spurious shifts).  Ties keep the current rule, so
+    the schedule uses as few shifts as possible.  Every step lowers r by
+    one, so the walk is one vector step per level for the whole batch; the
+    new rule is an argmin over the rules at the chosen occurrence only.
+    Returns the (chains, L) rule assignment, whose slots past a chain's end
+    repeat the rule of its last run, and the shifts used per chain.
+    """
+    chains, L = row.shape
+    cols = np.arange(L)
+    top = r = best.shape[0]
+    q = q.copy()
+    upper = last.copy()
+    switches = np.zeros(chains, dtype=np.int64)
+    # The rule change at each run start; its running sum along a chain is
+    # the rule at every occurrence.  Rule indices are below core.MAX_RULES
+    # (4096), so every change fits int16.
+    change = np.zeros((chains, L), dtype=np.int16)
+    active = np.flatnonzero(upper > 0)
+    while r > 0 and active.size:
+        stay = row[active] if r == top else M[r][q[active], active]
+        hits = np.less(best[r - 1, active], stay)
+        hits &= cols < upper[active, None]
+        last_hit = L - 1 - np.argmax(hits[:, ::-1], axis=1)
+        found = hits[np.arange(active.size), last_hit]
+        active = active[found]
+        p = last_hit[found] + 1
+        r -= 1
+        run_rule = q[active]
+        q[active] = M[r][:, active, p - 1].argmin(axis=0)
+        change[active, p] = run_rule - q[active]
+        upper[active] = p - 1
+        switches[active] += 1
+        active = active[p > 1]
+    change[:, 0] = q
+    return np.cumsum(change, axis=1, out=change), switches
+
+
+def cumulative_loss_reference(x, xhat, loss, start=1, end=None):
+    """Normalized loss over 1-based positions start..end as numpy's pairwise sum gives it."""
+    if end is None:
+        end = len(x)
+    seg = loss.lam[x.symbols[start - 1 : end], xhat.symbols[start - 1 : end]]
+    return float(seg.sum() / (end - start + 1))
 
 
 def schedule_to_json_reference(schedule, partition):

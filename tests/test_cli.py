@@ -287,6 +287,24 @@ class TestCliBehavior:
         err = capsys.readouterr().err
         assert "300^300" in err and len(err.encode()) < 200
 
+    def test_too_many_rules_are_refused_before_any_svd(self, tmp_path, capsys, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the channel was built")
+
+        # ``matrix_rank`` and ``pinv`` look ``svd`` up in their own module.
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setitem(np.linalg.matrix_rank.__wrapped__.__globals__, "svd", no_svd)
+        src = tmp_path / "in.raw"
+        src.write_bytes(bytes([0, 1, 1, 0]))
+        out = tmp_path / "never.raw"
+        argv = ["denoise", "--input", str(src), "--output", str(out), "--k", "0"]
+        assert main(argv + ["--channel", "identity:1024"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sdude: error:") and captured.err.count("\n") == 1
+        assert "1024^1024" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.raw"]
+
     @pytest.mark.parametrize(
         "flags, named",
         [

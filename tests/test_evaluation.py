@@ -1,21 +1,26 @@
 import json
+import math
 import sys
 
 import numpy as np
 import pytest
 
 import sdude
+from oracles import cumulative_loss_reference
 from sdude import (
     SymbolSequence,
     bsc_channel,
+    build_loss,
     concentration_sweep,
     cumulative_loss,
+    hamming_loss,
     identity_channel,
     run_switching_hmm_experiment,
     run_two_block_experiment,
     two_block_sequence,
 )
-from sdude.errors import RangeError, ValidationError
+from sdude import evaluation
+from sdude.errors import RangeError, SequenceTooShort, ValidationError
 
 
 class TestCumulativeLoss:
@@ -48,6 +53,44 @@ class TestCumulativeLoss:
         for x, xhat in ((two, three), (three, two)):
             with pytest.raises(ValidationError, match="exceed"):
                 cumulative_loss(x, xhat, hamming2)
+
+
+def random_pair_and_span(rng, clean, recon):
+    """Random sequences over the clean and reconstruction alphabets, and a 1-based span."""
+    n = int(rng.integers(1, 3000))
+    x = SymbolSequence(rng.integers(0, clean, size=n), clean)
+    xhat = SymbolSequence(rng.integers(0, recon, size=n), recon)
+    start, end = sorted(int(v) for v in rng.integers(1, n + 1, size=2))
+    return x, xhat, start, end
+
+
+class TestCumulativeLossSum:
+    """The counted, correctly rounded sum against numpy's pairwise sum and math.fsum."""
+
+    def test_hamming_and_dyadic_losses_equal_the_pairwise_sum(self):
+        rng = np.random.default_rng(41)
+        for trial in range(200):
+            clean, recon = (int(v) for v in rng.integers(1, 6, size=2))
+            if trial % 2:
+                loss = build_loss(rng.integers(0, 64, size=(clean, recon)) / 8.0)
+            else:
+                loss = hamming_loss(clean)
+                recon = clean
+            x, xhat, start, end = random_pair_and_span(rng, clean, recon)
+            want = cumulative_loss_reference(x, xhat, loss, start, end)
+            assert cumulative_loss(x, xhat, loss, start, end) == want
+            assert cumulative_loss(x, xhat, loss) == cumulative_loss_reference(x, xhat, loss)
+
+    def test_other_losses_are_the_correctly_rounded_sum(self):
+        rng = np.random.default_rng(42)
+        for _ in range(200):
+            clean, recon = (int(v) for v in rng.integers(1, 6, size=2))
+            loss = build_loss(rng.random((clean, recon)) * 10.0 ** rng.integers(-3, 4))
+            x, xhat, start, end = random_pair_and_span(rng, clean, recon)
+            span = slice(start - 1, end)
+            picked = loss.lam[x.symbols[span], xhat.symbols[span]]
+            want = math.fsum(picked.tolist()) / (end - start + 1)
+            assert cumulative_loss(x, xhat, loss, start, end) == want
 
 
 @pytest.fixture
@@ -209,6 +252,26 @@ class TestHarnessArguments:
     def test_switching_hmm_refuses_a_fractional_budget(self):
         with pytest.raises(RangeError, match="shift budget"):
             run_switching_hmm_experiment(100, 0.1, 0.01, 0.2, 50, k_list=(1,), m_list=(1.5,))
+
+    @pytest.mark.parametrize(
+        "k_list, m_list, error",
+        [
+            ((1,), (0.0,), RangeError),
+            ((1,), (1.5,), RangeError),
+            ((1,), (50,), RangeError),
+            ((-1,), (1,), RangeError),
+            ((1, 50), (1,), SequenceTooShort),
+        ],
+        ids=["m-0.0", "m-1.5", "m-over-budget", "k-negative", "k-too-long"],
+    )
+    def test_switching_hmm_checks_k_and_m_before_sampling(self, monkeypatch, k_list, m_list, error):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before the checks")
+
+        monkeypatch.setattr(evaluation, "sample_piecewise", never)
+        monkeypatch.setattr(evaluation, "fb_posteriors", never)
+        with pytest.raises(error):
+            run_switching_hmm_experiment(100, 0.1, 0.01, 0.2, 50, k_list=k_list, m_list=m_list)
 
     def test_numpy_integer_arguments_report_as_ints(self, bsc01):
         args = (100, 0.1, 0.01, 0.2)

@@ -448,6 +448,18 @@ class TestStepLoopMatchesBlocksBitwise:
         assert any(blocks > 1 and exact == blocks for blocks, exact in lockstep_runs)
         assert any(exact < blocks for blocks, exact in lockstep_runs)
 
+    @pytest.mark.parametrize("q", [8, 12, 16])
+    def test_one_segment_of_many_states(self, monkeypatch, q):
+        # One block and a tail: the block's normalizer must add its q states
+        # in order, as the loop does, not pairwise.
+        rng = np.random.default_rng(40 + q)
+        ch = build_channel(near_identity(q, 0.3))
+        z = SymbolSequence(rng.integers(0, q, size=400), q)
+        segments = [(1, 400, rng.dirichlet([3.0] * q, size=q))]
+        blocked = fb_posteriors(z, segments, ch)
+        monkeypatch.setattr(hmm, "BLOCK", 401)
+        assert np.array_equal(fb_posteriors(z, segments, ch), blocked)
+
     def test_impossible_observation_inside_a_tail_raises(self, lockstep_runs):
         # State 0 never emits 1 and every step leads to state 0, so the 1 at
         # position 2 * BLOCK + 20, in the forward pass's 49-step tail, has

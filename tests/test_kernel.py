@@ -23,6 +23,7 @@ from conftest import random_full_rank_channel
 from oracles import (
     _backward_chain,
     _forward_chain,
+    backward_batch_reference,
     brute_force_min,
     context_groups,
     forward_pass,
@@ -231,6 +232,40 @@ class TestEveryBudget:
         for schedule, _ in solved:
             assert schedule.assignment.dtype == dtype
             assert int(schedule.assignment.max()) < num_rules
+
+
+# Losses with exact ties, ties broken by one unit in the last place, and both zeros.
+NEAR_TIES = [0.0, -0.0, 1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53, -1.0, 0.5, 3.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lengths=st.lists(st.integers(1, 300), min_size=1, max_size=6),
+    levels=st.integers(1, 6),
+    num_rules=st.integers(1, 4),
+    values=st.lists(st.sampled_from(NEAR_TIES), min_size=12, max_size=12),
+)
+def test_walk_equals_the_summed_changes_reference(seed, lengths, levels, num_rules, values):
+    # Every level count's walk of one padded batch gives the reference's
+    # assignment, padding included, and its shifts per chain.
+    table = np.array(values[: 3 * num_rules]).reshape(3, num_rules)
+    lengths = np.array(lengths)
+    w, _ = padded_batch(np.random.default_rng(seed), table, lengths)
+    last = lengths - 1
+    deepest = min(levels, int(lengths.max()))
+    M, best, top = switching._forward_batch(w, deepest, last)
+    for lv in range(1, deepest + 1):
+        at_last = top if lv == deepest else M[lv - 1][:, np.arange(lengths.size), last]
+        q = at_last.argmin(axis=0)
+        row = switching._level_row(M, best, lv - 1, q)
+        want, want_switches = backward_batch_reference(M[: lv - 1], best[: lv - 1], last, q, row)
+        # With one level there is nothing to walk, and the solve passes no row.
+        assign, switches = switching._backward_batch(
+            M[: lv - 1], best[: lv - 1], last, q, row if lv > 1 else None
+        )
+        assert np.array_equal(assign, want)
+        assert np.array_equal(switches, want_switches)
 
 
 @settings(max_examples=80, deadline=None)

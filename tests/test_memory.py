@@ -1,4 +1,5 @@
-"""Peak traced memory per symbol of the sampler, the smoother and the switching-HMM experiment.
+"""Peak traced memory per symbol of the sampler, the smoother, the denoiser, the loss and the
+switching-HMM experiment.
 
 Each bound is the peak measured at n = 10^5 (numpy 2.4, Python 3.11) plus
 about 10%.  A stage that keeps a buffer alive after its last use, or symbols
@@ -14,9 +15,12 @@ from sdude import (
     PiecewiseSourceSpec,
     bsc_channel,
     corrupt,
+    cumulative_loss,
     fb_posteriors,
+    hamming_loss,
     run_switching_hmm_experiment,
     sample_piecewise,
+    sdude_denoise_each,
 )
 
 N = 10**5
@@ -30,6 +34,14 @@ FB_POSTERIORS_BYTES = 44
 # Measured 47.5 B per symbol, in the k = 4 solve; the posteriors are freed
 # before the denoisers run, and each k's outputs before the next k's solve.
 SWITCHING_HMM_BYTES = 52
+# Measured 38.1 B per symbol at k = 4, budgets (0, 1): the partition's order
+# (8 B) and the two assignments (2 B), plus the DP values and positions of
+# the longest chain's batch (about 0.12 n occurrences) while the budget-1
+# walk builds its top level's row; no earlier batch's values are held then.
+SDUDE_DENOISE_EACH_BYTES = 42
+# Measured 1.7 B per symbol: the one-byte flat index of the (x, xhat) pairs
+# and the buffer in which ``np.add.at`` widens it, a block at a time.
+CUMULATIVE_LOSS_BYTES = 1.9
 
 
 def traced_peak(fn, *args) -> int:
@@ -66,3 +78,20 @@ def test_switching_hmm_experiment_peak_per_symbol():
     run_switching_hmm_experiment(1000, 0.1, 0.01, 0.2, seed=3)
     peak = traced_peak(run_switching_hmm_experiment, N, 0.1, 0.01, 0.2, None, (4, 6), (1,), 3)
     assert peak / N < SWITCHING_HMM_BYTES
+
+
+def test_sdude_denoise_each_peak_per_symbol():
+    channel, loss = bsc_channel(0.1), hamming_loss(2)
+    z = corrupt(sample_piecewise(SPEC, N, 5), channel, 6)
+    sdude_denoise_each(z, 4, (0, 1), channel, loss)
+    peak = traced_peak(sdude_denoise_each, z, 4, (0, 1), channel, loss)
+    assert peak / N < SDUDE_DENOISE_EACH_BYTES
+
+
+def test_cumulative_loss_peak_per_symbol():
+    channel, loss = bsc_channel(0.1), hamming_loss(2)
+    x = sample_piecewise(SPEC, N, 5)
+    z = corrupt(x, channel, 6)
+    cumulative_loss(x, z, loss)
+    peak = traced_peak(cumulative_loss, x, z, loss)
+    assert peak / N < CUMULATIVE_LOSS_BYTES
