@@ -201,11 +201,16 @@ def all_denoiser_mappings(noisy_size: int, recon_size: int) -> np.ndarray:
     return table
 
 
-def bsc_channel(delta: float) -> ChannelModel:
-    """Binary symmetric channel with crossover probability delta."""
+def _bsc_matrix(delta: float) -> np.ndarray:
+    """The matrix of the binary symmetric channel with crossover probability delta."""
     if not 0.0 <= delta <= 1.0:
         raise ValidationError("crossover probability must lie in [0, 1]")
-    return build_channel([[1.0 - delta, delta], [delta, 1.0 - delta]])
+    return np.array([[1.0 - delta, delta], [delta, 1.0 - delta]])
+
+
+def bsc_channel(delta: float) -> ChannelModel:
+    """Binary symmetric channel with crossover probability delta."""
+    return build_channel(_bsc_matrix(delta))
 
 
 def _square_side(size) -> int:

@@ -21,12 +21,10 @@ import tempfile
 import numpy as np
 
 from .core import (
-    ChannelModel,
     LossMatrix,
     SymbolSequence,
+    _bsc_matrix,
     _square_side,
-    bsc_channel,
-    build_channel,
     build_loss,
     hamming_loss,
 )
@@ -110,17 +108,12 @@ def _spec_size(spec: str, name: str, size: int | None, kind: str) -> int | None:
 def channel_matrix(spec: str, size: int | None = None) -> np.ndarray:
     """The matrix of "bsc:<delta>", "identity[:<size>]", or a matrix file path.
 
-    Only a bsc spec is validated here; ``build_channel`` checks the others.
+    Only a bsc spec's crossover is checked here; ``build_channel`` checks the rest.
     """
     if spec.startswith("bsc:"):
-        return bsc_channel(_spec_number(spec, float)).pi
+        return _bsc_matrix(_spec_number(spec, float))
     size = _spec_size(spec, "identity", size, "channel")
     return load_matrix(spec) if size is None else np.eye(_square_side(size))
-
-
-def channel_from_spec(spec: str, size: int | None = None) -> ChannelModel:
-    """Build a channel from "bsc:<delta>", "identity[:<size>]", or a matrix file path."""
-    return build_channel(channel_matrix(spec, size))
 
 
 def loss_from_spec(spec: str, clean_size: int | None = None) -> LossMatrix:

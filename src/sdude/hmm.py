@@ -27,13 +27,16 @@ transition), runs in one step loop on Python floats that does the same
 operations in the same order, for any number of states.  An observation
 of zero probability under the model raises ``ValidationError`` instead of
 returning NaN rows; so does one whose scaled messages underflow to zero.
+
+``map_denoise`` scores a chunk of positions at a time without BLAS, so its
+decisions depend on neither the BLAS library nor its threads.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import ChannelModel, LossMatrix, SymbolSequence
+from .core import ChannelModel, LossMatrix, SymbolSequence, symbol_dtype
 from .errors import ValidationError
 from .sources import is_stochastic, stationary_distribution
 
@@ -266,10 +269,28 @@ def fb_posteriors(z: SymbolSequence, segments, channel: ChannelModel) -> np.ndar
     return _posteriors(z.symbols, segs, channel.pi, stationary_distribution(segs[0][2]))
 
 
+MAP_CHUNK = 2**14  # posterior rows that ``map_denoise`` decides at a time
+
+
 def map_denoise(posteriors: np.ndarray, loss: LossMatrix) -> SymbolSequence:
-    """Loss-minimizing reconstruction per position, ties to the smallest symbol."""
+    """Loss-minimizing reconstruction per position, ties to the smallest symbol.
+
+    Symbol r costs ``post[t, 0] * lam[0, r] + post[t, 1] * lam[1, r] + ...``, summed in state
+    order; a decision moves up to r only where r costs strictly less than every symbol below it.
+    """
     posteriors = np.asarray(posteriors, dtype=np.float64)
     if posteriors.ndim != 2 or posteriors.shape[1] != loss.clean_size:
         raise ValidationError("posteriors must have one row per position over the clean alphabet")
-    costs = posteriors @ loss.lam
-    return SymbolSequence(np.argmin(costs, axis=1), loss.recon_size)
+    out = np.zeros(len(posteriors), dtype=symbol_dtype(loss.recon_size))
+    rows = np.empty((3, min(len(out), MAP_CHUNK)))
+    for lo in range(0, len(out), MAP_CHUNK):
+        cols, dest = posteriors[lo : lo + MAP_CHUNK].T, out[lo : lo + MAP_CHUNK]
+        best, cost, term = rows[:, : len(dest)]
+        for r, weights in enumerate(loss.lam.T):
+            acc = np.multiply(cols[0], weights[0], out=cost if r else best)
+            for x in range(1, len(cols)):
+                np.add(acc, np.multiply(cols[x], weights[x], out=term), out=acc)
+            if r:
+                np.maximum(dest, np.less(acc, best) * dest.dtype.type(r), out=dest)
+                np.minimum(best, acc, out=best)
+    return SymbolSequence(out, loss.recon_size)

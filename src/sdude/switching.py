@@ -132,7 +132,9 @@ def _batches(partition: ContextPartition, levels: int, num_rules: int):
             chains = by_length[s : min(s + cap, hi)]
             lengths = counts[chains]
             steps = np.minimum(np.arange(lengths[-1]), lengths[:, None] - 1)
-            yield chains, lengths, partition._order[partition._starts[chains, None] + steps]
+            pos = partition._order[partition._starts[chains, None] + steps]
+            del steps  # not held while the caller solves the batch
+            yield chains, lengths, pos
         lo, width = hi, 2 * width
 
 

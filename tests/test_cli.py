@@ -14,6 +14,12 @@ from sdude import SymbolSequence, bsc_channel, corrupt, dude_denoise, fileio, ha
 from sdude.cli import main
 
 
+def _patch_svd(monkeypatch, replacement):
+    """Replace ``np.linalg.svd`` for the test, also where ``matrix_rank`` and ``pinv`` look it up."""
+    monkeypatch.setattr(np.linalg, "svd", replacement)
+    monkeypatch.setitem(np.linalg.matrix_rank.__wrapped__.__globals__, "svd", replacement)
+
+
 class TestDenoiseCommand:
     def test_identity_round_trip_raw(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -291,9 +297,7 @@ class TestCliBehavior:
         def no_svd(*args, **kwargs):
             raise AssertionError("the channel was built")
 
-        # ``matrix_rank`` and ``pinv`` look ``svd`` up in their own module.
-        monkeypatch.setattr(np.linalg, "svd", no_svd)
-        monkeypatch.setitem(np.linalg.matrix_rank.__wrapped__.__globals__, "svd", no_svd)
+        _patch_svd(monkeypatch, no_svd)
         src = tmp_path / "in.raw"
         src.write_bytes(bytes([0, 1, 1, 0]))
         out = tmp_path / "never.raw"
@@ -304,6 +308,22 @@ class TestCliBehavior:
         assert captured.err.startswith("sdude: error:") and captured.err.count("\n") == 1
         assert "1024^1024" in captured.err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.raw"]
+
+    def test_a_bsc_channel_is_built_once(self, tmp_path, monkeypatch):
+        # ``matrix_rank`` and ``pinv`` take one SVD each.
+        calls = []
+        svd = np.linalg.svd
+
+        def counted_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        _patch_svd(monkeypatch, counted_svd)
+        src = tmp_path / "in.raw"
+        src.write_bytes(bytes([0, 1, 1, 0, 1]))
+        argv = ["denoise", "--input", str(src), "--output", str(tmp_path / "out.raw")]
+        assert main(argv + ["--channel", "bsc:0.1", "--k", "0"]) == 0
+        assert calls == [(2, 2), (2, 2)]
 
     @pytest.mark.parametrize(
         "flags, named",

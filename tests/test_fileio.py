@@ -13,6 +13,7 @@ from sdude import (
     LossMatrix,
     SymbolSequence,
     bsc_channel,
+    build_channel,
     build_loss,
     fileio,
     hamming_loss,
@@ -68,21 +69,26 @@ class TestMatrixFiles:
             fileio.load_matrix(path)
 
 
+def _channel(spec):
+    """The channel of a spec, built as ``sdude denoise`` builds it."""
+    return build_channel(fileio.channel_matrix(spec))
+
+
 class TestSpecConstructors:
     def test_bsc(self):
-        ch = fileio.channel_from_spec("bsc:0.25")
+        ch = _channel("bsc:0.25")
         np.testing.assert_allclose(ch.pi, [[0.75, 0.25], [0.25, 0.75]])
 
     def test_identity(self):
-        ch = fileio.channel_from_spec("identity:3")
+        ch = _channel("identity:3")
         np.testing.assert_array_equal(ch.pi, np.eye(3))
         with pytest.raises(ValidationError):
-            fileio.channel_from_spec("identity")
+            _channel("identity")
 
     def test_channel_from_file(self, tmp_path):
         path = tmp_path / "ch.txt"
         save_matrix(path, np.array([[0.8, 0.2], [0.3, 0.7]]))
-        ch = fileio.channel_from_spec(str(path))
+        ch = _channel(str(path))
         np.testing.assert_allclose(ch.pi, [[0.8, 0.2], [0.3, 0.7]])
 
     def test_hamming(self):
@@ -303,7 +309,7 @@ class TestParsersOnlyRaiseDenoiseError:
     def test_matrix_files(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("matrix") / "m.txt"
         path.write_bytes(data)
-        for build in (fileio.channel_from_spec, fileio.loss_from_spec):
+        for build in (_channel, fileio.loss_from_spec):
             try:
                 build(str(path))
             except DenoiseError:
@@ -312,8 +318,8 @@ class TestParsersOnlyRaiseDenoiseError:
     @given(
         build=st.sampled_from(
             [
-                (fileio.channel_from_spec, "bsc:"),
-                (fileio.channel_from_spec, "identity:"),
+                (_channel, "bsc:"),
+                (_channel, "identity:"),
                 (fileio.loss_from_spec, "hamming:"),
             ]
         ),

@@ -13,6 +13,7 @@ from sdude import (
     SymbolSequence,
     bsc_channel,
     build_channel,
+    build_loss,
     corrupt,
     fb_posteriors,
     identity_channel,
@@ -526,6 +527,68 @@ class TestMapDenoise:
     def test_shape_validation(self, hamming2):
         with pytest.raises(ValidationError):
             map_denoise(np.ones((4, 3)) / 3, hamming2)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_random_losses_and_exact_ties_match_the_stated_sums(self, q):
+        rng = np.random.default_rng(q)
+        # Past one chunk, and with rows of equal posteriors.
+        post = rng.dirichlet(np.ones(q), size=hmm.MAP_CHUNK + 500)
+        post[::7] = 1.0 / q
+        for recon in (q, q + 2):
+            lam = rng.random((q, recon))
+            # The last symbol copies the first: it ties everywhere and never wins.
+            lam[:, -1] = lam[:, 0]
+            for loss in (build_loss(lam), build_loss(np.round(lam * 3))):
+                out = map_denoise(post, loss).symbols
+                assert out.tolist() == _decisions_reference(post, loss.lam)
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_costs_are_summed_in_state_order(self, q):
+        # Symbol ``tie`` costs p_0 * v, exactly the state-order cost of the
+        # random symbol; a sum in another order differs in its last bits
+        # for many of these rows, and then one of the two layouts picks 1.
+        rng = np.random.default_rng(10 + q)
+        checked = 0
+        for _ in range(300):
+            p, column = rng.dirichlet(np.ones(q)), rng.random(q)
+            cost = _cost_reference(p.tolist(), column.tolist())
+            v = next((v for v in _neighbours(cost / p[0]) if p[0] * v == cost), None)
+            if v is None:
+                continue
+            tie = np.zeros(q)
+            tie[0] = v
+            for lam in (np.stack([column, tie], axis=1), np.stack([tie, column], axis=1)):
+                assert map_denoise(p[None, :], build_loss(lam)).symbols.tolist() == [0]
+            checked += 1
+        assert checked > 200
+
+
+def _cost_reference(p, column):
+    """``p[0] * column[0] + p[1] * column[1] + ...`` on Python floats, in state order."""
+    cost = p[0] * column[0]
+    for px, weight in zip(p[1:], column[1:]):
+        cost += px * weight
+    return cost
+
+
+def _decisions_reference(post, lam):
+    """Each row's first symbol of least ``_cost_reference``."""
+    columns = lam.T.tolist()
+    decisions = []
+    for p in post.tolist():
+        costs = [_cost_reference(p, column) for column in columns]
+        decisions.append(costs.index(min(costs)))
+    return decisions
+
+
+def _neighbours(value, steps=4):
+    """``value`` and the floats up to ``steps`` ulps either side of it."""
+    below = above = value
+    found = [value]
+    for _ in range(steps):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        found += [float(below), float(above)]
+    return found
 
 
 def test_random_parameterizations_match_enumeration():

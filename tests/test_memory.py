@@ -1,5 +1,5 @@
-"""Peak traced memory per symbol of the sampler, the smoother, the denoiser, the loss and the
-switching-HMM experiment.
+"""Peak traced memory per symbol of the sampler, the smoother and its decisions, the denoiser,
+the loss and the switching-HMM experiment.
 
 Each bound is the peak measured at n = 10^5 (numpy 2.4, Python 3.11) plus
 about 10%.  A stage that keeps a buffer alive after its last use, or symbols
@@ -18,6 +18,7 @@ from sdude import (
     cumulative_loss,
     fb_posteriors,
     hamming_loss,
+    map_denoise,
     run_switching_hmm_experiment,
     sample_piecewise,
     sdude_denoise_each,
@@ -34,11 +35,15 @@ FB_POSTERIORS_BYTES = 44
 # Measured 47.5 B per symbol, in the k = 4 solve; the posteriors are freed
 # before the denoisers run, and each k's outputs before the next k's solve.
 SWITCHING_HMM_BYTES = 52
-# Measured 38.1 B per symbol at k = 4, budgets (0, 1): the partition's order
+# Measured 35.5 B per symbol at k = 4, budgets (0, 1): the partition's order
 # (8 B) and the two assignments (2 B), plus the DP values and positions of
 # the longest chain's batch (about 0.12 n occurrences) while the budget-1
-# walk builds its top level's row; no earlier batch's values are held then.
-SDUDE_DENOISE_EACH_BYTES = 42
+# walk builds its top level's row; no earlier batch's values are held then,
+# nor the step offsets from which the batch's positions were gathered.
+SDUDE_DENOISE_EACH_BYTES = 37
+# Measured 5.9 B per symbol: the output and its read-only copy (1 B each), and
+# the three cost rows of one chunk, 3 x 2^14 floats (3.9 B per symbol at 10^5).
+MAP_DENOISE_BYTES = 6.5
 # Measured 1.7 B per symbol: the one-byte flat index of the (x, xhat) pairs
 # and the buffer in which ``np.add.at`` widens it, a block at a time.
 CUMULATIVE_LOSS_BYTES = 1.9
@@ -71,6 +76,15 @@ def test_fb_posteriors_peak_per_symbol():
     segments = [(1, N // 2, flips[0]), (N // 2 + 1, N, flips[1])]
     peak = traced_peak(fb_posteriors, z, segments, channel)
     assert peak / N < FB_POSTERIORS_BYTES
+
+
+def test_map_denoise_peak_per_symbol():
+    channel, loss = bsc_channel(0.1), hamming_loss(2)
+    z = corrupt(sample_piecewise(SPEC, N, 5), channel, 6)
+    posteriors = fb_posteriors(z, [(1, N // 2, FLIPS[0]), (N // 2 + 1, N, FLIPS[1])], channel)
+    map_denoise(posteriors, loss)
+    peak = traced_peak(map_denoise, posteriors, loss)
+    assert peak / N < MAP_DENOISE_BYTES
 
 
 def test_switching_hmm_experiment_peak_per_symbol():
