@@ -6,7 +6,9 @@ reading order (left window first, then right window).  The ids are held in
 the smallest unsigned dtype that fits q^(2k) - 1 (``uint8`` for binary data
 up to k = 4, ``uint16`` up to k = 8) and grouped by an LSD radix sort: one
 stable argsort per 16-bit digit.  Only contexts that actually occur are
-materialized, so memory stays O(n) for any k.  A
+materialized, so memory stays O(n) for any k.  The partition keeps the
+grouped order of the interior positions as ``int32`` when every 1-based
+position of the sequence fits (n < 2^31), else as ``intp``.  A
 partition owns the sequence it was built from, ``partition.z``; that is the
 only sequence it can be combined with.
 """
@@ -38,6 +40,10 @@ class ContextPartition:
                 ids *= base
                 ids += arr[k + off : n - k + off]
         order, sorted_ids = _radix_sort(ids, (num_ids - 1).bit_length())
+        # Every 1-based position fits int32 below 2^31 symbols.  The order is
+        # narrowed before the group bounds are found, so the intp one is freed
+        # first; sorting and gathering stay on numpy's faster intp indices.
+        order = order.astype(np.int32) if n < 2**31 else order
         new_group = np.empty(n_int, dtype=bool)
         new_group[0] = True
         np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=new_group[1:])

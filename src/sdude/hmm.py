@@ -7,7 +7,11 @@ given the whole observation.  The chain is initialized from the first
 segment's stationary law; the transition used for the step t -> t+1 is the
 matrix of the segment containing t+1, so a new segment's dynamics apply
 already on the step entering it.  Per-step renormalization keeps the
-recursions stable for sequences of millions of symbols.
+recursions stable for sequences of millions of symbols.  One (n, q) array
+holds the result: the forward pass writes its messages into it, and the
+backward pass multiplies each of its messages into the same position as it
+goes, so no backward array is kept; each position is then divided by the
+sum of its q products, added in state order.
 
 Every clean alphabet takes one lock-step path.  A normalized filter
 forgets where it started: run from different states, its float64 values
@@ -155,15 +159,17 @@ def _lockstep(symbols, start, pi, cols, forward):
 
 
 def _pass(state, z, lo, hi, p, pi, out, forward):
-    """Advance the exact state over steps lo..hi of one segment, storing each.
+    """Advance the exact state over steps lo..hi of one segment, into ``out``.
 
-    The forward pass visits lo, ..., hi and emits ``z[t]`` at step t; the
-    backward pass visits hi, ..., lo and emits ``z[t + 1]``.  Both read the
-    symbols and write ``out`` (q, n) once, in step order.  Whole blocks go
-    through ``_lockstep``; what follows its exact blocks (a tail shorter than
-    a block, or everything after a block that never coalesced) runs in one
-    step loop on Python floats, doing ``_step``'s IEEE operations in its
-    order.  Returns the state after the last step, as a list.
+    The forward pass visits lo, ..., hi, emits ``z[t]`` at step t and stores
+    each state in ``out[:, t]``; the backward pass visits hi, ..., lo, emits
+    ``z[t + 1]`` and multiplies each state into ``out[:, t]``, which holds
+    the forward message there.  Both read the symbols and ``out`` (q, n)
+    once, in step order.  Whole blocks go through ``_lockstep``; what
+    follows its exact blocks (a tail shorter than a block, or everything
+    after a block that never coalesced) runs in one step loop on Python
+    floats, doing ``_step``'s IEEE operations in its order.  Returns the
+    state after the last step, as a list.
     """
     q = len(state)
     steps = range(lo, hi + 1)
@@ -183,7 +189,13 @@ def _pass(state, z, lo, hi, p, pi, out, forward):
         with np.errstate(all="ignore"):
             values, exact = _lockstep(whole, state, pi, tuple(weights[:, :, None]), forward)
         done = exact * BLOCK
-        dest[:, :done].reshape(q, exact, BLOCK)[...] = values[:, :, :exact].transpose(1, 2, 0)
+        # Splitting the step axis into (block, step) is always a view of ``out``.
+        blocked = dest[:, :done].reshape(q, exact, BLOCK)
+        exact_values = values[:, :, :exact].transpose(1, 2, 0)
+        if forward:
+            blocked[...] = exact_values
+        else:
+            blocked *= exact_values
         state = values[-1, :, exact - 1].tolist()
         if state[0] != state[0]:
             # A zero normalizer in the exact run left NaN, which persists.
@@ -212,49 +224,51 @@ def _pass(state, z, lo, hi, p, pi, out, forward):
         for y in ys:
             s += b[y]
         for x in xs:
-            rows[x][t] = a[x] = b[x] / s
+            a[x] = v = b[x] / s
+            rows[x][t] = v if forward else rows[x][t] * v
     return a
 
 
 def _posteriors(z, segments, pi, initial):
     """Scaled forward-backward; with two states, bit for bit the plain recursion's.
 
-    Position 0 is a forward step from ``initial`` through the identity
-    matrix, whose sums ``a_x * 1 + 0 + ...`` are ``a_x`` exactly.  Then each
-    segment's forward steps, and each segment's backward steps from the
-    last, go through ``_pass`` into two (q, n) arrays.  A zero normalizer
-    (the observation is impossible, or underflowed) surfaces as NaN in a
+    One (n, q) array holds the result.  Position 0 is a forward step from
+    ``initial`` through the identity matrix, whose sums ``a_x * 1 + 0 + ...``
+    are ``a_x`` exactly.  Then each segment's forward steps go through
+    ``_pass`` into the array's transpose, and each segment's backward steps,
+    from the last, multiply into it; position n - 1's backward message is 1,
+    which leaves its forward one as it is.  Each position is then divided by
+    the sum of its q products, added in state order.  A zero normalizer (the
+    observation is impossible, or underflowed) surfaces as NaN in a
     lock-step run or as ZeroDivisionError in the step loop; either raises
     ``ValidationError``.
     """
     n = len(z)
     q = len(initial)
-    f = np.empty((q, n))
-    g = np.empty((q, n))
+    post = np.empty((n, q))
+    f = post.T
     try:
         state = _pass(initial.tolist(), z, 0, 0, np.eye(q), pi, f, True)
         # Both passes give the step between positions t and t+1 (0-based)
         # the matrix of the segment holding t+1.
         for start, end, p in segments:
             state = _pass(state, z, max(start - 1, 1), end - 1, p, pi, f, True)
-        g[:, n - 1] = 1.0
         state = [1.0] * q
         for start, end, p in reversed(segments):
-            state = _pass(state, z, max(start - 2, 0), end - 2, p, pi, g, False)
+            state = _pass(state, z, max(start - 2, 0), end - 2, p, pi, f, False)
     except ZeroDivisionError:
         raise ValidationError(_IMPOSSIBLE) from None
-    # The products go into the forward messages and are normalized there; the
-    # backward ones are freed first, so no more than two n x q arrays are live.
-    np.multiply(f, g, out=f)
-    del g
-    norm = np.add.reduce(f, axis=0)
+    # ``np.add.reduce`` along a row of more than 8 states would sum pairwise.
+    norm = f[0].copy()
+    for y in range(1, q):
+        norm += f[y]
     # A position whose sum is zero or not finite would come out as NaN; such an
     # observation is impossible under the model (or underflowed), so it is
     # rejected once here, before the divide.  (``min`` is NaN when any sum is.)
     if not (norm.min() > 0.0 and norm.max() < np.inf):
         raise ValidationError(_IMPOSSIBLE)
     f /= norm
-    return f.T.copy()
+    return post
 
 
 def fb_posteriors(z: SymbolSequence, segments, channel: ChannelModel) -> np.ndarray:

@@ -19,6 +19,12 @@ exception.  A symmetric binary chain's walk flips the state when
 not (the rule moves to 1 when ``u >= p00``).  A Markov walk reads exactly
 one uniform per step, in order: a rewrite that keeps these rules keeps every
 stream.
+
+``sample_piecewise`` and ``corrupt`` draw ``CHUNK`` uniforms at a time and
+write each chunk's symbols into the output in its narrow dtype, so beside the
+output they hold O(CHUNK).  A Generator's ``random(a)`` then ``random(b)``
+gives the doubles of ``random(a + b)``, and a walk resumes from the last
+symbol of the chunk before, so the chunked draws are the whole-sequence ones.
 """
 
 from __future__ import annotations
@@ -31,6 +37,10 @@ import numpy as np
 
 from .core import ChannelModel, SymbolSequence, _check_size, symbol_dtype
 from .errors import ValidationError
+
+
+# Symbols that ``sample_piecewise`` and ``corrupt`` draw and map at a time.
+CHUNK = 2**16
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -207,7 +217,12 @@ class PiecewiseSourceSpec:
 
 
 def sample_piecewise(spec: PiecewiseSourceSpec, n: int, seed) -> SymbolSequence:
-    """Draw one length-n realization of the piecewise source."""
+    """Draw one length-n realization of the piecewise source.
+
+    Each block is drawn ``CHUNK`` symbols at a time into the narrow output: a
+    Markov block's later chunks, and every block after the first of a
+    continuing spec, walk on from the symbol before them.
+    """
     _check_size("sequence length", n)
     bounds = spec.block_bounds(n)
     seed = _seed_sequence(seed)
@@ -215,15 +230,20 @@ def sample_piecewise(spec: PiecewiseSourceSpec, n: int, seed) -> SymbolSequence:
     out = np.empty(n, dtype=symbol_dtype(spec.alphabet_size))
     for (start, end), label, rng in zip(bounds, spec.block_labels, rngs):
         comp = spec.components[label]
-        if spec.continuing and start > 0:
-            out[start:end] = comp.walk(int(out[start - 1]), end - start, rng)
-        else:
-            out[start:end] = comp.sample(end - start, rng)
+        walks_in = spec.continuing and start > 0
+        for lo in range(start, end, CHUNK):
+            hi = min(lo + CHUNK, end)
+            if isinstance(comp, MarkovComponent) and (walks_in or lo > start):
+                out[lo:hi] = comp.walk(int(out[lo - 1]), hi - lo, rng)
+            else:
+                out[lo:hi] = comp.sample(hi - lo, rng)
     return SymbolSequence(out, spec.alphabet_size)
 
 
 def corrupt(x: SymbolSequence, channel, seed) -> SymbolSequence:
     """Pass a clean sequence through the memoryless channel, one draw per symbol.
+
+    The uniforms are drawn, and the symbols mapped, ``CHUNK`` at a time.
 
     ``channel`` is a ChannelModel or a bare row-stochastic matrix; corruption
     only needs the transition probabilities, so rank-deficient matrices (for
@@ -237,5 +257,9 @@ def corrupt(x: SymbolSequence, channel, seed) -> SymbolSequence:
             raise ValidationError("channel must be a row-stochastic matrix")
     if x.alphabet_size > pi.shape[0]:
         raise ValidationError("sequence alphabet exceeds the channel's clean alphabet")
-    u = _rng(seed).random(len(x))
-    return SymbolSequence(_draw(np.cumsum(pi, axis=1)[:, :-1][x.symbols], u), pi.shape[1])
+    rng, heads = _rng(seed), np.cumsum(pi, axis=1)[:, :-1]
+    out = np.empty(len(x), dtype=symbol_dtype(pi.shape[1]))
+    for lo in range(0, len(x), CHUNK):
+        clean = x.symbols[lo : lo + CHUNK]
+        out[lo : lo + CHUNK] = _draw(heads[clean], rng.random(clean.size))
+    return SymbolSequence(out, pi.shape[1])

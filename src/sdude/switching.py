@@ -37,10 +37,11 @@ a solve of that budget alone.  ``sdude_denoise_each`` maps one solve to one
 output per budget; its boundary positions copy z, or emit 0 when the
 reconstruction alphabet is the smaller.  Each budget forms one flat index
 per interior symbol, code * rules + rule, in the narrowest unsigned dtype
-(``uint8`` for binary data): one ``np.take`` of the rule table maps it
-into the output (with mode "clip", which needs no buffer; every index is
-in range), and one count of the same index gives the correctly rounded
-estimated loss, as ``evaluation.cumulative_loss`` gives the true one.  Each
+(``uint8`` for binary data): ``np.take`` of the rule table maps it into
+the output ``_MAP_CHUNK`` symbols at a time, so the intp copy that
+``np.take`` makes of its index stays one chunk long (mode "clip" needs no
+further buffer; every index is in range), and one count of the same index
+gives the correctly rounded estimated loss, as ``evaluation.cumulative_loss`` gives the true one.  Each
 schedule carries the partition, for the genie to reuse, and its shifts per
 context as an array in the partition's group order.  ``sdude_denoise``
 solves a single budget.  The plain sliding-window denoiser is the m = 0
@@ -74,6 +75,8 @@ MAX_CHAIN_ENTRIES = 250_000_000
 _BATCH_FLOATS = 1 << 18
 # The dominated-rule guard of ``_kept_rules``, in units of u * A * L^2.
 _GUARD = 16
+# Interior symbols that ``sdude_denoise_each`` maps through the rule table at a time.
+_MAP_CHUNK = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +135,8 @@ def _batches(partition: ContextPartition, levels: int, num_rules: int):
             chains = by_length[s : min(s + cap, hi)]
             lengths = counts[chains]
             steps = np.minimum(np.arange(lengths[-1]), lengths[:, None] - 1)
-            pos = partition._order[partition._starts[chains, None] + steps]
+            # As intp: numpy would cast the int32 order on each use as an index.
+            pos = partition._order[partition._starts[chains, None] + steps].astype(np.intp)
             del steps  # not held while the caller solves the batch
             yield chains, lengths, pos
         lo, width = hi, 2 * width
@@ -441,7 +445,11 @@ def sdude_denoise_each(
     for schedule, _ in _solve_chains(partition, codes, tables.ell, budgets):
         out = z.symbols.astype(dtype) if copy else np.zeros(n, dtype=dtype)
         index = _flat_index(tables.ell, codes, schedule.assignment)
-        np.take(maps, index, out=out[k : n - k], mode="clip")
+        interior = out[k : n - k]
+        # ``np.take`` widens its index to intp, so it gets one chunk at a time.
+        for lo in range(0, index.size, _MAP_CHUNK):
+            chunk = slice(lo, lo + _MAP_CHUNK)
+            np.take(maps, index[chunk], out=interior[chunk], mode="clip")
         estimated = _index_sum(tables.ell, index) / codes.size
         results.append((SymbolSequence(out, recon), schedule, estimated))
     return results

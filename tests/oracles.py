@@ -59,7 +59,9 @@ def partition_reference(z, k):
     """(order, unique_ids, starts, counts) of the int64 stable-argsort build.
 
     The frozen plain build of ``ContextPartition``: context ids packed into
-    int64, one stable ``argsort`` and ``np.unique`` over the sorted ids.
+    int64, one stable ``argsort`` and ``np.unique`` over the sorted ids.  The
+    order is returned as ``int32``, the dtype the partition keeps it in for
+    sequences shorter than 2^31.
     """
     arr = np.asarray(z.symbols, dtype=np.int64)
     n = arr.shape[0]
@@ -69,7 +71,7 @@ def partition_reference(z, k):
         ids += arr[k + off : n - k + off]
     order = np.argsort(ids, kind="stable")
     unique_ids, starts, counts = np.unique(ids[order], return_index=True, return_counts=True)
-    return order, unique_ids, starts, counts
+    return order.astype(np.int32), unique_ids, starts, counts
 
 
 def context_of(partition: ContextPartition, t: int) -> int:

@@ -314,7 +314,8 @@ class TestLockStepMatchesReferenceBitwise:
         # gives a zero normalizer on the first lock-step step.
         pi = np.eye(2)
         z = np.ones(3 * BLOCK + 1, dtype=np.int64)
-        out = np.empty((2, len(z)))
+        # The backward pass multiplies its states into the forward messages in ``out``.
+        out = np.ones((2, len(z)))
         with pytest.raises(ValidationError, match="zero probability"):
             hmm._pass([1.0, 0.0], z, 0, 3 * BLOCK - 1, np.eye(2), pi, out, False)
 
@@ -379,6 +380,19 @@ class TestOneSmootherForEveryAlphabet:
         # Position 0 runs in the step loop, as with two states.
         assert lockstep_runs == [(7, 4)]
 
+    def test_ten_states_normalize_each_position_in_state_order(self, lockstep_runs):
+        # Along a row of more than 8 states ``np.add.reduce`` sums pairwise,
+        # which differs from the state-order sum in the last bits of many rows.
+        rng = np.random.default_rng(25)
+        q, n = 10, 6 * BLOCK + 40
+        segments = tiling(rng, n, 2, lambda r: r.dirichlet([1.0] * q, size=q) / 2 + np.eye(q) / 2)
+        ch = random_full_rank_channel(rng, q, q)
+        z = SymbolSequence(rng.integers(0, q, size=n), q)
+        segs = hmm._validate_segments(segments, n, q)
+        expected = state_order_posteriors(z.symbols, segs, ch.pi, stationary_distribution(segs[0][2]))
+        assert np.array_equal(fb_posteriors(z, segments, ch), expected)
+        assert any(blocks > 1 for blocks, _ in lockstep_runs)
+
     def test_identity_segment_finishes_in_the_step_loop(self, monkeypatch):
         # An identity transition never forgets, so block 1 of the second
         # segment never coalesces, and each pass runs the rest of that
@@ -411,6 +425,46 @@ class TestOneSmootherForEveryAlphabet:
         symbols[2 * BLOCK] = 1
         with pytest.raises(ValidationError, match="zero probability"):
             fb_posteriors(SymbolSequence(symbols, 2), [(1, n, [[1.0]])], build_channel([[1.0, 0.0]]))
+
+
+def state_order_posteriors(z, segments, pi, initial):
+    """The smoother on Python floats, one position at a time, in ``_step``'s
+    order of operations; each position's q products are divided by their
+    sum, added in state order."""
+    n, q = len(z), len(initial)
+    # The step between positions t - 1 and t (0-based) takes the matrix of the segment holding t.
+    matrices = [p.tolist() for start, end, p in segments for _ in range(start, end + 1)]
+    emit = pi.T.tolist()
+
+    def normalized(b):
+        s = b[0]
+        for v in b[1:]:
+            s += v
+        return [v / s for v in b]
+
+    f = [normalized([initial[x] * emit[z[0]][x] for x in range(q)])]
+    for t in range(1, n):
+        p, a = matrices[t], f[-1]
+        b = []
+        for x in range(q):
+            acc = a[0] * p[0][x]
+            for y in range(1, q):
+                acc += a[y] * p[y][x]
+            b.append(acc * emit[z[t]][x])
+        f.append(normalized(b))
+    g = [[1.0] * q]
+    for t in range(n - 2, -1, -1):
+        p, e = matrices[t + 1], emit[z[t + 1]]
+        w = [e[y] * g[-1][y] for y in range(q)]
+        c = []
+        for x in range(q):
+            acc = w[0] * p[x][0]
+            for y in range(1, q):
+                acc += w[y] * p[x][y]
+            c.append(acc)
+        g.append(normalized(c))
+    g.reverse()
+    return np.array([normalized([fx * gx for fx, gx in zip(ft, gt)]) for ft, gt in zip(f, g)])
 
 
 def near_identity(q, flip):

@@ -1,14 +1,19 @@
-"""Peak traced memory per symbol of the sampler, the smoother and its decisions, the denoiser,
-the loss and the switching-HMM experiment.
+"""Peak traced memory per symbol of the sampler, the corruption, the smoother and its
+decisions, the denoiser, the loss and the switching-HMM experiment.
 
 Each bound is the peak measured at n = 10^5 (numpy 2.4, Python 3.11) plus
 about 10%.  A stage that keeps a buffer alive after its last use, or symbols
-stored wider than their alphabet needs, pushes the peak past it.
+stored wider than their alphabet needs, pushes the peak past it.  A chunk of
+2^16 symbols is most of 10^5, so the stages that draw or map a chunk at a
+time are also run at 4 x 10^5: the bytes each added symbol costs there are
+what the stage holds per symbol beyond its chunks, and a whole-sequence
+temporary that comes back raises them.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from sdude import (
     MarkovComponent,
@@ -25,28 +30,38 @@ from sdude import (
 )
 
 N = 10**5
-# Measured 9.0 B per symbol: one block's uniforms (8 B) and flips (1 B), then
-# the flips and the int64 path.
+# Measured 9.0 B per symbol: the first block's int64 walk and the int64 path
+# that joins its first state on (16 B for each of its 5 x 10^4 symbols, less
+# than a chunk), beside the one-byte output.
 SAMPLE_PIECEWISE_BYTES = 10
-# Measured 40.3 B per symbol: the forward and backward messages, one (2, n)
-# array each (16 B each), and one segment's lock-step values (8 B); emissions
-# are gathered per step.
-FB_POSTERIORS_BYTES = 44
-# Measured 47.5 B per symbol, in the k = 4 solve; the posteriors are freed
+# Measured 18.1 B per symbol: one chunk's uniforms, gathered CDF heads and
+# int64 draws (about 25 B for each of its 2^16 symbols), beside the one-byte
+# output.
+CORRUPT_BYTES = 20
+# Measured 24.7 B per symbol: the one (n, 2) posterior array (16 B) and one
+# segment's lock-step values (8 B); emissions are gathered per step, and the
+# backward messages multiply into the posteriors as they are made.
+FB_POSTERIORS_BYTES = 27
+# Measured 32.6 B per symbol, in the k = 4 solve; the posteriors are freed
 # before the denoisers run, and each k's outputs before the next k's solve.
-SWITCHING_HMM_BYTES = 52
-# Measured 35.5 B per symbol at k = 4, budgets (0, 1): the partition's order
-# (8 B) and the two assignments (2 B), plus the DP values and positions of
-# the longest chain's batch (about 0.12 n occurrences) while the budget-1
+SWITCHING_HMM_BYTES = 36
+# Measured 31.5 B per symbol at k = 4, budgets (0, 1): the partition's int32
+# order (4 B) and the two assignments (2 B), plus the DP values and intp
+# positions of the longest chain's batch (about 0.12 n occurrences) while the budget-1
 # walk builds its top level's row; no earlier batch's values are held then,
-# nor the step offsets from which the batch's positions were gathered.
-SDUDE_DENOISE_EACH_BYTES = 37
+# nor the step offsets from which the batch's positions were gathered.  The
+# output mapping widens its index to intp one chunk at a time.
+SDUDE_DENOISE_EACH_BYTES = 34.5
 # Measured 5.9 B per symbol: the output and its read-only copy (1 B each), and
 # the three cost rows of one chunk, 3 x 2^14 floats (3.9 B per symbol at 10^5).
 MAP_DENOISE_BYTES = 6.5
 # Measured 1.7 B per symbol: the one-byte flat index of the (x, xhat) pairs
 # and the buffer in which ``np.add.at`` widens it, a block at a time.
 CUMULATIVE_LOSS_BYTES = 1.9
+# Bytes each symbol added from N to 4N costs, measured 1.83 (the sampler's
+# output and its copy), 1.00 (the corruption's output) and 11.0 (the
+# denoiser's DP, whose longest chain grows with n), plus about 10%.
+ADDED_BYTES = {"sample_piecewise": 2.0, "corrupt": 1.1, "sdude_denoise_each": 12}
 
 
 def traced_peak(fn, *args) -> int:
@@ -58,15 +73,33 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def assert_below(peak, n, bound):
+    assert peak / n < bound, f"{peak / n:.2f} B per symbol, bound {bound}"
+
+
 FLIPS = [np.array([[1 - p, p], [p, 1 - p]]) for p in (0.01, 0.2)]
-SPEC = PiecewiseSourceSpec(tuple(map(MarkovComponent, FLIPS)), (N // 2,), (0, 1), True)
+
+
+def switching_spec(n):
+    return PiecewiseSourceSpec(tuple(map(MarkovComponent, FLIPS)), (n // 2,), (0, 1), True)
+
+
+SPEC = switching_spec(N)
 
 
 def test_sample_piecewise_peak_per_symbol():
     # A first run makes numpy's one-time allocations outside the trace.
     sample_piecewise(SPEC, N, 4)
     peak = traced_peak(sample_piecewise, SPEC, N, 5)
-    assert peak / N < SAMPLE_PIECEWISE_BYTES
+    assert_below(peak, N, SAMPLE_PIECEWISE_BYTES)
+
+
+def test_corrupt_peak_per_symbol():
+    channel = bsc_channel(0.1)
+    x = sample_piecewise(SPEC, N, 5)
+    corrupt(x, channel, 7)
+    peak = traced_peak(corrupt, x, channel, 6)
+    assert_below(peak, N, CORRUPT_BYTES)
 
 
 def test_fb_posteriors_peak_per_symbol():
@@ -75,7 +108,7 @@ def test_fb_posteriors_peak_per_symbol():
     z = corrupt(sample_piecewise(spec, N, 5), channel, 6)
     segments = [(1, N // 2, flips[0]), (N // 2 + 1, N, flips[1])]
     peak = traced_peak(fb_posteriors, z, segments, channel)
-    assert peak / N < FB_POSTERIORS_BYTES
+    assert_below(peak, N, FB_POSTERIORS_BYTES)
 
 
 def test_map_denoise_peak_per_symbol():
@@ -84,14 +117,14 @@ def test_map_denoise_peak_per_symbol():
     posteriors = fb_posteriors(z, [(1, N // 2, FLIPS[0]), (N // 2 + 1, N, FLIPS[1])], channel)
     map_denoise(posteriors, loss)
     peak = traced_peak(map_denoise, posteriors, loss)
-    assert peak / N < MAP_DENOISE_BYTES
+    assert_below(peak, N, MAP_DENOISE_BYTES)
 
 
 def test_switching_hmm_experiment_peak_per_symbol():
     # A first run loads every lazily imported module, outside the trace.
     run_switching_hmm_experiment(1000, 0.1, 0.01, 0.2, seed=3)
     peak = traced_peak(run_switching_hmm_experiment, N, 0.1, 0.01, 0.2, None, (4, 6), (1,), 3)
-    assert peak / N < SWITCHING_HMM_BYTES
+    assert_below(peak, N, SWITCHING_HMM_BYTES)
 
 
 def test_sdude_denoise_each_peak_per_symbol():
@@ -99,7 +132,7 @@ def test_sdude_denoise_each_peak_per_symbol():
     z = corrupt(sample_piecewise(SPEC, N, 5), channel, 6)
     sdude_denoise_each(z, 4, (0, 1), channel, loss)
     peak = traced_peak(sdude_denoise_each, z, 4, (0, 1), channel, loss)
-    assert peak / N < SDUDE_DENOISE_EACH_BYTES
+    assert_below(peak, N, SDUDE_DENOISE_EACH_BYTES)
 
 
 def test_cumulative_loss_peak_per_symbol():
@@ -108,4 +141,28 @@ def test_cumulative_loss_peak_per_symbol():
     z = corrupt(x, channel, 6)
     cumulative_loss(x, z, loss)
     peak = traced_peak(cumulative_loss, x, z, loss)
-    assert peak / N < CUMULATIVE_LOSS_BYTES
+    assert_below(peak, N, CUMULATIVE_LOSS_BYTES)
+
+
+def _chunked_stage_peak(stage, n):
+    """Traced peak of one chunked stage on the switching source of length n."""
+    channel, loss = bsc_channel(0.1), hamming_loss(2)
+    spec = switching_spec(n)
+    x = sample_piecewise(spec, n, 5)
+    z = corrupt(x, channel, 6)
+    run = {
+        "sample_piecewise": (sample_piecewise, spec, n, 5),
+        "corrupt": (corrupt, x, channel, 6),
+        "sdude_denoise_each": (sdude_denoise_each, z, 4, (0, 1), channel, loss),
+    }[stage]
+    run[0](*run[1:])
+    return traced_peak(*run)
+
+
+@pytest.mark.parametrize("stage", sorted(ADDED_BYTES))
+def test_chunked_stage_holds_no_whole_sequence_temporary(stage):
+    # Bounding the added bytes by the bytes per symbol at N (which they are
+    # far below) means the per-symbol peak does not rise from N to 4N.
+    small, large = _chunked_stage_peak(stage, N), _chunked_stage_peak(stage, 4 * N)
+    assert large / (4 * N) <= small / N
+    assert_below(large - small, 3 * N, ADDED_BYTES[stage])

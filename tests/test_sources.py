@@ -23,6 +23,7 @@ from sdude import (
     stationary_distribution,
 )
 from sdude.errors import DenoiseError, ValidationError
+from sdude.sources import CHUNK
 
 
 def constant_component(symbol, size=2):
@@ -383,6 +384,47 @@ class TestDrawRuleMatchesReference:
     def test_sample_refuses_a_length_that_is_not_a_non_negative_integer(self, comp, length):
         with pytest.raises(ValidationError, match="sample length"):
             comp.sample(length, np.random.default_rng(0))
+
+
+SYMMETRIC = MarkovComponent([[0.9, 0.1], [0.1, 0.9]])
+ASYMMETRIC = MarkovComponent([[0.95, 0.05], [0.3, 0.7]])
+THREE = MarkovComponent([[0.8, 0.15, 0.05], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]])
+# name: (components, continuing)
+CHUNKED_SOURCES = {
+    "continuing binary": ((SYMMETRIC, ASYMMETRIC), True),
+    "restarting binary and IID": ((SYMMETRIC, IIDComponent([0.3, 0.7]), ASYMMETRIC), False),
+    "continuing q=3": ((THREE, MarkovComponent(THREE.transition.T[::-1].T)), True),
+    "restarting q=3 and IID": ((THREE, IIDComponent([0.2, 0.5, 0.3])), False),
+}
+# Alphabet size: a channel model and a bare matrix with another noisy alphabet.
+CHANNELS = {
+    2: (bsc_channel(0.1), np.array([[0.8, 0.15, 0.05], [0.3, 0.3, 0.4]])),
+    3: (build_channel(np.full((3, 3), 0.1) + np.eye(3) * 0.7), np.array([[0.6, 0.4]] * 3)),
+}
+
+
+class TestChunkBoundaries:
+    """Blocks and sequences that end just before, on and after a chunk edge
+    draw what the whole-sequence references draw, in value and dtype."""
+
+    @pytest.mark.parametrize("length", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5, 3 * CHUNK])
+    @pytest.mark.parametrize("source", sorted(CHUNKED_SOURCES))
+    def test_source_and_corruption_match_the_references(self, source, length):
+        comps, continuing = CHUNKED_SOURCES[source]
+        # Each component draws a block of ``length``, then the first draws 77
+        # more symbols, so that n is no multiple of a chunk.
+        labels = tuple(range(len(comps))) + (0,)
+        times = tuple(length * (i + 1) for i in range(len(comps)))
+        spec = PiecewiseSourceSpec(comps, times, labels, continuing)
+        n = times[-1] + 77
+        x, want = sample_piecewise(spec, n, 41), sample_piecewise_reference(spec, n, 41)
+        assert x.symbols.dtype == want.symbols.dtype == np.uint8
+        np.testing.assert_array_equal(x.symbols, want.symbols)
+        for channel in CHANNELS[spec.alphabet_size]:
+            z, want = corrupt(x, channel, 43), corrupt_reference(x, channel, 43)
+            assert z.symbols.dtype == want.symbols.dtype == np.uint8
+            assert z.alphabet_size == want.alphabet_size
+            np.testing.assert_array_equal(z.symbols, want.symbols)
 
 
 class TestStationary:
