@@ -28,8 +28,12 @@ def _true_loss_table(
     """(codes, table) with table[codes[t], j] = lam[x_t, mappings[j, z_t]] at interior t."""
     n = len(z)
     noisy = mappings.shape[1]
-    # Widened first: narrow symbols would wrap once clean x noisy exceeds their dtype.
-    codes = x.symbols[k : n - k].astype(np.intp) * noisy + z.symbols[k : n - k]
+    # Every code x * noisy + z is below clean * noisy, so the narrowest dtype
+    # that holds that bound (and noisy, for a one-symbol clean alphabet)
+    # computes them without wrapping: uint8 for binary data.
+    codes = x.symbols[k : n - k].astype(np.min_scalar_type(max(lam.shape[0] * noisy - 1, noisy)))
+    codes *= noisy
+    codes += z.symbols[k : n - k]
     table = lam[:, mappings.T].reshape(lam.shape[0] * noisy, mappings.shape[0])
     return codes, table
 

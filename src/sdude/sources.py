@@ -76,8 +76,22 @@ def is_stochastic(p: np.ndarray) -> bool:
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
-    """Stationary law of a row-stochastic matrix via its unit left eigenvector."""
+    """Stationary law of a row-stochastic matrix via its unit left eigenvector.
+
+    The law is unique exactly when the eigenvalue 1 is simple, that is when
+    some state can be reached from every state (the chain has one closed
+    class).  That is decided on the matrix's nonzero pattern, so a chain
+    that only nearly splits (flip rates of 1e-12) is still accepted; a
+    chain with two closed classes, such as the identity, is refused.
+    """
     transition = np.asarray(transition, dtype=np.float64)
+    reach = (transition > 0) | np.eye(len(transition), dtype=bool)
+    for _ in range(max(len(transition) - 1, 1).bit_length()):
+        reach = (reach.astype(np.float64) @ reach) > 0
+    if not reach.all(axis=0).any():
+        raise ValidationError(
+            "transition matrix has a repeated unit eigenvalue: its stationary law is not unique"
+        )
     eigvals, eigvecs = np.linalg.eig(transition.T)
     idx = int(np.argmin(np.abs(eigvals - 1.0)))
     if abs(eigvals[idx] - 1.0) > 1e-8:
@@ -142,8 +156,8 @@ class MarkovComponent:
 
     def sample(self, length: int, rng: np.random.Generator) -> np.ndarray:
         length = _length(length)
-        start = _draw(np.cumsum(self.initial)[:-1], rng.random(1))
-        return np.concatenate((start, self.walk(int(start[0]), max(length - 1, 0), rng)))[:length]
+        start = int(_draw(np.cumsum(self.initial)[:-1], rng.random(1))[0])
+        return self._path(start, max(length - 1, 0), rng)[:length]
 
     def walk(self, state: int, steps: int, rng: np.random.Generator) -> np.ndarray:
         """The ``steps`` states after ``state``, one uniform ``u`` per step.
@@ -153,16 +167,23 @@ class MarkovComponent:
         """
         if not 0 <= state < self.alphabet_size:
             raise ValidationError(f"state {state!r} is outside the chain's alphabet")
+        return self._path(state, steps, rng)[1:]
+
+    def _path(self, state: int, steps: int, rng: np.random.Generator) -> np.ndarray:
+        """``state`` followed by the ``walk`` of ``steps`` states after it, in one int64 array."""
         p = self.transition
         if self.alphabet_size == 2 and p[0, 0] == p[1, 1] and p[0, 1] == p[1, 0]:
             # Symmetric binary chain: flips are i.i.d., so the path is a prefix
             # parity, formed in place on one bool per step.
-            flips = rng.random(steps) < p[0, 1]
+            flips = np.empty(steps + 1, dtype=bool)
+            flips[0] = False
+            np.less(rng.random(steps), p[0, 1], out=flips[1:])
             np.logical_xor.accumulate(flips, out=flips)
             return np.bitwise_xor(flips, state, dtype=np.int64)
         rows = np.cumsum(p, axis=1)[:, :-1].tolist()
         u = rng.random(steps).tolist()
-        return np.array([state := bisect_right(rows[state], v) for v in u], dtype=np.int64)
+        path = [state] + [state := bisect_right(rows[state], v) for v in u]
+        return np.array(path, dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,7 @@ computes, per level i <= m, rule j and occurrence p of a context chain, the
 value M[i, j, p]: the minimum unnormalized cumulative estimated loss over the
 chain's occurrences up to and including p, using at most i shifts and
 currently applying rule j.  The backward pass walks each chain from its last
-occurrence to its first, following the forward values to recover an optimal
+occurrence to its first, following the forward decisions to recover an optimal
 schedule, preferring fewer shifts on exact ties.
 
 Chains for distinct contexts are independent, so one kernel, ``_solve_chains``,
@@ -18,16 +18,21 @@ The forward pass is a few whole-batch scans along the chain axis per level;
 the backward walk takes one step per level for the whole batch.  Padding
 never enters a scan of a real occurrence and the cumulative sums keep each
 chain's summation order, so every value equals the chain-at-a-time recursion
-bit for bit.  The kernel computes only what the walk reads:
+bit for bit.  The kernel keeps only what the walk reads:
 
 - Rules that another rule beats at every noisy symbol by more than a
   rounding bound on the longest chain, 16 u A L^2 (u = 2^-53, A the largest
   loss magnitude, L the longest chain), are never optimal and are left out
   (``_kept_rules``); for a binary symmetric channel with Hamming loss, 3 of
   the 4 rules remain.
-- The walk reads the top level only at each chain's last occurrence and
-  along the one rule it starts in, so that level is reduced over the
-  occurrences once, at the last one, and built in full for that rule only.
+- Of each level above the bottom it keeps one byte per kept rule and
+  occurrence, whether the walk shifts there (the best value of the level
+  below is strictly less than the rule's own), and one byte per occurrence
+  for the level below, its argmin rule.  Of the values themselves it keeps
+  only each level's minimum at each chain's last occurrence.  The values of
+  a batch are scanned in occurrence segments of one transient buffer each,
+  and each segment's scans continue from the previous segment's last sum
+  and running minimum, so segmenting changes no bit.
 
 Level i of the forward pass depends only on the levels below it, so one
 solve serves every shift budget: each batch is scanned once to the deepest
@@ -46,10 +51,11 @@ schedule carries the partition, for the genie to reuse, and its shifts per
 context as an array in the partition's group order.  ``sdude_denoise``
 solves a single budget.  The plain sliding-window denoiser is the m = 0
 budget, and the genie runs the kernel on the true loss.  Time is
-O(m * n); memory is one batch of DP values, at most about
-``_BATCH_FLOATS`` floats unless a single chain is longer (a batch's values
-are freed before the next batch's are built), plus one compact assignment
-per budget.
+O(m * n); memory is what one batch keeps, 10 + m' * (rules + 1) bytes per
+occurrence with m' = min(m, L - 1) for a batch of chains of at most L
+occurrences, plus two segment buffers of ``_BATCH_FLOATS / 4`` floats or
+fewer (a batch's flags are freed before the next batch's are built), plus
+one compact assignment per budget.
 """
 
 from __future__ import annotations
@@ -64,14 +70,14 @@ from .core import ChannelModel, LossMatrix, SymbolSequence, symbol_dtype
 from .errors import RangeError, TooLarge, ValidationError
 from .estimation import EstimatedLossTable, build_tables
 
-# Hard cap on the DP values of the longest context chain (float64 entries,
-# ~2 GB), counted as level x rule x occurrence: an upper bound on what the
-# kernel holds, which stores one level fewer and only the rules it keeps.
-MAX_CHAIN_ENTRIES = 250_000_000
-# DP entries (level x rule x chain x padded occurrence, counted as for
-# MAX_CHAIN_ENTRIES) one batch of chains holds (~2 MB): large enough that
-# short chains share one set of numpy calls; larger batches ran no faster
-# and raised the peak resident set.
+# Hard cap on the bytes one batch holds for the longest context chain (~2 GB),
+# outside its segment buffers.
+MAX_CHAIN_BYTES = 2 * 10**9
+# DP entries (level x rule x chain x padded occurrence) one batch spans (~2 MB
+# of float64): large enough that short chains share one set of numpy calls;
+# larger batches ran no faster and raised the peak resident set.  Each of the
+# forward pass's two segment buffers holds a quarter as many floats (rule x
+# chain x occurrence), which scanned no slower than whole batches.
 _BATCH_FLOATS = 1 << 18
 # The dominated-rule guard of ``_kept_rules``, in units of u * A * L^2.
 _GUARD = 16
@@ -116,15 +122,14 @@ def _batches(partition: ContextPartition, levels: int, num_rules: int):
     """Yield (chains, lengths, pos) for batches of context chains.
 
     ``chains`` indexes the partition's occurring contexts, ``lengths`` holds
-    their chain lengths (ascending) and ``pos[c, p]`` is the 0-based interior
-    index of occurrence p of chain c.  Each batch comes from one power-of-two
-    length bucket, is padded to its longest member by repeating each chain's
-    last occurrence, and holds at most ``_BATCH_FLOATS`` DP entries unless a
-    single chain needs more.
+    their chain lengths (ascending) and ``pos[c, p + 1]`` is the 0-based
+    interior index of occurrence p of chain c; ``pos[c, 0]`` repeats the
+    first, a slot for the forward pass's carried sums.  Each batch comes
+    from one power-of-two length bucket, is padded to its longest member by
+    repeating each chain's last occurrence, and spans at most
+    ``_BATCH_FLOATS`` DP entries unless a single chain needs more.
     """
     counts = partition._counts
-    if levels * num_rules * int(counts.max()) > MAX_CHAIN_ENTRIES:
-        raise TooLarge("DP state of the longest context chain exceeds the memory budget")
     by_length = np.argsort(counts, kind="stable")
     sorted_counts = counts[by_length]
     lo, width = 0, 1
@@ -134,7 +139,7 @@ def _batches(partition: ContextPartition, levels: int, num_rules: int):
         for s in range(lo, hi, cap):
             chains = by_length[s : min(s + cap, hi)]
             lengths = counts[chains]
-            steps = np.minimum(np.arange(lengths[-1]), lengths[:, None] - 1)
+            steps = np.clip(np.arange(-1, lengths[-1]), 0, lengths[:, None] - 1)
             # As intp: numpy would cast the int32 order on each use as an index.
             pos = partition._order[partition._starts[chains, None] + steps].astype(np.intp)
             del steps  # not held while the caller solves the batch
@@ -170,108 +175,133 @@ def _kept_rules(table: np.ndarray, longest: int) -> np.ndarray:
     return np.flatnonzero(~dropped)
 
 
-def _forward_batch(
-    w: np.ndarray, levels: int, last: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """DP values of a batch of chains laid out rules-major.
+def _level(S: np.ndarray, V: np.ndarray, below: np.ndarray, carry: np.ndarray, first: bool):
+    """One level's values over a segment, M[p] = S[p] + min over p' < p of (below - S)[p'].
 
-    w has shape (N, chains, L): w[j, c, p] is the loss of rule j at
-    occurrence p of chain c, whose final occurrence is ``last[c]``.  Level i
-    of chain c at occurrence p allows at most i shifts.  The recursion per
-    level i >= 1 is, at a repeat occurrence,
+    S[..., 1:] holds the segment's cumulative sums, ``below`` the minimum of
+    the level below at the segment's occurrences, and ``carry`` the running
+    minimum up to the previous occurrence (+inf before a chain's first,
+    where M = S).  The running minimum is scanned in place in V, starting
+    from ``carry`` in V[..., 0]; ``carry`` takes its value at the segment's
+    last occurrence, and V[..., :-1] then holds M, which is returned.
+    """
+    V[..., 0] = carry
+    np.subtract(below, S[..., 1:], out=V[..., 1:])
+    np.fmin.accumulate(V, axis=-1, out=V)
+    carry[...] = V[..., -1]
+    M = V[..., :-1]
+    np.add(S[..., 1:], M, out=M)
+    if first:
+        M[..., 0] = S[..., 1]
+    return M
+
+
+def _forward_batch(rules_major: np.ndarray, chain_codes: np.ndarray, levels: int, last: np.ndarray):
+    """The forward pass over a batch of chains, keeping what the walks read.
+
+    ``rules_major[j, code]`` is rule j's loss at a code and
+    ``chain_codes[c, p + 1]`` the code at occurrence p of chain c, whose
+    final occurrence is ``last[c]`` (``chain_codes[c, 0]`` is any code: its
+    slot receives the carried sum).  Level i of chain c at occurrence p
+    allows at most i shifts.  The recursion per level i >= 1 is, at a repeat
+    occurrence,
         M[i, :, p] = w[:, p] + min(M[i, :, p-1], best[i-1, p-1])
     with best[i] = min_j M[i, j], and M[i, :, 0] = w[:, 0]; it is evaluated
     through cumulative sums S and the shifted running minimum of
-    best[i-1] - S, which reproduces the recursion while keeping every pass a
-    whole-batch scan along the occurrence axis.  That running minimum starts
-    at best[i-1, 0] - S[:, 0] <= 0, so it never exceeds the stay branch's
-    offset 0 and needs no clamping.  On finite values ``fmin`` finds it as
-    ``minimum`` does, differing only in which zero of a +-0 tie it keeps.
-    No comparison sees that, and no sum S + floor shows it: where S[j, p] is
-    -0, every w[j, :p+1] is -0 and every zero the scan meets is +0.  Each
-    stored level's subtraction, scan and addition run in place in its own
-    slot of M; the top level's masked minimum takes one rule at a time
-    through a single (chains, L - 1) buffer.
+    best[i-1] - S (``_level``), which reproduces the recursion while keeping
+    every pass a whole-batch scan along the occurrence axis.  That running
+    minimum starts at best[i-1, 0] - S[:, 0] <= 0, so it never exceeds the
+    stay branch's offset 0 and needs no clamping.  On finite values ``fmin``
+    finds it as ``minimum`` does, differing only in which zero of a +-0 tie
+    it keeps.  No comparison sees that, and no sum S + floor shows it: where
+    S[j, p] is -0, every w[j, :p+1] is -0 and every zero the scan meets is
+    +0.
 
-    Returns (M, best, top).  M holds the levels below the top one, of shape
-    (levels - 1, N, chains, L), and best their minima over the rules; with
-    one level, M holds level 0 (= S) and best is empty.  ``top[j, c]`` is
-    the top level's value of rule j at occurrence ``last[c]``: S at that
-    occurrence plus one masked minimum of best[levels-2] - S over the
-    occurrences before it.  Values at padded occurrences are never read
-    back into a real one.
+    The batch is scanned in occurrence segments of ``_BATCH_FLOATS / 4``
+    floats or fewer per buffer, every level of a segment before the next.
+    Each rule's running sum (-0.0, which adds exactly, before the first
+    occurrence) and each level's running minimum enter the next segment's
+    scan as its first element, so every value comes from the same IEEE
+    operations in the same order as one scan of the whole chain.  The loss
+    rows are gathered straight into the sums' buffer, and every level's
+    values live in one more buffer of that size.
+
+    Returns (shifts, argmins, mins, top), keeping of each level i >= 1 only
+    what the walks read: ``shifts[i - 1, j, c, p]`` is the shift test
+    best[i-1, c, p] < M[i, j, c, p], and for the levels i below the top,
+    ``argmins[i, c, p]`` is the first rule attaining best[i, c, p] and
+    ``mins[i, c]`` is best[i, c, last[c]].  ``top[j, c]`` is the top
+    level's value of rule j at ``last[c]``.  Values at padded occurrences
+    are never read back into a real one.
     """
-    num_rules, chains, L = w.shape
-    M = np.empty((max(levels - 1, 1), num_rules, chains, L))
-    best = np.empty((levels - 1, chains, L))
-    S = np.cumsum(w, axis=2, out=M[0])
-    for i in range(1, levels):
-        np.minimum.reduce(M[i - 1], axis=0, out=best[i - 1])
-        if i == levels - 1:
-            break
-        M[i, :, :, 0] = w[:, :, 0]
-        floor = M[i, :, :, 1:]
-        np.subtract(best[i - 1, None, :, : L - 1], S[:, :, : L - 1], out=floor)
-        np.fmin.accumulate(floor, axis=2, out=floor)
-        np.add(S[:, :, 1:], floor, out=floor)
-    top = S[:, np.arange(chains), last]
-    if levels > 1:
-        before = np.arange(L - 1) < last[:, None]
-        floor = np.empty((chains, L - 1))
-        for j in range(num_rules):
-            np.subtract(best[-1, :, : L - 1], S[j, :, : L - 1], out=floor)
-            reach = np.minimum.reduce(floor, axis=1, where=before, initial=np.inf)
-            np.add(top[j], reach, out=top[j], where=last > 0)
-    return M, best, top
-
-
-def _level_row(M: np.ndarray, best: np.ndarray, level: int, q: np.ndarray) -> np.ndarray:
-    """Values of ``level`` in rule q[c] along each chain c, shape (chains, L).
-
-    A stored level is read from M; the top level, which ``_forward_batch``
-    does not store, is built for these rules only, with the same operations
-    on the same inputs as a full level.
-    """
-    rows = np.arange(q.size)
-    if level < M.shape[0]:
-        return M[level][q, rows]
-    S = M[0][q, rows]
-    row = np.empty_like(S)
-    row[:, 0] = S[:, 0]
-    floor = np.subtract(best[level - 1, :, :-1], S[:, :-1])
-    np.fmin.accumulate(floor, axis=1, out=floor)
-    np.add(S[:, 1:], floor, out=row[:, 1:])
-    return row
+    num_rules, chains, L = rules_major.shape[0], chain_codes.shape[0], chain_codes.shape[1] - 1
+    below = levels - 1
+    shifts = np.empty((below, num_rules, chains, L), dtype=bool)
+    argmins = np.empty((below, chains, L), dtype=np.min_scalar_type(num_rules - 1))
+    mins = np.empty((below, chains))
+    top = np.empty((num_rules, chains))
+    sum_carry = np.full((num_rules, chains), -0.0)
+    floor_carry = np.full((below, num_rules, chains), np.inf)
+    step = min(L, max(1, _BATCH_FLOATS // (4 * num_rules * chains)))
+    buffers = np.empty((2, num_rules * chains * (step + 1)))
+    best_at = np.empty((chains, step))
+    above = np.empty((2, chains, step), dtype=bool)
+    for a in range(0, L, step):
+        n = min(step, L - a)
+        size = num_rules * chains * (n + 1)
+        S, V = (buf[:size].reshape(num_rules, chains, n + 1) for buf in buffers)
+        np.take(rules_major, chain_codes[:, a : a + n + 1], axis=1, out=S, mode="clip")
+        S[..., 0] = sum_carry
+        np.cumsum(S, axis=-1, out=S)
+        sum_carry[...] = S[..., -1]
+        ends = np.flatnonzero((a <= last) & (last < a + n))
+        for i in range(levels):
+            if i:
+                M = _level(S, V, best, floor_carry[i - 1], a == 0)
+                np.less(best, M, out=shifts[i - 1, :, :, a : a + n])
+            else:
+                M = S[..., 1:]
+            if i == below:
+                top[:, ends] = M[:, ends, last[ends] - a]
+                break
+            best = np.minimum.reduce(M, axis=0, out=best_at[:, :n])
+            # The first rule attaining the minimum, as argmin picks it: the
+            # count of the leading rules above the minimum.
+            argmin, lead = argmins[i, :, a : a + n], np.not_equal(M[0], best, out=above[0, :, :n])
+            np.copyto(argmin, lead)
+            for j in range(1, num_rules - 1):
+                lead &= np.not_equal(M[j], best, out=above[1, :, :n])
+                argmin += lead
+            mins[i, ends] = best[ends, last[ends] - a]
+    return shifts, argmins, mins, top
 
 
 def _backward_batch(
-    M: np.ndarray, best: np.ndarray, last: np.ndarray, q: np.ndarray, row: np.ndarray
+    shifts: np.ndarray, argmins: np.ndarray, last: np.ndarray, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Recover every chain's optimal rule runs from its forward values.
+    """Recover every chain's optimal rule runs from the forward pass's flags.
 
     ``last[c]`` is the final occurrence of chain c.  The walk starts at
-    level r = len(best) in rule q[c] (the argmin at that occurrence), whose
-    values along the chain are row[c]; M and best hold the levels below r.
-    Walking from the last occurrence toward the first with current level r
-    and rule q, a shift is recorded at occurrence p exactly when the forward
-    recursion's shift branch was strictly better there:
-    best[r-1, p-1] < M[r, q, p-1].  Both quantities are stored forward
-    values, so the test reproduces the forward decisions bit for bit (a
-    subtraction of the current loss would reintroduce rounding and could
-    turn exact ties into spurious shifts).  Ties keep the current rule, so
-    the schedule uses as few shifts as possible.  Every step lowers r by
-    one, so the walk is one vector step per level for the whole batch; the
-    new rule is an argmin over the rules at the chosen occurrence only.
-    Each shift records the run it ends (chain, start, rule), and one
-    ``np.repeat`` of the runs, sorted by chain and start, lays out the
-    (chains, L) rule assignment, whose slots past a chain's end repeat the
-    rule of its last run.  With no level below the top (``best`` empty)
-    nothing is walked and ``row`` is not read.  Returns the assignment and
-    the shifts used per chain.
+    level r = len(argmins) in rule q[c] (the argmin at that occurrence);
+    ``shifts[i - 1]`` holds the shift flags of level i, every rule, and
+    ``argmins`` the argmin rules of levels 0..r-1.  Walking from the last
+    occurrence toward the first with current level r and rule q, a shift is
+    recorded at occurrence p exactly when the forward recursion's shift
+    branch was strictly better there: best[r-1, p-1] < M[r, q, p-1], the
+    flag the forward pass computed from its own values, so the walk
+    reproduces the forward decisions bit for bit.  Ties keep the current
+    rule, so the schedule uses as few shifts as possible.  Every step lowers
+    r by one, so the walk is one vector step per level for the whole batch;
+    the new rule is the stored argmin at the chosen occurrence.  Each shift
+    records the run it ends (chain, start, rule), and one ``np.repeat`` of
+    the runs, sorted by chain and start, lays out the (chains, L) rule
+    assignment, whose slots past a chain's end repeat the rule of its last
+    run.  With one level (``argmins`` empty) nothing is walked.  Returns the
+    assignment and the shifts used per chain.
     """
-    chains, L = last.size, M.shape[-1]
+    r = argmins.shape[0]
+    chains, L = argmins.shape[1:]
     cols = np.arange(L)
-    top = r = best.shape[0]
     q = q.copy()
     upper = last.copy()
     switches = np.zeros(chains, dtype=np.int64)
@@ -279,8 +309,7 @@ def _backward_batch(
     starts, rules = [], []
     active = np.flatnonzero(upper > 0)
     while r > 0 and active.size:
-        stay = row[active] if r == top else M[r][q[active], active]
-        hits = np.less(best[r - 1, active], stay)
+        hits = shifts[r - 1][q[active], active]
         hits &= cols < upper[active, None]
         last_hit = L - 1 - np.argmax(hits[:, ::-1], axis=1)
         found = hits[np.arange(active.size), last_hit]
@@ -289,7 +318,7 @@ def _backward_batch(
         r -= 1
         starts.append(active * L + p)
         rules.append(q[active])
-        q[active] = M[r][:, active, p - 1].argmin(axis=0)
+        q[active] = argmins[r][active, p - 1]
         upper[active] = p - 1
         switches[active] += 1
         active = active[p > 1]
@@ -327,26 +356,32 @@ def _solve_chains(
     rules_major = np.ascontiguousarray(table[:, keep].T)
     levels = [min(int(m), longest - 1) + 1 for m in budgets]
     tops = sorted(set(levels))
+    # The longest chain's batch holds per occurrence its intp position and
+    # its code (counted as 2 B), and at each level above the bottom one shift
+    # flag per kept rule and the argmin rule of the level below.
+    argmin_bytes = np.min_scalar_type(keep.size - 1).itemsize
+    if longest * (10 + (tops[-1] - 1) * (keep.size + argmin_bytes)) > MAX_CHAIN_BYTES:
+        raise TooLarge("DP state of the longest context chain exceeds the memory budget")
     assignments = {lv: np.empty(partition.num_interior, dtype=dtype) for lv in tops}
     switches = {lv: np.zeros(partition._counts.size, dtype=np.int64) for lv in tops}
     mins = {lv: np.empty(partition._counts.size) for lv in tops}
     for chains, lengths, pos in _batches(partition, tops[-1], num_rules):
         last = lengths - 1
-        w = np.take(rules_major, np.take(codes, pos), axis=1)
-        M, best, top = _forward_batch(w, tops[-1], last)
-        del w
+        chain_codes = np.take(codes, pos)
+        cols = np.arange(chains.size)
+        shifts, argmins, at_last, top = _forward_batch(rules_major, chain_codes, tops[-1], last)
         for lv in tops:
-            at_last = top if lv == tops[-1] else M[lv - 1][:, np.arange(chains.size), last]
-            q = at_last.argmin(axis=0)
-            mins[lv][chains] = np.minimum.reduce(at_last, axis=0)
-            row = _level_row(M, best, lv - 1, q) if lv > 1 else None
-            assign, switches[lv][chains] = _backward_batch(
-                M[: lv - 1], best[: lv - 1], last, q, row
-            )
+            if lv == tops[-1]:
+                q = top.argmin(axis=0)
+                mins[lv][chains] = np.minimum.reduce(top, axis=0)
+            else:
+                q = argmins[lv - 1, cols, last]
+                mins[lv][chains] = at_last[lv - 1]
+            assign, switches[lv][chains] = _backward_batch(shifts, argmins[: lv - 1], last, q)
             # A padded slot repeats its chain's last position and carries the
             # rule of the last run, so writing it again stores the same value.
-            assignments[lv][pos] = np.take(keep, assign)
-        del M, best, top, row, assign
+            assignments[lv][pos[:, 1:]] = np.take(keep, assign)
+        del shifts, argmins, assign
     # fsum rounds the exact sum once, so the chains' order does not matter.
     return [
         (

@@ -50,7 +50,7 @@ from sdude import (
 from sdude.errors import RangeError, TooLarge, ValidationError
 from sdude.genie import _true_loss_table
 from sdude.hmm import _IMPOSSIBLE
-from sdude.switching import _forward_batch, _solve_chains
+from sdude.switching import _solve_chains
 
 BRUTE_FORCE_BUDGET = 10**6
 
@@ -176,16 +176,13 @@ class DPState:
     def matrix_at(self, t: int) -> np.ndarray:
         """M_t (rows: allowed shifts + 1; last column: row argmin as a float).
 
-        Recomputed from the occurrences of t's context up to and including t,
-        on one level more than it returns: the library kernel stores every
-        level but its top one in full.
+        Recomputed by ``_forward_chain`` from the occurrences of t's context
+        up to and including t: the library kernel keeps no DP values.
         """
         chain = occurrences(self.partition, context_of(self.partition, t))
         idx = chain[: np.searchsorted(chain, t) + 1] - self.schedule.k - 1
-        w = self.ell.T[:, self.codes[idx]][:, None]
-        M, _, _ = _forward_batch(w, self.schedule.m + 2, np.array([idx.size - 1]))
-        values = M[:, :, 0, -1]
-        return np.column_stack((values, values.argmin(axis=1)))
+        M, argm = _forward_chain(self.ell[self.codes[idx]], self.schedule.m + 1)
+        return np.column_stack((M[:, -1], argm[:, -1]))
 
 
 def forward_pass(z: SymbolSequence, k: int, m: int, tables: EstimatedLossTable) -> DPState:

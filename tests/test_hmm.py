@@ -467,6 +467,22 @@ def state_order_posteriors(z, segments, pi, initial):
     return np.array([normalized([fx * gx for fx, gx in zip(ft, gt)]) for ft, gt in zip(f, g)])
 
 
+def starting_in_state_0(segments):
+    """``segments`` with an identity first segment starting in state 0.
+
+    The identity has no unique stationary law, so position 1 becomes a
+    segment of its own whose chain moves every state to state 0: its law is
+    state 0, and no step reads its matrix.
+    """
+    (start, end, p), rest = segments[0], segments[1:]
+    p = np.asarray(p)
+    if start == end or not np.array_equal(p, np.eye(len(p))):
+        return segments
+    drain = np.zeros_like(p)
+    drain[:, 0] = 1.0
+    return [(start, start, drain), (start + 1, end, p), *rest]
+
+
 def near_identity(q, flip):
     return np.full((q, q), flip / (q - 1)) + np.eye(q) * (1.0 - flip - flip / (q - 1))
 
@@ -489,10 +505,10 @@ class TestStepLoopMatchesBlocksBitwise:
             tails[: trial % 3] = (1, BLOCK - 1)[: trial % 3]
             lengths = rng.integers(0, 4, size=3) * BLOCK + tails
             bounds = np.cumsum([0, *lengths]).tolist()
-            segments = [
+            segments = starting_in_state_0([
                 (a + 1, b, matrices[(trial + i) % 3](rng))
                 for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
-            ]
+            ])
             ch = build_channel(near_identity(q, 0.3))
             n = bounds[-1]
             z = SymbolSequence(rng.integers(0, q, size=n), q)
@@ -564,7 +580,7 @@ def test_underflow_is_named_in_the_zero_probability_error(bsc01):
     # (1/9)^t and underflows long before t = 1000.
     z = SymbolSequence(np.ones(1000, dtype=np.int64), 2)
     with pytest.raises(ValidationError, match="zero probability.*underflowed"):
-        fb_posteriors(z, [(1, 1000, np.eye(2))], bsc01)
+        fb_posteriors(z, starting_in_state_0([(1, 1000, np.eye(2))]), bsc01)
 
 
 class TestMapDenoise:

@@ -4,10 +4,10 @@
 forward and backward passes one context chain at a time, on every rule and
 every level in full.  The batched kernel must reproduce it bit for bit: the
 same assignment, the same switches per context and the same minimum, on
-every tiling of positions into chains, although it drops dominated rules and
-holds the top level only where the walk reads it.  A call for several shift
-budgets must give each budget exactly what a call for that budget alone
-gives.
+every tiling of positions into chains, although it drops dominated rules,
+keeps one byte per DP decision instead of the values and scans long chains
+in segments.  A call for several shift budgets must give each budget
+exactly what a call for that budget alone gives.
 """
 
 import math
@@ -248,22 +248,23 @@ NEAR_TIES = [0.0, -0.0, 1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53, -1.0, 0.5, 3.0]
 )
 def test_walk_equals_the_summed_changes_reference(seed, lengths, levels, num_rules, values):
     # Every level count's walk of one padded batch gives the reference's
-    # assignment, padding included, and its shifts per chain.
+    # assignment, padding included, and its shifts per chain.  The reference
+    # walks the values of the oracle's own recursion, run on each padded
+    # chain; the kernel walks its shift flags and argmin rules.
     table = np.array(values[: 3 * num_rules]).reshape(3, num_rules)
     lengths = np.array(lengths)
-    w, _ = padded_batch(np.random.default_rng(seed), table, lengths)
-    last = lengths - 1
+    codes = padded_batch(np.random.default_rng(seed), table, lengths)
+    last, cols = lengths - 1, np.arange(lengths.size)
     deepest = min(levels, int(lengths.max()))
-    M, best, top = switching._forward_batch(w, deepest, last)
+    shifts, argmins, _, top = forward_one_batch(table, codes, deepest, last)
+    M, best = oracle_batch(table, codes, deepest)
     for lv in range(1, deepest + 1):
-        at_last = top if lv == deepest else M[lv - 1][:, np.arange(lengths.size), last]
-        q = at_last.argmin(axis=0)
-        row = switching._level_row(M, best, lv - 1, q)
+        q = M[lv - 1][:, cols, last].argmin(axis=0)
+        kept_q = top.argmin(axis=0) if lv == deepest else argmins[lv - 1, cols, last]
+        assert np.array_equal(kept_q, q)
+        row = M[lv - 1][q, cols]
         want, want_switches = backward_batch_reference(M[: lv - 1], best[: lv - 1], last, q, row)
-        # With one level there is nothing to walk, and the solve passes no row.
-        assign, switches = switching._backward_batch(
-            M[: lv - 1], best[: lv - 1], last, q, row if lv > 1 else None
-        )
+        assign, switches = switching._backward_batch(shifts, argmins[: lv - 1], last, q)
         assert np.array_equal(assign, want)
         assert np.array_equal(switches, want_switches)
 
@@ -335,22 +336,33 @@ def kept_by_definition(table, longest):
     ]
 
 
-def solve_one_batch(w, lengths, levels):
+def forward_one_batch(table, codes, levels, last):
+    """``_forward_batch`` on every rule of a handmade (chains, L) batch of codes."""
+    chain_codes = np.column_stack((codes[:, :1], codes))
+    return switching._forward_batch(np.ascontiguousarray(table.T), chain_codes, levels, last)
+
+
+def oracle_batch(table, codes, levels):
+    """M (levels, N, chains, L) and best (levels, chains, L) of a padded batch,
+    each padded chain run through the oracle's recursion."""
+    M = np.stack([_forward_chain(table[row], levels)[0] for row in codes], axis=1)
+    M = np.transpose(M, (0, 3, 1, 2))
+    return M, M.min(axis=1)
+
+
+def solve_one_batch(table, codes, lengths, levels):
     """_solve_chains's steps on one handmade batch: (minima, assignment, switches)."""
     last = lengths - 1
-    M, best, top = switching._forward_batch(w, levels, last)
-    q = top.argmin(axis=0)
-    row = switching._level_row(M, best, levels - 1, q)
-    assign, switches = switching._backward_batch(M, best, last, q, row)
+    shifts, argmins, _, top = forward_one_batch(table, codes, levels, last)
+    assign, switches = switching._backward_batch(shifts, argmins, last, top.argmin(axis=0))
     return np.minimum.reduce(top, axis=0), assign, switches
 
 
 def padded_batch(rng, table, lengths):
-    """(N, chains, L) losses of random chains, each padded by repeating its last occurrence."""
+    """(chains, L) codes of random chains, each padded by repeating its last occurrence."""
     L = int(lengths.max())
     codes = rng.integers(0, table.shape[0], size=(lengths.size, L))
-    codes = np.take_along_axis(codes, np.minimum(np.arange(L), lengths[:, None] - 1), axis=1)
-    return np.ascontiguousarray(table.T[:, codes]), codes
+    return np.take_along_axis(codes, np.minimum(np.arange(L), lengths[:, None] - 1), axis=1)
 
 
 class TestOnlyWhatTheWalkReads:
@@ -373,20 +385,25 @@ class TestOnlyWhatTheWalkReads:
             assert_matches_reference(partition, z.symbols, table, levels)
 
     def test_tables_with_signed_zeros(self):
-        # -0.0 and +0.0 in the table: every stored level, the top level at
-        # each chain's end and forward_min keep the reference's sign of zero.
+        # -0.0 and +0.0 in the table: every kept shift flag and argmin rule
+        # equals the oracle's, and every level's minimum at each chain's end,
+        # the top level at each chain's end and forward_min keep the
+        # reference's sign of zero.
         rng = np.random.default_rng(22)
         for _ in range(40):
             table = rng.choice([-0.0, 0.0, -1.0, 1.0, 0.5], size=(2, 4))
             lengths = rng.integers(1, 9, size=6)
-            w, _ = padded_batch(rng, table, lengths)
+            codes = padded_batch(rng, table, lengths)
             levels = int(rng.integers(2, 6))
-            M, best, top = switching._forward_batch(w, levels, lengths - 1)
+            shifts, argmins, mins, top = forward_one_batch(table, codes, levels, lengths - 1)
             for c, length in enumerate(lengths.tolist()):
-                want, _ = _forward_chain(w[:, c, :length].T, levels)
-                got = np.moveaxis(M[:, :, c, :length], 2, 1)
-                assert np.array_equal(np.signbit(got), np.signbit(want[: levels - 1]))
-                assert np.array_equal(got, want[: levels - 1])
+                want, argm = _forward_chain(table[codes[c, :length]], levels)
+                best = want.min(axis=2)
+                flags = np.moveaxis(best[:-1, :, None] < want[1:], 2, 1)
+                assert np.array_equal(shifts[:, :, c, :length], flags)
+                assert np.array_equal(argmins[:, c, :length], argm[:-1])
+                assert np.array_equal(np.signbit(mins[:, c]), np.signbit(best[:-1, -1]))
+                assert np.array_equal(mins[:, c], best[:-1, -1])
                 assert np.array_equal(np.signbit(top[:, c]), np.signbit(want[-1, -1]))
                 assert np.array_equal(top[:, c], want[-1, -1])
             z = SymbolSequence(rng.integers(0, 2, size=60), 2)
@@ -406,9 +423,9 @@ class TestOnlyWhatTheWalkReads:
         for _ in range(30):
             table = random_table(rng, 3, 4, style)
             lengths = rng.permutation(np.r_[1, 2, rng.integers(1, 12, size=4)])
-            w, codes = padded_batch(rng, table, lengths)
+            codes = padded_batch(rng, table, lengths)
             for levels in (1, 2, int(lengths.max()) + 1):
-                minima, assign, switches = solve_one_batch(w, lengths, levels)
+                minima, assign, switches = solve_one_batch(table, codes, lengths, levels)
                 for c, length in enumerate(lengths.tolist()):
                     M, argm = _forward_chain(table[codes[c, :length]], levels)
                     want, want_switches = _backward_chain(M, argm)
@@ -429,6 +446,59 @@ class TestOnlyWhatTheWalkReads:
             table = random_table(rng, 3, 27, style)
             for levels in (1, 2, int(counts.max()) + 1):
                 assert_matches_reference(partition, z.symbols[2:298], table, levels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    noisy=st.integers(2, 3),
+    n=st.integers(1, 160),
+    k=st.integers(0, 2),
+    budgets=st.lists(st.integers(0, 39), min_size=1, max_size=4),
+    values=st.lists(st.sampled_from(NEAR_TIES), min_size=12, max_size=12),
+    batch=st.sampled_from([1, 40, 100, 300]),
+)
+def test_segment_edges_inside_chains(seed, noisy, n, k, budgets, values, batch):
+    # With ``_BATCH_FLOATS`` at a few hundred floats or fewer, every chain is
+    # scanned in segments of 1 to 18 occurrences, so each rule's running sum
+    # and each level's running minimum cross many segment edges: up to 40
+    # levels on near-tied losses and signed zeros, several budgets in one call.
+    if n <= 2 * k:
+        return
+    rng = np.random.default_rng(seed)
+    z = SymbolSequence(rng.integers(0, noisy, size=n), noisy)
+    partition = build_partition(z, k)
+    table = np.array(values[: noisy * 4]).reshape(noisy, 4)
+    codes = z.symbols[k : n - k]
+    with mock.patch.object(switching, "_BATCH_FLOATS", batch):
+        solved = _solve_chains(partition, codes, table, budgets)
+    for m, (schedule, forward_min) in zip(budgets, solved):
+        assignment, switches, minimum = fused_reference(partition, table[codes], m)
+        assert np.array_equal(schedule.assignment, assignment)
+        assert np.array_equal(schedule.per_context_switches, switches)
+        assert forward_min == minimum
+        assert math.copysign(1.0, forward_min) == math.copysign(1.0, minimum)
+
+
+@pytest.mark.parametrize("batch", [5, switching._BATCH_FLOATS])
+def test_forty_levels_with_near_ties(batch, monkeypatch):
+    # Chains of 30 to 100 occurrences on 40 levels, with losses one unit in
+    # the last place apart, scanned whole or one occurrence at a time.
+    monkeypatch.setattr(switching, "_BATCH_FLOATS", batch)
+    rng = np.random.default_rng(27)
+    for _ in range(6):
+        z = SymbolSequence(rng.integers(0, 3, size=600), 3)
+        partition = build_partition(z, 1)
+        table = rng.choice(NEAR_TIES, size=(3, 5))
+        codes = z.symbols[1:599]
+        budgets = (39, 0, 12, 39)
+        solved = _solve_chains(partition, codes, table, budgets)
+        for m, (schedule, forward_min) in zip(budgets, solved):
+            assignment, switches, minimum = fused_reference(partition, table[codes], m)
+            assert np.array_equal(schedule.assignment, assignment)
+            assert np.array_equal(schedule.per_context_switches, switches)
+            assert forward_min == minimum
+        assert int(partition._counts.max()) > 40
 
 
 @settings(max_examples=80, deadline=None)
@@ -477,22 +547,25 @@ def test_planted_dominated_rule(
 
 
 class TestMemoryBudget:
+    # A chain of L occurrences on lv levels and R kept rules holds
+    # L * (10 + (lv - 1) * (R + 1)) bytes; BSC(0.1) with Hamming loss keeps 3
+    # rules, so one shift level costs 14 B per occurrence.
     def test_budget_is_per_chain(self, monkeypatch, tables01):
-        # 2000 interior positions over 16 contexts hold 2000 * 2 * 4 DP values
-        # in all, but no chain holds more than 600 * 2 * 4.
+        # 2000 interior positions over 16 contexts hold 2000 * 14 bytes in
+        # all, but no chain holds more than 146 * 14.
         rng = np.random.default_rng(9)
         z = SymbolSequence(rng.integers(0, 2, size=2004), 2)
         partition = build_partition(z, 2)
-        assert int(partition._counts.max()) * 8 < 5000 < 2000 * 8
-        monkeypatch.setattr(switching, "MAX_CHAIN_ENTRIES", 5000)
+        assert int(partition._counts.max()) * 14 < 5000 < 2000 * 14
+        monkeypatch.setattr(switching, "MAX_CHAIN_BYTES", 5000)
         assert_matches_reference(partition, z.symbols[2:2002], tables01.ell, 2)
 
     def test_forward_pass_needs_only_the_chain_budget(self, monkeypatch, tables01):
-        # The limit lies between the longest chain's 600 * 2 * 4 DP values and
-        # the 2000 * 2 * 5 a whole-sequence matrix store would take.
+        # The limit lies between the longest chain's 146 * 14 bytes and the
+        # 2000 * 14 a whole-sequence store would take.
         rng = np.random.default_rng(9)
         z = SymbolSequence(rng.integers(0, 2, size=2004), 2)
-        monkeypatch.setattr(switching, "MAX_CHAIN_ENTRIES", 5000)
+        monkeypatch.setattr(switching, "MAX_CHAIN_BYTES", 5000)
         state = forward_pass(z, 2, 1, tables01)
         schedule = state.schedule
         want = fused_reference(state.partition, tables01.ell[state.codes], 1)
@@ -501,30 +574,32 @@ class TestMemoryBudget:
         assert state.forward_min == want[2]
 
     def test_budget_past_the_longest_chain_needs_only_its_levels(self, monkeypatch, tables01):
-        # m = 300 shifts on 16 chains of at most about 150 occurrences: the
-        # longest chain holds longest * 4 * longest DP values, not
-        # (m + 1) * 4 * longest, and the result is the unclamped solve's.
+        # m = 300 shifts on 16 chains of at most 146 occurrences: the longest
+        # chain holds its bytes on 146 levels, not on m + 1, and the result is
+        # the unclamped solve's.
         rng = np.random.default_rng(9)
         z = SymbolSequence(rng.integers(0, 2, size=2004), 2)
         longest = int(build_partition(z, 2)._counts.max())
         m = 300
         assert longest < m
-        monkeypatch.setattr(switching, "MAX_CHAIN_ENTRIES", longest * 4 * longest)
+        held = longest * (10 + (longest - 1) * 4)
+        monkeypatch.setattr(switching, "MAX_CHAIN_BYTES", held)
         state = forward_pass(z, 2, m, tables01)
         want = fused_reference(state.partition, tables01.ell[state.codes], m)
         assert np.array_equal(state.schedule.assignment, want[0])
         assert np.array_equal(state.schedule.per_context_switches, want[1])
         assert state.forward_min == want[2]
-        monkeypatch.setattr(switching, "MAX_CHAIN_ENTRIES", longest * 4 * longest - 1)
+        monkeypatch.setattr(switching, "MAX_CHAIN_BYTES", held - 1)
         with pytest.raises(TooLarge):
             forward_pass(z, 2, m, tables01)
 
     def test_over_budget_chain_refused(self, monkeypatch, bsc01, hamming2):
+        # One chain of 1000 occurrences on two levels and 3 kept rules.
         z = SymbolSequence(np.zeros(1000, dtype=np.int64), 2)
-        monkeypatch.setattr(switching, "MAX_CHAIN_ENTRIES", 1000 * 2 * 4 - 1)
+        monkeypatch.setattr(switching, "MAX_CHAIN_BYTES", 1000 * 14 - 1)
         with pytest.raises(TooLarge):
             switching.sdude_denoise(z, 0, 1, bsc01, hamming2)
-        monkeypatch.setattr(switching, "MAX_CHAIN_ENTRIES", 1000 * 2 * 4)
+        monkeypatch.setattr(switching, "MAX_CHAIN_BYTES", 1000 * 14)
         switching.sdude_denoise(z, 0, 1, bsc01, hamming2)
 
 

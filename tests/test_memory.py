@@ -1,5 +1,5 @@
 """Peak traced memory per symbol of the sampler, the corruption, the smoother and its
-decisions, the denoiser, the loss and the switching-HMM experiment.
+decisions, the denoiser, the genie, the loss and the switching-HMM experiment.
 
 Each bound is the peak measured at n = 10^5 (numpy 2.4, Python 3.11) plus
 about 10%.  A stage that keeps a buffer alive after its last use, or symbols
@@ -19,9 +19,11 @@ from sdude import (
     MarkovComponent,
     PiecewiseSourceSpec,
     bsc_channel,
+    build_partition,
     corrupt,
     cumulative_loss,
     fb_posteriors,
+    genie_min_losses,
     hamming_loss,
     map_denoise,
     run_switching_hmm_experiment,
@@ -30,10 +32,10 @@ from sdude import (
 )
 
 N = 10**5
-# Measured 9.0 B per symbol: the first block's int64 walk and the int64 path
-# that joins its first state on (16 B for each of its 5 x 10^4 symbols, less
-# than a chunk), beside the one-byte output.
-SAMPLE_PIECEWISE_BYTES = 10
+# Measured 6.19 B per symbol: the first block's int64 path, its first state
+# included, and the uniforms it is drawn from (about 10 B for each of its
+# 5 x 10^4 symbols, less than a chunk), beside the one-byte output.
+SAMPLE_PIECEWISE_BYTES = 6.8
 # Measured 18.1 B per symbol: one chunk's uniforms, gathered CDF heads and
 # int64 draws (about 25 B for each of its 2^16 symbols), beside the one-byte
 # output.
@@ -45,13 +47,20 @@ FB_POSTERIORS_BYTES = 27
 # Measured 32.6 B per symbol, in the k = 4 solve; the posteriors are freed
 # before the denoisers run, and each k's outputs before the next k's solve.
 SWITCHING_HMM_BYTES = 36
-# Measured 31.5 B per symbol at k = 4, budgets (0, 1): the partition's int32
-# order (4 B) and the two assignments (2 B), plus the DP values and intp
-# positions of the longest chain's batch (about 0.12 n occurrences) while the budget-1
-# walk builds its top level's row; no earlier batch's values are held then,
-# nor the step offsets from which the batch's positions were gathered.  The
-# output mapping widens its index to intp one chunk at a time.
-SDUDE_DENOISE_EACH_BYTES = 34.5
+# Measured 25.2 B per symbol at k = 4, budgets (0, 1): the partition's int32
+# order (4 B) and the two assignments (2 B), plus the longest chains' batch
+# (about 0.2 n occurrences): its intp positions, codes, argmin rules and
+# shift flags, and the two segment buffers in which its sums and level values
+# are scanned.  No earlier batch's flags are held then, nor the step offsets
+# from which the batch's positions were gathered.  The output mapping widens
+# its index to intp one chunk at a time.
+SDUDE_DENOISE_EACH_BYTES = 27.5
+# Measured 40.1 B per symbol for budgets (0, 2) on the one chain of k = 0:
+# the intp positions (8 B) and one-byte codes, the level-0 and level-1
+# argmin rules and the shift flags of levels 1 and 2 for the 4 rules (10 B),
+# the partition's int32 order and the two assignments (6 B), and two segment
+# buffers of 2^16 floats.
+GENIE_MIN_LOSSES_BYTES = 44
 # Measured 5.9 B per symbol: the output and its read-only copy (1 B each), and
 # the three cost rows of one chunk, 3 x 2^14 floats (3.9 B per symbol at 10^5).
 MAP_DENOISE_BYTES = 6.5
@@ -133,6 +142,16 @@ def test_sdude_denoise_each_peak_per_symbol():
     sdude_denoise_each(z, 4, (0, 1), channel, loss)
     peak = traced_peak(sdude_denoise_each, z, 4, (0, 1), channel, loss)
     assert_below(peak, N, SDUDE_DENOISE_EACH_BYTES)
+
+
+def test_genie_min_losses_peak_per_symbol():
+    # The zero-order genie: every interior position in one context chain.
+    channel, loss = bsc_channel(0.1), hamming_loss(2)
+    x = sample_piecewise(SPEC, N, 5)
+    partition = build_partition(corrupt(x, channel, 6), 0)
+    genie_min_losses(x, partition, (0, 2), loss)
+    peak = traced_peak(genie_min_losses, x, partition, (0, 2), loss)
+    assert_below(peak, N, GENIE_MIN_LOSSES_BYTES)
 
 
 def test_cumulative_loss_peak_per_symbol():

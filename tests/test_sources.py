@@ -193,14 +193,27 @@ class TestSampling:
         np.testing.assert_allclose(comp.initial, [0.75, 0.25], atol=1e-12)
 
     def test_continuing_chain_keeps_state_across_boundary(self):
-        # A frozen chain (identity transitions) never moves, so a continuing
-        # spec keeps the initial state through both blocks.
-        frozen = MarkovComponent([[1.0, 0.0], [0.0, 1.0]])
+        # State 0 is absorbing in both chains and the first starts there, so a
+        # continuing spec keeps that state through both blocks.
+        absorbing = MarkovComponent([[1.0, 0.0], [0.5, 0.5]])
         near_frozen = MarkovComponent([[1.0, 0.0], [1e-12, 1.0 - 1e-12]])
-        spec = PiecewiseSourceSpec((frozen, near_frozen), (25,), (0, 1), continuing=True)
+        spec = PiecewiseSourceSpec((absorbing, near_frozen), (25,), (0, 1), continuing=True)
         for seed in range(10):
             seq = sample_piecewise(spec, 50, seed).symbols
             assert len(set(seq.tolist())) == 1
+
+    def test_chain_with_two_closed_classes_is_refused(self):
+        # The identity's stationary law is not unique; a chain that only
+        # nearly splits, or whose second state drains into the first, has one.
+        for transition in (np.eye(2), np.eye(3), [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0, 0, 1.0]]):
+            with pytest.raises(ValidationError, match="stationary law is not unique"):
+                stationary_distribution(transition)
+            with pytest.raises(ValidationError, match="stationary law is not unique"):
+                MarkovComponent(transition)
+        near = [[1.0 - 1e-12, 1e-12], [1e-12, 1.0 - 1e-12]]
+        np.testing.assert_allclose(stationary_distribution(near), [0.5, 0.5])
+        assert stationary_distribution([[1.0, 0.0], [0.5, 0.5]]).tolist() == [1.0, 0.0]
+        assert stationary_distribution([[0.0, 1.0], [1.0, 0.0]]).tolist() == [0.5, 0.5]
 
     def test_continuing_vs_independent_differ(self):
         p = [[0.99, 0.01], [0.01, 0.99]]

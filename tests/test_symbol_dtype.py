@@ -127,7 +127,12 @@ class TestNoWraparound:
         codes, table = _true_loss_table(x, z, 0, lam, mappings)
         want = x.symbols.astype(np.int64) * 12 + z.symbols.astype(np.int64)
         np.testing.assert_array_equal(codes, want)
-        assert codes.max() > 255
+        assert codes.max() > 255 and codes.dtype == np.uint16
+        # Binary codes stay one byte each, the narrowest dtype that holds 2 * 2 - 1.
+        binary = SymbolSequence(rng.integers(0, 2, n), 2)
+        codes, _ = _true_loss_table(binary, binary, 1, lam[:2], all_denoiser_mappings(2, 2))
+        assert codes.dtype == np.uint8
+        np.testing.assert_array_equal(codes, binary.symbols[1:-1].astype(np.int64) * 3)
         # The zero-shift genie at k = 0 is the best single rule over the whole sequence.
         best = np.cumsum(table[want], axis=0)[-1].min() / n
         got, _ = genie_min_loss(x, z, 0, 0, build_loss(lam))
