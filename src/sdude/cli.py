@@ -65,7 +65,12 @@ def _write_report(report, out_base) -> None:
     if base.endswith(".json"):
         base = base[: -len(".json")]
     fileio.atomic_write_text(base + ".json", report.to_json())
-    fileio.atomic_write_text(base + ".csv", report.to_csv())
+    try:
+        fileio.atomic_write_text(base + ".csv", report.to_csv())
+    except BaseException:
+        # No partial report: the JSON goes when the CSV cannot be written.
+        os.remove(base + ".json")
+        raise
 
 
 def _cmd_two_block(args) -> int:

@@ -5,12 +5,18 @@ noisy symbols flanking it, packed into one integer by base-q digits in
 reading order (left window first, then right window).  The ids are held in
 the smallest unsigned dtype that fits q^(2k) - 1 (``uint8`` for binary data
 up to k = 4, ``uint16`` up to k = 8) and grouped by an LSD radix sort: one
-stable argsort per 16-bit digit.  Only contexts that actually occur are
+stable counting sort per 16-bit digit (distribution counting, Knuth, TAOCP
+vol. 3, section 5.2).  Each counts its digit's values a chunk at a time,
+then sorts each chunk stably by digit and scatters its positions straight
+into the grouped order, so beside the ids and that order only one chunk's
+temporaries and the counts are held.  With ids of 16 bits or fewer the one
+digit is the id, and its counts give the groups; wider ids are compared in
+sorted order, a chunk at a time.  Only contexts that actually occur are
 materialized, so memory stays O(n) for any k.  The partition keeps the
 grouped order of the interior positions as ``int32`` when every 1-based
-position of the sequence fits (n < 2^31), else as ``intp``.  A
-partition owns the sequence it was built from, ``partition.z``; that is the
-only sequence it can be combined with.
+position of the sequence fits (n < 2^31), else as ``intp``.  A partition
+owns the sequence it was built from, ``partition.z``; that is the only
+sequence it can be combined with.
 """
 
 from __future__ import annotations
@@ -27,31 +33,31 @@ class ContextPartition:
     def __init__(self, z: SymbolSequence, k: int):
         n, base = len(z), z.alphabet_size
         k = _check_k(k, n, base)
-        num_ids = base ** (2 * k)
         self.z = z
         self.k = k
         self.n = n
         self.noisy_size = base
-        n_int = n - 2 * k
-        ids = np.zeros(n_int, dtype=np.min_scalar_type(num_ids - 1))
-        if k:
-            arr = z.symbols.astype(ids.dtype, copy=False)
-            for off in list(range(-k, 0)) + list(range(1, k + 1)):
-                ids *= base
-                ids += arr[k + off : n - k + off]
-        order, sorted_ids = _radix_sort(ids, (num_ids - 1).bit_length())
-        # Every 1-based position fits int32 below 2^31 symbols.  The order is
-        # narrowed before the group bounds are found, so the intp one is freed
-        # first; sorting and gathering stay on numpy's faster intp indices.
-        order = order.astype(np.int32) if n < 2**31 else order
-        new_group = np.empty(n_int, dtype=bool)
-        new_group[0] = True
-        np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=new_group[1:])
-        starts = np.flatnonzero(new_group)
-        counts = np.diff(starts, append=n_int)
-        unique_ids = sorted_ids[starts].astype(np.int64)
+        ids = _context_ids(z, k)
+        bits = (base ** (2 * k) - 1).bit_length()
+        # Every 1-based position fits int32 below 2^31 symbols.
+        order = np.empty(len(ids), dtype=np.int32 if n < 2**31 else np.intp)
+        # Least significant digit first; each pass reads the previous one's order.
+        src = None
+        for shift in range(0, max(bits, 1), 16):
+            counts = _sort_digit(ids, shift, 1 << min(16, bits - shift), src, order)
+            if shift + 16 < bits:
+                src, order = order, (np.empty_like(order) if src is None else src)
+        if bits <= 16:
+            # One digit: the ids are the digits, and its counts bound the groups.
+            unique_ids = np.flatnonzero(counts)
+            counts = counts[unique_ids]
+            starts = np.cumsum(counts) - counts
+        else:
+            del src
+            unique_ids, starts = _groups(ids, order)
+            counts = np.diff(starts, append=len(ids))
         self._order = order
-        self._unique_ids = unique_ids
+        self._unique_ids = unique_ids.astype(np.int64)
         self._starts = starts
         self._counts = counts
 
@@ -76,24 +82,84 @@ def _check_k(k, n: int, base: int) -> int:
     return k
 
 
-def _radix_sort(ids: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stable sort of unsigned ids below 2**bits: (order, ids[order]).
+def _context_ids(z: SymbolSequence, k: int) -> np.ndarray:
+    """Context id of every interior position, in the smallest unsigned dtype that holds them."""
+    n, base = len(z), z.alphabet_size
+    ids = np.zeros(n - 2 * k, dtype=np.min_scalar_type(base ** (2 * k) - 1))
+    if k:
+        arr = z.symbols.astype(ids.dtype, copy=False)
+        for off in list(range(-k, 0)) + list(range(1, k + 1)):
+            ids *= base
+            ids += arr[k + off : n - k + off]
+    return ids
 
-    One stable argsort per 16-bit digit, least significant first, each
-    carried through the previous digit's order; numpy's stable sort of a
-    16-bit or narrower integer array is a counting (radix) sort.
+
+SORT_CHUNK = 2**14  # positions that the counting sort orders and scatters at a time
+
+
+def _digit(keys: np.ndarray, shift: int) -> np.ndarray:
+    """Bits shift..shift+15 of ``keys``; ids of 16 bits or fewer are their own digit."""
+    if keys.dtype.itemsize <= 2:
+        return keys
+    # The cast keeps the low 16 bits of the shifted key: that digit.
+    return (keys >> shift).astype(np.uint16)
+
+
+def _sort_digit(ids, shift: int, bins: int, src, dest) -> np.ndarray:
+    """Scatter positions into ``dest``, stably by one digit of their ids; returns the digit counts.
+
+    The positions come in the order of ``src``, or ascending when it is None.
+    A first pass counts each of the ``bins`` digit values, which fixes where
+    each digit's positions begin in ``dest``.  The second takes a chunk at a
+    time, sorts it stably by digit, and writes each digit's run of positions
+    at that digit's next free slot, which then moves past the run.
     """
-    if ids.dtype.itemsize <= 2:
-        order = np.argsort(ids, kind="stable")
-        return order, ids[order]
-    order = None
-    keys = ids
-    for shift in range(0, bits, 16):
-        # The cast keeps the low 16 bits of the shifted key: that digit.
-        perm = np.argsort((keys >> shift).astype(np.uint16), kind="stable")
-        order = perm if order is None else order[perm]
+    n = len(dest)
+    counts = np.zeros(bins, dtype=np.intp)
+    for lo in range(0, n, SORT_CHUNK):
+        counts += np.bincount(_digit(ids[lo : lo + SORT_CHUNK], shift), minlength=bins)
+    free = np.cumsum(counts)
+    free -= counts
+    steps = np.arange(min(n, SORT_CHUNK))
+    for lo in range(0, n, SORT_CHUNK):
+        pos = None if src is None else src[lo : lo + SORT_CHUNK]
+        keys = _digit(ids[lo : lo + SORT_CHUNK] if pos is None else ids[pos], shift)
+        perm = np.argsort(keys, kind="stable")
         keys = keys[perm]
-    return order, keys
+        at = _run_starts(keys, True)
+        digits, runs = keys[at], np.diff(at, append=len(keys))
+        # The i-th position of the sorted chunk goes to its digit's free slot
+        # plus its rank in the digit's run.
+        slots = np.repeat(free[digits] - at, runs)
+        slots += steps[: len(keys)]
+        if pos is None:
+            perm += lo
+            dest[slots] = perm
+        else:
+            dest[slots] = pos[perm]
+        free[digits] += runs
+    return counts
+
+
+def _run_starts(keys: np.ndarray, first: bool) -> np.ndarray:
+    """Where the runs of equal values in ``keys`` begin; index 0 is one when ``first``."""
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = first
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _groups(ids, order) -> tuple[np.ndarray, np.ndarray]:
+    """(unique ids, group starts) of ``ids`` in ``order``, comparing a chunk at a time."""
+    unique, starts = [], []
+    last = None
+    for lo in range(0, len(order), SORT_CHUNK):
+        keys = ids[order[lo : lo + SORT_CHUNK]]
+        at = _run_starts(keys, last is None or keys[0] != last)
+        unique.append(keys[at])
+        starts.append(at + lo)
+        last = keys[-1]
+    return np.concatenate(unique), np.concatenate(starts)
 
 
 def build_partition(z: SymbolSequence, k: int) -> ContextPartition:

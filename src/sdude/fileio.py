@@ -16,7 +16,6 @@ import itertools
 import json
 import os
 import re
-import tempfile
 
 import numpy as np
 
@@ -33,9 +32,21 @@ from .switching import SwitchingSchedule
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file beside it and a rename.
+
+    The temporary file is opened with mode 0o666, so the kernel gives it the
+    permissions the umask leaves, as ``open(path, "wb")`` would.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}~")
+        try:
+            fd = os.open(tmp, flags, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

@@ -11,7 +11,9 @@ recursions stable for sequences of millions of symbols.  One (n, q) array
 holds the result: the forward pass writes its messages into it, and the
 backward pass multiplies each of its messages into the same position as it
 goes, so no backward array is kept; each position is then divided by the
-sum of its q products, added in state order.
+sum of its q products, added in state order, ``NORM_CHUNK`` positions at a
+time.  Beside the result, the smoother holds a few states per block and
+buffers of a fixed number of steps.
 
 Every clean alphabet takes one lock-step path.  A normalized filter
 forgets where it started: run from different states, its float64 values
@@ -22,11 +24,18 @@ segment, pass 2 reruns each block from its predecessor's pass-1 end until
 its values equal pass 1's.  Block 0 starts exact, so a block is exact once
 every block before it has coalesced with its pass-1 run; this is the
 coupling check of Propp and Wilson's exact sampling ("Exact sampling with
-coupled Markov chains", 1996).  Each ufunc call is one IEEE operation of
-the scalar recursion, in its order, so two-state posteriors equal the plain
-two-state recursion bit for bit.  What the blocks leave, position 0, a
-segment's tail shorter than a block and the rest of a segment after a block
-that never coalesced (a filter that never forgets, such as an identity
+coupled Markov chains", 1996).  The forward lock-step makes ``TILE`` steps
+of every block in a buffer and copies them into the result, and pass 2
+overwrites them there until its blocks coalesce.  The backward pass may
+only multiply an exact message into the result, and exactness is known
+only after pass 2, so it keeps no messages: pass 1 keeps each block's end
+state, pass 2 reruns pass 1 beside itself to find the exact blocks, and
+pass 3 runs those blocks again from their exact starts, multiplying each
+message in.  Each ufunc call is one IEEE operation of the scalar
+recursion, in its order, so two-state posteriors equal the plain two-state
+recursion bit for bit.  What the blocks leave, position 0, a segment's
+tail shorter than a block and the rest of a segment after a block that
+never coalesced (a filter that never forgets, such as an identity
 transition), runs in one step loop on Python floats that does the same
 operations in the same order, for any number of states.  An observation
 of zero probability under the model raises ``ValidationError`` instead of
@@ -112,50 +121,141 @@ def _work(cols, blocks):
     return cols, np.empty(shape), np.empty(shape), np.empty(shape), np.empty(blocks)
 
 
-def _lockstep(symbols, start, pi, cols, forward):
-    """States after every step of equal blocks, and how many blocks are exact.
+# Steps whose states are made in one contiguous buffer and then copied into
+# the result together: a step's states are a block apart there, and touching
+# each block once per step instead of once per tile made the smoother about
+# twice as slow.
+TILE = 16
+
+
+def _run(state, by_step, pi, work, forward, tile):
+    """Step the columns of ``state`` (q, c) through every row of ``by_step`` (steps, c).
+
+    The states after steps j..j+t-1 fill ``tile[:t]`` (TILE, q, c), and then
+    ``(j, t)`` is yielded; the last state is left in ``tile[t - 1]``.
+    """
+    emits = np.empty((len(state), TILE, state.shape[1]))
+    for j in range(0, len(by_step), TILE):
+        t = min(TILE, len(by_step) - j)
+        np.take(pi, by_step[j : j + t], axis=1, out=emits[:, :t])
+        for i in range(t):
+            _step(state, emits[:, i], tile[i], work, forward)
+            state = tile[i]
+        yield j, t
+
+
+def _blockwise(dest, tile):
+    """``dest`` and ``tile`` (t, q, c) as (c, t, q) views along which ``dest`` ascends in memory.
+
+    Walking ``dest`` a block at a time reads each block's part of the result
+    once.  numpy walks an operand with a negative stride several times more
+    slowly, so the axes that run backwards in ``dest`` (the backward pass's
+    steps and blocks) are flipped in both, and the flipped tile is copied.
+    """
+    flip = tuple(slice(None, None, -1 if stride < 0 else 1) for stride in dest.strides)
+    src = tile[flip]
+    if src.strides != tile.strides:
+        src = src.copy()
+    return dest[flip].transpose(2, 0, 1), src.transpose(2, 0, 1)
+
+
+def _lockstep(symbols, start, pi, cols, forward, out):
+    """Run equal blocks of steps into ``out``; returns (exact end state, exact blocks).
 
     ``symbols`` (blocks, steps) holds the emitting symbol of each step in
-    step order and ``start`` the exact state before the first step.  Returns
-    ``(values, exact)``: ``values[j, :, b]`` is the state after step j of
-    block b, equal to the exact run's for every block below ``exact``.
+    step order and ``start`` the exact state before the first step.
+    ``out[j, :, b]`` (steps, q, blocks) is where step j of block b goes: the
+    forward pass writes its states there, the backward pass multiplies them
+    in.  Blocks below the returned count are exact; beyond them ``out``
+    holds guesses when forward and is left as it was when backward.  Apart
+    from ``out``, only a few states per block are held.
     """
     blocks, steps = symbols.shape
     q = len(cols)
     by_step = symbols.T
-    # Each step's emission probabilities, gathered from pi when it runs.
-    emit = np.empty((q, blocks))
-    values = np.empty((steps, q, blocks))
+    tile = np.empty((TILE, q, blocks))
     # Pass 1: every block from the state before the segment.  Block 0 starts
     # there for real, so its values are exact; the others start from a guess.
     state = np.empty((q, blocks))
     state.T[...] = start
-    work = _work(cols, blocks)
-    for j in range(steps):
-        np.take(pi, by_step[j], axis=1, out=emit)
-        _step(state, emit, values[j], work, forward)
-        state = values[j]
-    # Pass 2: block b again, from block b-1's pass-1 end, overwriting until
-    # its values equal pass 1's; from that step on they stay equal.  Block b
-    # thus starts exact when every block before it has coalesced, so blocks
-    # are exact up to the first one that has not by its last step, and that
-    # one too, having been rerun from an exact start all the way.  With one
-    # block there is nothing to rerun, and the first check returns.
-    later = values[:, :, 1:]
-    state = values[-1, :, :-1].copy()
-    new = np.empty((q, blocks - 1))
-    same = np.empty((q, blocks - 1), dtype=bool)
-    emit = np.empty((q, blocks - 1))
-    work = _work(cols, blocks - 1)
-    for j in range(steps):
-        np.take(pi, by_step[j, 1:], axis=1, out=emit)
-        _step(state, emit, new, work, forward)
-        np.equal(new, later[j], out=same)
-        np.copyto(later[j], new)
+    for j, t in _run(state, by_step, pi, _work(cols, blocks), forward, tile):
+        if forward:
+            dest, src = _blockwise(out[j : j + t], tile[:t])
+            dest[...] = src
+    ends = tile[t - 1].copy()
+    # Pass 2: block b again, from block b-1's pass-1 end, until its values
+    # equal pass 1's; from that step on they stay equal.  Block b thus starts
+    # exact when every block before it has coalesced, so blocks are exact up
+    # to the first one that has not by its last step, and that one too,
+    # having been rerun from an exact start all the way.  With one block
+    # there is nothing to rerun, and the first check returns.
+    if forward:
+        same = _rerun_forward(ends[:, :-1], by_step[:, 1:], pi, cols, out[:, :, 1:], tile[:, :, 1:])
+    else:
+        same = _rerun_backward(ends[:, :-1], start, by_step[:, 1:], pi, cols)
+    exact = blocks if same is None else 2 + int(np.argmin(same.all(axis=0)))
+    if forward:
+        return out[-1, :, exact - 1], exact
+    # Pass 3: the exact blocks once more, from their exact starts, each state
+    # multiplied into ``out``.
+    state = np.empty((q, exact))
+    state.T[0] = start
+    state[:, 1:] = ends[:, : exact - 1]
+    tile = tile[:, :, :exact]
+    for j, t in _run(state, by_step[:, :exact], pi, _work(cols, exact), False, tile):
+        dest, src = _blockwise(out[j : j + t, :, :exact], tile[:t])
+        dest *= src
+    return tile[t - 1, :, exact - 1], exact
+
+
+def _rerun_forward(state, by_step, pi, cols, values, tile):
+    """Pass 2 of the forward lock-step over pass 1's states in ``values``, overwriting them.
+
+    Returns None once every column equals pass 1's, else the last step's
+    per-state comparison.  Each tile of ``values`` is copied out, checked
+    and overwritten step by step, and copied back.
+    """
+    q, c = state.shape
+    state = state.copy()
+    same = np.empty((q, c), dtype=bool)
+    emit, new, work = np.empty((q, c)), np.empty((q, c)), _work(cols, c)
+    for j in range(0, len(by_step), TILE):
+        t = min(TILE, len(by_step) - j)
+        np.copyto(tile[:t], values[j : j + t])
+        for i in range(t):
+            np.take(pi, by_step[j + i], axis=1, out=emit)
+            _step(state, emit, new, work, True)
+            np.equal(new, tile[i], out=same)
+            np.copyto(tile[i], new)
+            state, new = new, state
+            if same.all():
+                values[j : j + i + 1] = tile[: i + 1]
+                return None
+        values[j : j + t] = tile[:t]
+    return same
+
+
+def _rerun_backward(state, start, by_step, pi, cols):
+    """Pass 2 of the backward lock-step: returns as ``_rerun_forward`` does.
+
+    Pass 1's states were not kept, so pass 1 runs again beside pass 2, from
+    ``start``, in the second half of each step's columns.
+    """
+    q, c = state.shape
+    pair, new = np.empty((q, 2, c)), np.empty((q, 2, c))
+    pair[:, 0] = state
+    pair[:, 1].T[...] = start
+    same = np.empty((q, c), dtype=bool)
+    emit, work = np.empty((q, 2, c)), _work(cols, 2 * c)
+    for row in by_step:
+        np.take(pi, row, axis=1, out=emit[:, 0])
+        emit[:, 1] = emit[:, 0]
+        _step(pair.reshape(q, -1), emit.reshape(q, -1), new.reshape(q, -1), work, False)
+        np.equal(new[:, 0], new[:, 1], out=same)
         if same.all():
-            return values, blocks
-        state = later[j]
-    return values, 2 + int(np.argmin(same.all(axis=0)))
+            return None
+        pair, new = new, pair
+    return same
 
 
 def _pass(state, z, lo, hi, p, pi, out, forward):
@@ -186,17 +286,12 @@ def _pass(state, z, lo, hi, p, pi, out, forward):
     blocks = len(symbols) // BLOCK
     if blocks:
         whole = symbols[: blocks * BLOCK].reshape(blocks, BLOCK)
-        with np.errstate(all="ignore"):
-            values, exact = _lockstep(whole, state, pi, tuple(weights[:, :, None]), forward)
-        done = exact * BLOCK
         # Splitting the step axis into (block, step) is always a view of ``out``.
-        blocked = dest[:, :done].reshape(q, exact, BLOCK)
-        exact_values = values[:, :, :exact].transpose(1, 2, 0)
-        if forward:
-            blocked[...] = exact_values
-        else:
-            blocked *= exact_values
-        state = values[-1, :, exact - 1].tolist()
+        blocked = dest[:, : blocks * BLOCK].reshape(q, blocks, BLOCK).transpose(2, 0, 1)
+        with np.errstate(all="ignore"):
+            end, exact = _lockstep(whole, state, pi, tuple(weights[:, :, None]), forward, blocked)
+        done = exact * BLOCK
+        state = end.tolist()
         if state[0] != state[0]:
             # A zero normalizer in the exact run left NaN, which persists.
             raise ValidationError(_IMPOSSIBLE)
@@ -258,17 +353,32 @@ def _posteriors(z, segments, pi, initial):
             state = _pass(state, z, max(start - 2, 0), end - 2, p, pi, f, False)
     except ZeroDivisionError:
         raise ValidationError(_IMPOSSIBLE) from None
-    # ``np.add.reduce`` along a row of more than 8 states would sum pairwise.
-    norm = f[0].copy()
-    for y in range(1, q):
-        norm += f[y]
-    # A position whose sum is zero or not finite would come out as NaN; such an
-    # observation is impossible under the model (or underflowed), so it is
-    # rejected once here, before the divide.  (``min`` is NaN when any sum is.)
-    if not (norm.min() > 0.0 and norm.max() < np.inf):
-        raise ValidationError(_IMPOSSIBLE)
-    f /= norm
+    _normalize(f)
     return post
+
+
+NORM_CHUNK = 2**14  # positions that ``_normalize`` divides at a time
+
+
+def _normalize(f):
+    """Divide each column of ``f`` (q, n) by its sum, added in state order, a chunk at a time.
+
+    A position whose sum is zero or not finite would come out as NaN; such an
+    observation is impossible under the model (or underflowed), so it is
+    rejected before its chunk is divided.  (``min`` is NaN when any sum is.)
+    """
+    q, n = f.shape
+    buffer = np.empty(min(n, NORM_CHUNK))
+    for lo in range(0, n, NORM_CHUNK):
+        cols = f[:, lo : lo + NORM_CHUNK]
+        # ``np.add.reduce`` along a row of more than 8 states would sum pairwise.
+        norm = buffer[: cols.shape[1]]
+        np.copyto(norm, cols[0])
+        for y in range(1, q):
+            norm += cols[y]
+        if not (norm.min() > 0.0 and norm.max() < np.inf):
+            raise ValidationError(_IMPOSSIBLE)
+        cols /= norm
 
 
 def fb_posteriors(z: SymbolSequence, segments, channel: ChannelModel) -> np.ndarray:

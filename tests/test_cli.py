@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -438,6 +440,26 @@ class TestExperimentCommands:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["experiment"] == "two-block"
         assert (tmp_path / "report.csv").read_text().startswith("name,")
+
+    def test_report_files_get_the_mode_the_umask_leaves(self, tmp_path):
+        previous = os.umask(0o022)
+        try:
+            code = main(["experiment", "two-block", "--n", "1000", "--trials", "1",
+                         "--out", str(tmp_path / "report")])
+        finally:
+            os.umask(previous)
+        assert code == 0
+        for name in ("report.json", "report.csv"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644, name
+
+    def test_failed_csv_write_leaves_no_json(self, tmp_path, capsys):
+        (tmp_path / "report.csv").mkdir()
+        code = main(["experiment", "two-block", "--n", "1000", "--trials", "1",
+                     "--out", str(tmp_path / "report")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("sdude: error:")
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+        assert list((tmp_path / "report.csv").iterdir()) == []
 
     def test_switching_hmm_small(self, tmp_path):
         base = tmp_path / "hmm"

@@ -10,7 +10,7 @@ from oracles import (
     occurrences,
     partition_reference,
 )
-from sdude import SymbolSequence, build_partition
+from sdude import SymbolSequence, build_partition, contexts
 from sdude.errors import RangeError, SequenceTooShort, TooLarge, ValidationError
 
 
@@ -193,3 +193,40 @@ def test_numpy_k_is_checked_with_python_ints():
     assert type(part.k) is int
     assert part._unique_ids.tolist() == [0]
 
+
+
+def _recurring(q, n, seed):
+    """A period-11 pattern over q symbols with 2% of positions set to q - 1:
+    long contexts recur, so equal ids lie on both sides of every chunk edge."""
+    rng = np.random.default_rng(seed)
+    symbols = np.resize(rng.integers(0, q, size=11), n)
+    symbols[rng.random(n) < 0.02] = q - 1
+    return SymbolSequence(symbols, q)
+
+
+# (q, k) for context ids of 0, 8, 16, 24 and 32 bits.
+_ID_WIDTHS = {0: (2, 0), 8: (2, 4), 16: (4, 4), 24: (8, 4), 32: (4, 8)}
+
+
+@pytest.mark.parametrize("bits", sorted(_ID_WIDTHS))
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+@pytest.mark.parametrize("pattern", ["recurring", "random"])
+def test_partition_equals_reference_around_a_sort_chunk(bits, edge, pattern):
+    q, k = _ID_WIDTHS[bits]
+    assert (q ** (2 * k) - 1).bit_length() == bits
+    n = contexts.SORT_CHUNK + edge + 2 * k
+    if pattern == "recurring":
+        z = _recurring(q, n, bits)
+    else:
+        z = SymbolSequence(np.random.default_rng(bits).integers(0, q, size=n), q)
+    _assert_matches_reference(z, k)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("q, k", [(2, 0), (2, 3), (3, 5), (2, 10), (2, 20)])
+def test_partition_equals_reference_over_many_sort_chunks(monkeypatch, chunk, q, k):
+    # Ids of 0 to 40 bits (one to three digits) over a few hundred positions,
+    # sorted and grouped in chunks that end at every offset.
+    monkeypatch.setattr(contexts, "SORT_CHUNK", chunk)
+    for extra in range(chunk, chunk + min(chunk, 8)):
+        _assert_matches_reference(_recurring(q, 2 * k + 300 + extra, chunk + extra), k)

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -426,3 +428,29 @@ class TestScheduleJson:
         m = min(m, (len(symbols) - 2 * k) // 2)
         _, schedule, _ = sdude_denoise(z, k, m, identity_channel(q), hamming_loss(q))
         _assert_writes_reference(tmp_path / "schedule.json", schedule, estimated)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_file_mode_is_what_the_umask_leaves(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            fileio.atomic_write_bytes(tmp_path / "out.bin", b"abc")
+            assert os.umask(umask) == umask
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "out.bin").stat().st_mode) == mode
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_replaces_an_existing_file_and_leaves_no_temporary(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old")
+        fileio.atomic_write_text(target, "new")
+        assert target.read_text() == "new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_rename_removes_the_temporary(self, tmp_path):
+        (tmp_path / "out.txt").mkdir()
+        with pytest.raises(OSError):
+            fileio.atomic_write_text(tmp_path / "out.txt", "x")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

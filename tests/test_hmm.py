@@ -227,10 +227,10 @@ def lockstep_runs(monkeypatch):
     """(blocks, exact blocks) of every lock-step call made during the test."""
     runs = []
 
-    def recorded(symbols, start, pi, cols, forward):
-        values, exact = real(symbols, start, pi, cols, forward)
+    def recorded(symbols, start, pi, cols, forward, out):
+        end, exact = real(symbols, start, pi, cols, forward, out)
         runs.append((symbols.shape[0], exact))
-        return values, exact
+        return end, exact
 
     real = hmm._lockstep
     monkeypatch.setattr(hmm, "_lockstep", recorded)
@@ -400,10 +400,10 @@ class TestOneSmootherForEveryAlphabet:
         # run is of whole blocks.
         runs = []
 
-        def recorded(symbols, start, pi, cols, forward):
-            values, exact = real(symbols, start, pi, cols, forward)
+        def recorded(symbols, start, pi, cols, forward, out):
+            end, exact = real(symbols, start, pi, cols, forward, out)
             runs.append((symbols.shape, exact))
-            return values, exact
+            return end, exact
 
         real = hmm._lockstep
         monkeypatch.setattr(hmm, "_lockstep", recorded)
@@ -685,3 +685,65 @@ def test_random_parameterizations_match_enumeration():
         )
         post = fb_posteriors(z, segments, ch)
         np.testing.assert_allclose(post, expected, atol=1e-10)
+
+
+class TestLockStepEdgesBitwise:
+    """The lock-step's buffers and the normalizer's chunks at every offset,
+    and segments whose blocks never coalesce, against the scalar references."""
+
+    @pytest.mark.parametrize("tile", [hmm.TILE, 7])
+    def test_segment_edge_at_every_offset_of_a_block(self, monkeypatch, bsc01, tile):
+        # The second segment's blocks start at every offset of the first's,
+        # and the forward pass 2 stops at every step of a tile.
+        monkeypatch.setattr(hmm, "TILE", tile)
+        n = 4 * BLOCK + 40
+        z = SymbolSequence(np.random.default_rng(31).integers(0, 2, size=n), 2)
+        for cut in range(BLOCK, 2 * BLOCK):
+            assert_matches_reference(z, [(1, cut, symmetric(0.05)), (cut + 1, n, symmetric(0.3))], bsc01)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 64])
+    def test_normalizer_chunks_end_at_every_offset(self, monkeypatch, chunk):
+        monkeypatch.setattr(hmm, "NORM_CHUNK", chunk)
+        for n in range(3 * BLOCK, 3 * BLOCK + min(chunk, 6)):
+            assert_matches_reference(*switching_hmm_input(n, n))
+
+    @pytest.mark.parametrize("edge", [-1, 0, 1])
+    def test_normalizer_chunk_edge_at_full_size(self, edge):
+        assert_matches_reference(*switching_hmm_input(edge + 5, hmm.NORM_CHUNK + edge))
+
+    @pytest.mark.parametrize("chunk", [3, 64])
+    def test_zero_sum_in_any_chunk_is_rejected(self, monkeypatch, chunk):
+        monkeypatch.setattr(hmm, "NORM_CHUNK", chunk)
+        n = 200
+        for t in (0, chunk - 1, chunk, n - 1):
+            for bad in (0.0, np.inf, np.nan):
+                f = np.full((2, n), 0.25)
+                f[:, t] = bad
+                with pytest.raises(ValidationError, match="zero probability"):
+                    hmm._normalize(f)
+        f = np.random.default_rng(chunk).random((3, n)) + 0.1
+        expected = f / ((f[0] + f[1]) + f[2])
+        hmm._normalize(f)
+        assert np.array_equal(f, expected)
+
+    @pytest.mark.parametrize("q", [2, 3, 10])
+    @pytest.mark.parametrize("tile", [hmm.TILE, 5])
+    def test_segments_that_never_coalesce(self, monkeypatch, lockstep_runs, q, tile):
+        # An identity transition never forgets, so in both passes block 1 of
+        # the second segment never coalesces: the backward pass multiplies
+        # only blocks 0 and 1 in, and the step loop does the rest.
+        monkeypatch.setattr(hmm, "TILE", tile)
+        rng = np.random.default_rng(40 + q)
+        n, cut = 7 * BLOCK + 29, 2 * BLOCK + 3
+        segments = [(1, cut, near_identity(q, 0.3)), (cut + 1, n, np.eye(q))]
+        ch = build_channel(np.full((q, q), 0.7 / q) + np.eye(q) * 0.3)
+        z = SymbolSequence(rng.integers(0, q, size=n), q)
+        post = fb_posteriors(z, segments, ch)
+        segs = hmm._validate_segments(segments, n, q)
+        initial = stationary_distribution(segs[0][2])
+        assert np.array_equal(post, state_order_posteriors(z.symbols, segs, ch.pi, initial))
+        if q == 2:
+            assert np.array_equal(post, binary_posteriors_reference(z.symbols, segs, ch.pi, initial))
+        expected = generic_posteriors_reference(z.symbols, segs, ch.pi, initial)
+        np.testing.assert_allclose(post, expected, rtol=0, atol=1e-12)
+        assert lockstep_runs == [(2, 2), (5, 2), (5, 2), (2, 2)]

@@ -1,5 +1,6 @@
 """Peak traced memory per symbol of the sampler, the corruption, the smoother and its
-decisions, the denoiser, the genie, the loss and the switching-HMM experiment.
+decisions, the context partition, the denoiser, the genie, the loss and the
+switching-HMM experiment.
 
 Each bound is the peak measured at n = 10^5 (numpy 2.4, Python 3.11) plus
 about 10%.  A stage that keeps a buffer alive after its last use, or symbols
@@ -40,13 +41,20 @@ SAMPLE_PIECEWISE_BYTES = 6.8
 # int64 draws (about 25 B for each of its 2^16 symbols), beside the one-byte
 # output.
 CORRUPT_BYTES = 20
-# Measured 24.7 B per symbol: the one (n, 2) posterior array (16 B) and one
-# segment's lock-step values (8 B); emissions are gathered per step, and the
-# backward messages multiply into the posteriors as they are made.
-FB_POSTERIORS_BYTES = 27
-# Measured 32.6 B per symbol, in the k = 4 solve; the posteriors are freed
-# before the denoisers run, and each k's outputs before the next k's solve.
-SWITCHING_HMM_BYTES = 36
+# Measured 19.3 B per symbol (24.7 while a segment's lock-step values and an
+# n-float normalizer were held): the one (n, 2) posterior array (16 B), a few
+# states per block, the lock-step's 16-step buffers and one chunk of sums.
+FB_POSTERIORS_BYTES = 21
+# Measured 21.0 B per symbol at 4N (26.3 while the smoother held a segment's
+# lock-step values beside its output): the decisions over the posteriors,
+# with the smoother at 20.5; below about 2 x 10^5 symbols the k = 4 solve
+# sets the peak (28.1 B at N).  The posteriors are freed before the
+# denoisers run, and each k's outputs before the next k's solve.
+SWITCHING_HMM_BYTES = 23
+# Measured 10.7 and 13.2 B per symbol at k = 4 and 6 (14.0 and 18.0 with a
+# stable argsort's intp order and buffer): the uint8 or uint16 ids, the int32
+# order and one chunk's temporaries of the counting sort.
+BUILD_PARTITION_BYTES = {4: 11.8, 6: 14.5}
 # Measured 25.2 B per symbol at k = 4, budgets (0, 1): the partition's int32
 # order (4 B) and the two assignments (2 B), plus the longest chains' batch
 # (about 0.2 n occurrences): its intp positions, codes, argmin rules and
@@ -132,8 +140,15 @@ def test_map_denoise_peak_per_symbol():
 def test_switching_hmm_experiment_peak_per_symbol():
     # A first run loads every lazily imported module, outside the trace.
     run_switching_hmm_experiment(1000, 0.1, 0.01, 0.2, seed=3)
-    peak = traced_peak(run_switching_hmm_experiment, N, 0.1, 0.01, 0.2, None, (4, 6), (1,), 3)
-    assert_below(peak, N, SWITCHING_HMM_BYTES)
+    peak = traced_peak(run_switching_hmm_experiment, 4 * N, 0.1, 0.01, 0.2, None, (4, 6), (1,), 3)
+    assert_below(peak, 4 * N, SWITCHING_HMM_BYTES)
+
+
+@pytest.mark.parametrize("k", sorted(BUILD_PARTITION_BYTES))
+def test_build_partition_peak_per_symbol(k):
+    z = corrupt(sample_piecewise(SPEC, N, 5), bsc_channel(0.1), 6)
+    build_partition(z, k)
+    assert_below(traced_peak(build_partition, z, k), N, BUILD_PARTITION_BYTES[k])
 
 
 def test_sdude_denoise_each_peak_per_symbol():

@@ -27,12 +27,13 @@ _, status, usage = os.wait4(proc.pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
-# Measured 17.3-17.5 MB above a 28.9 MB import (Python 3.11, numpy 2.4, glibc,
+# Measured 14.0-14.1 MB above a 29.3 MB import (Python 3.11, numpy 2.4, glibc,
 # x86-64 Linux), plus about 10%: numpy.random and LAPACK loaded on first use,
-# the smoother's one posterior array and what the heap keeps after it.  With
-# glibc's mmap threshold held at 128 KiB it is 15.5 MB; left to move, small
-# changes elsewhere shift it by up to 1.5 MB.
-SWITCHING_HMM_MB = 19.0
+# the smoother's one posterior array and what the heap keeps after it.  It
+# was 16.1-16.2 MB while the smoother held a segment's lock-step values and
+# the partition a stable argsort's intp order; small changes elsewhere can
+# shift it by up to 1.5 MB through glibc's moving mmap threshold.
+SWITCHING_HMM_MB = 15.5
 # Measured 19.4 MB above the import (29.5 MB while the forward pass kept
 # every level's float values), plus about 10%: the 10^6-symbol input and
 # output, the partition, the schedule text, and one batch's flags and
