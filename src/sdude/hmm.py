@@ -15,31 +15,33 @@ sum of its q products, added in state order, ``NORM_CHUNK`` positions at a
 time.  Beside the result, the smoother holds a few states per block and
 buffers of a fixed number of steps.
 
-Every clean alphabet takes one lock-step path.  A normalized filter
-forgets where it started: run from different states, its float64 values
-become equal bit for bit within a few dozen to a hundred steps.  So each
-segment's steps are cut into blocks of ``BLOCK`` steps, and numpy steps
-every block at once: pass 1 runs each block from the state before the
-segment, pass 2 reruns each block from its predecessor's pass-1 end until
-its values equal pass 1's.  Block 0 starts exact, so a block is exact once
-every block before it has coalesced with its pass-1 run; this is the
-coupling check of Propp and Wilson's exact sampling ("Exact sampling with
-coupled Markov chains", 1996).  The forward lock-step makes ``TILE`` steps
-of every block in a buffer and copies them into the result, and pass 2
-overwrites them there until its blocks coalesce.  The backward pass may
-only multiply an exact message into the result, and exactness is known
-only after pass 2, so it keeps no messages: pass 1 keeps each block's end
-state, pass 2 reruns pass 1 beside itself to find the exact blocks, and
-pass 3 runs those blocks again from their exact starts, multiplying each
-message in.  Each ufunc call is one IEEE operation of the scalar
-recursion, in its order, so two-state posteriors equal the plain two-state
-recursion bit for bit.  What the blocks leave, position 0, a segment's
-tail shorter than a block and the rest of a segment after a block that
-never coalesced (a filter that never forgets, such as an identity
+Every clean alphabet takes one lock-step path.  A normalized filter forgets
+where it started: run from different states, its float64 values become equal
+bit for bit within a few dozen to a hundred steps.  So each segment's steps
+are cut into blocks of ``BLOCK`` steps, and numpy steps every block at once:
+pass 1 runs each block from the state before the segment, pass 2 reruns each
+block from its predecessor's pass-1 end until its values equal pass 1's.
+Block 0 starts exact, so a block is exact once every block before it has
+coalesced with its pass-1 run; this is the coupling check of Propp and
+Wilson's exact sampling ("Exact sampling with coupled Markov chains", 1996).
+Both directions run the same two passes: pass 1 keeps each block's end
+state, and pass 2 (``_rerun``) replays pass 1 beside itself from the
+segment's start instead of reading its values back.  They differ only in
+what becomes of the states.  The forward pass 1 makes ``TILE`` steps of
+every block in a buffer and copies them into the result, and pass 2
+overwrites them there until its blocks coalesce.  The backward pass may only
+multiply an exact message into the result, and exactness is known only after
+pass 2, so pass 3 runs the exact blocks again from their exact starts,
+multiplying each message in.  Each ufunc call is one IEEE operation of the
+scalar recursion, in its order, so two-state posteriors equal the plain
+two-state recursion bit for bit.  What the blocks leave, position 0, a
+segment's tail shorter than a block and the rest of a segment after a block
+that never coalesced (a filter that never forgets, such as an identity
 transition), runs in one step loop on Python floats that does the same
-operations in the same order, for any number of states.  An observation
-of zero probability under the model raises ``ValidationError`` instead of
-returning NaN rows; so does one whose scaled messages underflow to zero.
+operations in the same order, for any number of states, and reads the
+symbols a chunk at a time.  An observation of zero probability under the
+model raises ``ValidationError`` instead of returning NaN rows; so does one
+whose scaled messages underflow to zero.
 
 ``map_denoise`` scores a chunk of positions at a time without BLAS, so its
 decisions depend on neither the BLAS library nor its threads.
@@ -188,11 +190,9 @@ def _lockstep(symbols, start, pi, cols, forward, out):
     # exact when every block before it has coalesced, so blocks are exact up
     # to the first one that has not by its last step, and that one too,
     # having been rerun from an exact start all the way.  With one block
-    # there is nothing to rerun, and the first check returns.
-    if forward:
-        same = _rerun_forward(ends[:, :-1], by_step[:, 1:], pi, cols, out[:, :, 1:], tile[:, :, 1:])
-    else:
-        same = _rerun_backward(ends[:, :-1], start, by_step[:, 1:], pi, cols)
+    # there is nothing to rerun, and the first check returns.  Forward, the
+    # rerun states replace pass 1's guesses in ``out`` as they are made.
+    same = _rerun(ends[:, :-1], start, by_step[:, 1:], pi, cols, forward, out[:, :, 1:])
     exact = blocks if same is None else 2 + int(np.argmin(same.all(axis=0)))
     if forward:
         return out[-1, :, exact - 1], exact
@@ -208,38 +208,13 @@ def _lockstep(symbols, start, pi, cols, forward, out):
     return tile[t - 1, :, exact - 1], exact
 
 
-def _rerun_forward(state, by_step, pi, cols, values, tile):
-    """Pass 2 of the forward lock-step over pass 1's states in ``values``, overwriting them.
+def _rerun(state, start, by_step, pi, cols, forward, values):
+    """Pass 2: step the columns of ``state`` (q, c) beside pass 1, replayed from ``start``.
 
-    Returns None once every column equals pass 1's, else the last step's
-    per-state comparison.  Each tile of ``values`` is copied out, checked
-    and overwritten step by step, and copied back.
-    """
-    q, c = state.shape
-    state = state.copy()
-    same = np.empty((q, c), dtype=bool)
-    emit, new, work = np.empty((q, c)), np.empty((q, c)), _work(cols, c)
-    for j in range(0, len(by_step), TILE):
-        t = min(TILE, len(by_step) - j)
-        np.copyto(tile[:t], values[j : j + t])
-        for i in range(t):
-            np.take(pi, by_step[j + i], axis=1, out=emit)
-            _step(state, emit, new, work, True)
-            np.equal(new, tile[i], out=same)
-            np.copyto(tile[i], new)
-            state, new = new, state
-            if same.all():
-                values[j : j + i + 1] = tile[: i + 1]
-                return None
-        values[j : j + t] = tile[:t]
-    return same
-
-
-def _rerun_backward(state, start, by_step, pi, cols):
-    """Pass 2 of the backward lock-step: returns as ``_rerun_forward`` does.
-
-    Pass 1's states were not kept, so pass 1 runs again beside pass 2, from
-    ``start``, in the second half of each step's columns.
+    Returns None once every column equals its replay, else the last step's
+    per-state comparison.  Pass 1's states are not read back: pass 1 runs
+    again in the second half of each step's columns.  Forward, each pass-2
+    state overwrites pass 1's guess in ``values`` (steps, q, c) until then.
     """
     q, c = state.shape
     pair, new = np.empty((q, 2, c)), np.empty((q, 2, c))
@@ -247,10 +222,12 @@ def _rerun_backward(state, start, by_step, pi, cols):
     pair[:, 1].T[...] = start
     same = np.empty((q, c), dtype=bool)
     emit, work = np.empty((q, 2, c)), _work(cols, 2 * c)
-    for row in by_step:
+    for row, dest in zip(by_step, values):
         np.take(pi, row, axis=1, out=emit[:, 0])
         emit[:, 1] = emit[:, 0]
-        _step(pair.reshape(q, -1), emit.reshape(q, -1), new.reshape(q, -1), work, False)
+        _step(pair.reshape(q, -1), emit.reshape(q, -1), new.reshape(q, -1), work, forward)
+        if forward:
+            dest[...] = new[:, 0]
         np.equal(new[:, 0], new[:, 1], out=same)
         if same.all():
             return None
@@ -305,22 +282,24 @@ def _pass(state, z, lo, hi, p, pi, out, forward):
     rows = [memoryview(row) for row in out]
     a, w, b = list(state), list(state), list(state)
     xs, ys = range(q), range(1, q)
-    for t, zt in zip(steps[done:], symbols[done:].tolist()):
-        eb, ea = before[zt], after[zt]
-        for y in xs:
-            w[y] = eb[y] * a[y]
-        for x in xs:
-            col = cols[x]
-            acc = w[0] * col[0]
+    # A chunk at a time, so a segment that never coalesces holds no list of all its symbols.
+    for lo in range(done, len(symbols), NORM_CHUNK):
+        for t, zt in zip(steps[lo : lo + NORM_CHUNK], symbols[lo : lo + NORM_CHUNK].tolist()):
+            eb, ea = before[zt], after[zt]
+            for y in xs:
+                w[y] = eb[y] * a[y]
+            for x in xs:
+                col = cols[x]
+                acc = w[0] * col[0]
+                for y in ys:
+                    acc += w[y] * col[y]
+                b[x] = acc * ea[x]
+            s = b[0]
             for y in ys:
-                acc += w[y] * col[y]
-            b[x] = acc * ea[x]
-        s = b[0]
-        for y in ys:
-            s += b[y]
-        for x in xs:
-            a[x] = v = b[x] / s
-            rows[x][t] = v if forward else rows[x][t] * v
+                s += b[y]
+            for x in xs:
+                a[x] = v = b[x] / s
+                rows[x][t] = v if forward else rows[x][t] * v
     return a
 
 
@@ -357,7 +336,8 @@ def _posteriors(z, segments, pi, initial):
     return post
 
 
-NORM_CHUNK = 2**14  # positions that ``_normalize`` divides at a time
+# Positions that ``_normalize`` divides, and that ``_pass``'s step loop reads, at a time.
+NORM_CHUNK = 2**14
 
 
 def _normalize(f):

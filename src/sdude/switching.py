@@ -455,6 +455,8 @@ def sdude_denoise_each(
     Every schedule holds the one partition of z, ``schedule.partition``.
     ``tables``, if given, must be built for ``channel`` and ``loss``.
     """
+    if z.alphabet_size != channel.noisy_size:
+        raise ValidationError("sequence alphabet does not match the channel's noisy alphabet")
     if tables is None:
         tables = build_tables(channel, loss)
     elif not (
@@ -465,8 +467,6 @@ def sdude_denoise_each(
         raise ValidationError("tables were built for another channel or loss")
     budgets = _check_budgets(len(z), k, z.alphabet_size, budgets)
     partition = build_partition(z, k)
-    if z.alphabet_size != tables.channel.noisy_size:
-        raise ValidationError("sequence alphabet does not match the channel's noisy alphabet")
     n, recon = len(z), tables.loss.recon_size
     # The interior noisy symbols are the rows of ``tables.ell`` that score each position.
     codes = z.symbols[k : n - k]

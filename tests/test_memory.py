@@ -19,6 +19,7 @@ import pytest
 from sdude import (
     MarkovComponent,
     PiecewiseSourceSpec,
+    SymbolSequence,
     bsc_channel,
     build_partition,
     corrupt,
@@ -45,6 +46,10 @@ CORRUPT_BYTES = 20
 # n-float normalizer were held): the one (n, 2) posterior array (16 B), a few
 # states per block, the lock-step's 16-step buffers and one chunk of sums.
 FB_POSTERIORS_BYTES = 21
+# Measured 19.8 B per symbol (25.0 while the step loop took the rest of a
+# segment as one Python list): a segment that never coalesces runs in the
+# step loop, which reads its symbols a chunk at a time.
+FB_STEP_LOOP_BYTES = 21.8
 # Measured 21.0 B per symbol at 4N (26.3 while the smoother held a segment's
 # lock-step values beside its output): the decisions over the posteriors,
 # with the smoother at 20.5; below about 2 x 10^5 symbols the k = 4 solve
@@ -126,6 +131,18 @@ def test_fb_posteriors_peak_per_symbol():
     segments = [(1, N // 2, flips[0]), (N // 2 + 1, N, flips[1])]
     peak = traced_peak(fb_posteriors, z, segments, channel)
     assert_below(peak, N, FB_POSTERIORS_BYTES)
+
+
+def test_fb_posteriors_step_loop_peak_per_symbol():
+    # An identity transition never forgets its start, so the second segment's
+    # blocks never coalesce, and all but its first two run in the step loop.
+    flip, channel = np.array([[0.9, 0.1], [0.1, 0.9]]), bsc_channel(0.1)
+    head = MarkovComponent(flip).sample(600, np.random.default_rng(5))
+    x = SymbolSequence(np.concatenate([head, np.full(N - 600, head[-1])]), 2)
+    z = corrupt(x, channel, 6)
+    segments = [(1, 600, flip), (601, N, np.eye(2))]
+    fb_posteriors(z, segments, channel)
+    assert_below(traced_peak(fb_posteriors, z, segments, channel), N, FB_STEP_LOOP_BYTES)
 
 
 def test_map_denoise_peak_per_symbol():

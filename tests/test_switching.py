@@ -283,6 +283,15 @@ class TestSdudeDenoise:
         with pytest.raises(RangeError):
             sdude_denoise(SymbolSequence([0, 1, 0, 1], 2), 0, 5, bsc01, hamming2)
 
+    def test_alphabet_is_checked_before_the_partition(self, bsc01, hamming2, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("partitioned a sequence the channel cannot emit")
+
+        monkeypatch.setattr(switching, "build_partition", refuse)
+        z = SymbolSequence(np.random.default_rng(16).integers(0, 3, size=200), 3)
+        with pytest.raises(ValidationError, match="alphabet"):
+            sdude_denoise_each(z, 1, (0, 1), bsc01, hamming2)
+
     def test_matches_staged_two_pass_bitwise(self, bsc01, hamming2, tables01):
         # sdude_denoise and the forward pass it runs through must agree
         # exactly: same schedule, same minimum.
