@@ -6,24 +6,24 @@ reading order (left window first, then right window).  The ids are held in
 the smallest unsigned dtype that fits q^(2k) - 1 (``uint8`` for binary data
 up to k = 4, ``uint16`` up to k = 8) and grouped by an LSD radix sort: one
 stable counting sort per 16-bit digit (distribution counting, Knuth, TAOCP
-vol. 3, section 5.2).  Each counts its digit's values a chunk at a time,
-then sorts each chunk stably by digit and scatters its positions straight
-into the grouped order, so beside the ids and that order only one chunk's
-temporaries and the counts are held.  With ids of 16 bits or fewer the one
-digit is the id, and its counts give the groups; wider ids are compared in
-sorted order, a chunk at a time.  Only contexts that actually occur are
-materialized, so memory stays O(n) for any k.  The partition keeps the
-grouped order of the interior positions as ``int32`` when every 1-based
-position of the sequence fits (n < 2^31), else as ``intp``.  A partition
-owns the sequence it was built from, ``partition.z``; that is the only
-sequence it can be combined with.
+vol. 3, section 5.2).  Each counts its digit's values ``core.CHUNK``
+positions at a time, then sorts each chunk stably by digit and scatters its
+positions straight into the grouped order, so beside the ids and that order
+only one chunk's temporaries and the counts, in the order's dtype, are
+held.  With ids of 16 bits or fewer the one digit is the id, and its counts
+give the groups; wider ids are compared in sorted order, a chunk at a
+time.  Only contexts that actually occur are materialized, so memory stays
+O(n) for any k.  The partition keeps the grouped order of the interior
+positions as ``int32`` when every 1-based position of the sequence fits
+(n < 2^31), else as ``intp``.  A partition owns the sequence it was built
+from, ``partition.z``; that is the only sequence it can be combined with.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import SymbolSequence
+from .core import CHUNK, SymbolSequence
 from .errors import RangeError, SequenceTooShort, TooLarge
 
 
@@ -59,7 +59,7 @@ class ContextPartition:
         self._order = order
         self._unique_ids = unique_ids.astype(np.int64)
         self._starts = starts
-        self._counts = counts
+        self._counts = counts.astype(np.intp, copy=False)
 
     @property
     def num_interior(self) -> int:
@@ -94,9 +94,6 @@ def _context_ids(z: SymbolSequence, k: int) -> np.ndarray:
     return ids
 
 
-SORT_CHUNK = 2**14  # positions that the counting sort orders and scatters at a time
-
-
 def _digit(keys: np.ndarray, shift: int) -> np.ndarray:
     """Bits shift..shift+15 of ``keys``; ids of 16 bits or fewer are their own digit."""
     if keys.dtype.itemsize <= 2:
@@ -112,18 +109,21 @@ def _sort_digit(ids, shift: int, bins: int, src, dest) -> np.ndarray:
     A first pass counts each of the ``bins`` digit values, which fixes where
     each digit's positions begin in ``dest``.  The second takes a chunk at a
     time, sorts it stably by digit, and writes each digit's run of positions
-    at that digit's next free slot, which then moves past the run.
+    at that digit's next free slot, which then moves past the run.  Once
+    counted, the counts and the free slots are kept in ``dest``'s dtype.
     """
     n = len(dest)
     counts = np.zeros(bins, dtype=np.intp)
-    for lo in range(0, n, SORT_CHUNK):
-        counts += np.bincount(_digit(ids[lo : lo + SORT_CHUNK], shift), minlength=bins)
-    free = np.cumsum(counts)
+    for lo in range(0, n, CHUNK):
+        counts += np.bincount(_digit(ids[lo : lo + CHUNK], shift), minlength=bins)
+    # Narrowed once counted: adding each chunk's intp counts to int32 casts them each time.
+    counts = counts.astype(dest.dtype)
+    free = np.cumsum(counts, dtype=dest.dtype)
     free -= counts
-    steps = np.arange(min(n, SORT_CHUNK))
-    for lo in range(0, n, SORT_CHUNK):
-        pos = None if src is None else src[lo : lo + SORT_CHUNK]
-        keys = _digit(ids[lo : lo + SORT_CHUNK] if pos is None else ids[pos], shift)
+    steps = np.arange(min(n, CHUNK))
+    for lo in range(0, n, CHUNK):
+        pos = None if src is None else src[lo : lo + CHUNK]
+        keys = _digit(ids[lo : lo + CHUNK] if pos is None else ids[pos], shift)
         perm = np.argsort(keys, kind="stable")
         keys = keys[perm]
         at = _run_starts(keys, True)
@@ -153,8 +153,8 @@ def _groups(ids, order) -> tuple[np.ndarray, np.ndarray]:
     """(unique ids, group starts) of ``ids`` in ``order``, comparing a chunk at a time."""
     unique, starts = [], []
     last = None
-    for lo in range(0, len(order), SORT_CHUNK):
-        keys = ids[order[lo : lo + SORT_CHUNK]]
+    for lo in range(0, len(order), CHUNK):
+        keys = ids[order[lo : lo + CHUNK]]
         at = _run_starts(keys, last is None or keys[0] != last)
         unique.append(keys[at])
         starts.append(at + lo)

@@ -26,6 +26,10 @@ from .errors import RankError, TooLarge, ValidationError
 # Tolerance for the stochastic and right-inverse identities.
 ATOL = 1e-9
 
+# A whole-sequence pass handles this many positions at a time, so its
+# temporaries stay O(CHUNK) beside its output.
+CHUNK = 2**14
+
 # Enumerating all recon**noisy single-symbol rules is only sensible for
 # small alphabets; refuse silly table sizes outright.
 MAX_RULES = 4096

@@ -54,7 +54,8 @@ def cumulative_loss(
         )
     if end is None:
         end = n
-    if not 1 <= start <= end <= n:
+    integers = all(isinstance(v, (int, np.integer)) for v in (start, end))
+    if not (integers and 1 <= start <= end <= n):
         raise RangeError(f"need 1 <= start <= end <= {n}, got [{start}, {end}]")
     span = slice(start - 1, end)
     return _table_sum(loss.lam, x.symbols[span], xhat.symbols[span]) / (end - start + 1)

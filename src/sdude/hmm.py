@@ -11,8 +11,8 @@ recursions stable for sequences of millions of symbols.  One (n, q) array
 holds the result: the forward pass writes its messages into it, and the
 backward pass multiplies each of its messages into the same position as it
 goes, so no backward array is kept; each position is then divided by the
-sum of its q products, added in state order, ``NORM_CHUNK`` positions at a
-time.  Beside the result, the smoother holds a few states per block and
+sum of its q products, added in state order, ``core.CHUNK`` positions at
+a time.  Beside the result, the smoother holds a few states per block and
 buffers of a fixed number of steps.
 
 Every clean alphabet takes one lock-step path.  A normalized filter forgets
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ChannelModel, LossMatrix, SymbolSequence, symbol_dtype
+from .core import CHUNK, ChannelModel, LossMatrix, SymbolSequence, symbol_dtype
 from .errors import ValidationError
 from .sources import is_stochastic, stationary_distribution
 
@@ -283,8 +283,8 @@ def _pass(state, z, lo, hi, p, pi, out, forward):
     a, w, b = list(state), list(state), list(state)
     xs, ys = range(q), range(1, q)
     # A chunk at a time, so a segment that never coalesces holds no list of all its symbols.
-    for lo in range(done, len(symbols), NORM_CHUNK):
-        for t, zt in zip(steps[lo : lo + NORM_CHUNK], symbols[lo : lo + NORM_CHUNK].tolist()):
+    for lo in range(done, len(symbols), CHUNK):
+        for t, zt in zip(steps[lo : lo + CHUNK], symbols[lo : lo + CHUNK].tolist()):
             eb, ea = before[zt], after[zt]
             for y in xs:
                 w[y] = eb[y] * a[y]
@@ -336,10 +336,6 @@ def _posteriors(z, segments, pi, initial):
     return post
 
 
-# Positions that ``_normalize`` divides, and that ``_pass``'s step loop reads, at a time.
-NORM_CHUNK = 2**14
-
-
 def _normalize(f):
     """Divide each column of ``f`` (q, n) by its sum, added in state order, a chunk at a time.
 
@@ -348,9 +344,9 @@ def _normalize(f):
     rejected before its chunk is divided.  (``min`` is NaN when any sum is.)
     """
     q, n = f.shape
-    buffer = np.empty(min(n, NORM_CHUNK))
-    for lo in range(0, n, NORM_CHUNK):
-        cols = f[:, lo : lo + NORM_CHUNK]
+    buffer = np.empty(min(n, CHUNK))
+    for lo in range(0, n, CHUNK):
+        cols = f[:, lo : lo + CHUNK]
         # ``np.add.reduce`` along a row of more than 8 states would sum pairwise.
         norm = buffer[: cols.shape[1]]
         np.copyto(norm, cols[0])
@@ -373,9 +369,6 @@ def fb_posteriors(z: SymbolSequence, segments, channel: ChannelModel) -> np.ndar
     return _posteriors(z.symbols, segs, channel.pi, stationary_distribution(segs[0][2]))
 
 
-MAP_CHUNK = 2**14  # posterior rows that ``map_denoise`` decides at a time
-
-
 def map_denoise(posteriors: np.ndarray, loss: LossMatrix) -> SymbolSequence:
     """Loss-minimizing reconstruction per position, ties to the smallest symbol.
 
@@ -386,9 +379,9 @@ def map_denoise(posteriors: np.ndarray, loss: LossMatrix) -> SymbolSequence:
     if posteriors.ndim != 2 or posteriors.shape[1] != loss.clean_size:
         raise ValidationError("posteriors must have one row per position over the clean alphabet")
     out = np.zeros(len(posteriors), dtype=symbol_dtype(loss.recon_size))
-    rows = np.empty((3, min(len(out), MAP_CHUNK)))
-    for lo in range(0, len(out), MAP_CHUNK):
-        cols, dest = posteriors[lo : lo + MAP_CHUNK].T, out[lo : lo + MAP_CHUNK]
+    rows = np.empty((3, min(len(out), CHUNK)))
+    for lo in range(0, len(out), CHUNK):
+        cols, dest = posteriors[lo : lo + CHUNK].T, out[lo : lo + CHUNK]
         best, cost, term = rows[:, : len(dest)]
         for r, weights in enumerate(loss.lam.T):
             acc = np.multiply(cols[0], weights[0], out=cost if r else best)

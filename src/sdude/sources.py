@@ -20,7 +20,7 @@ not (the rule moves to 1 when ``u >= p00``).  A Markov walk reads exactly
 one uniform per step, in order: a rewrite that keeps these rules keeps every
 stream.
 
-``sample_piecewise`` and ``corrupt`` draw ``CHUNK`` uniforms at a time and
+``sample_piecewise`` and ``corrupt`` draw ``core.CHUNK`` uniforms at a time and
 write each chunk's symbols into the output in its narrow dtype, so beside the
 output they hold O(CHUNK).  A Generator's ``random(a)`` then ``random(b)``
 gives the doubles of ``random(a + b)``, and a walk resumes from the last
@@ -35,12 +35,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import ChannelModel, SymbolSequence, _check_size, symbol_dtype
+from .core import ATOL, CHUNK, ChannelModel, SymbolSequence, _check_size, symbol_dtype
 from .errors import ValidationError
-
-
-# Symbols that ``sample_piecewise`` and ``corrupt`` draw and map at a time.
-CHUNK = 2**16
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -69,9 +65,9 @@ def _draw(heads: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def is_stochastic(p: np.ndarray) -> bool:
-    """True when every entry is finite and non-negative and each row sums to 1 (to 1e-9)."""
+    """True when every entry is finite and non-negative and each row sums to 1 (to ``ATOL``)."""
     return bool(
-        np.isfinite(p).all() and p.min() >= 0 and np.max(np.abs(p.sum(axis=-1) - 1.0)) <= 1e-9
+        np.isfinite(p).all() and p.min() >= 0 and np.max(np.abs(p.sum(axis=-1) - 1.0)) <= ATOL
     )
 
 

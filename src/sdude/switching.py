@@ -43,7 +43,7 @@ output per budget; its boundary positions copy z, or emit 0 when the
 reconstruction alphabet is the smaller.  Each budget forms one flat index
 per interior symbol, code * rules + rule, in the narrowest unsigned dtype
 (``uint8`` for binary data): ``np.take`` of the rule table maps it into
-the output ``_MAP_CHUNK`` symbols at a time, so the intp copy that
+the output ``core.CHUNK`` symbols at a time, so the intp copy that
 ``np.take`` makes of its index stays one chunk long (mode "clip" needs no
 further buffer; every index is in range), and one count of the same index
 gives the correctly rounded estimated loss, as ``evaluation.cumulative_loss`` gives the true one.  Each
@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contexts import ContextPartition, _check_k, build_partition
-from .core import ChannelModel, LossMatrix, SymbolSequence, symbol_dtype
+from .core import CHUNK, ChannelModel, LossMatrix, SymbolSequence, symbol_dtype
 from .errors import RangeError, TooLarge, ValidationError
 from .estimation import EstimatedLossTable, build_tables
 
@@ -81,8 +81,6 @@ MAX_CHAIN_BYTES = 2 * 10**9
 _BATCH_FLOATS = 1 << 18
 # The dominated-rule guard of ``_kept_rules``, in units of u * A * L^2.
 _GUARD = 16
-# Interior symbols that ``sdude_denoise_each`` maps through the rule table at a time.
-_MAP_CHUNK = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,8 +480,8 @@ def sdude_denoise_each(
         index = _flat_index(tables.ell, codes, schedule.assignment)
         interior = out[k : n - k]
         # ``np.take`` widens its index to intp, so it gets one chunk at a time.
-        for lo in range(0, index.size, _MAP_CHUNK):
-            chunk = slice(lo, lo + _MAP_CHUNK)
+        for lo in range(0, index.size, CHUNK):
+            chunk = slice(lo, lo + CHUNK)
             np.take(maps, index[chunk], out=interior[chunk], mode="clip")
         estimated = _index_sum(tables.ell, index) / codes.size
         results.append((SymbolSequence(out, recon), schedule, estimated))

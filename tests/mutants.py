@@ -65,6 +65,13 @@ MUTANTS = [
         SORT_TESTS,
     ),
     Mutant(
+        "contexts: digit counts narrower than the order (int16)",
+        CONTEXTS,
+        "counts = counts.astype(dest.dtype)",
+        "counts = counts.astype(np.int16)",
+        SORT_TESTS,
+    ),
+    Mutant(
         "hmm: backward pass 3 multiplies every block, exact or not",
         HMM,
         "    state = np.empty((q, exact))\n",
@@ -113,8 +120,8 @@ MUTANTS = [
     Mutant(
         "hmm: normalizer chunk offset dropped",
         HMM,
-        "cols = f[:, lo : lo + NORM_CHUNK]",
-        "cols = f[:, :NORM_CHUNK]",
+        "cols = f[:, lo : lo + CHUNK]",
+        "cols = f[:, :CHUNK]",
         SMOOTHER_TESTS,
     ),
     Mutant(
@@ -188,6 +195,13 @@ MUTANTS = [
         "picked = np.flatnonzero(uses)",
         "picked = np.flatnonzero(uses)[1:]",
         SOLVER_TESTS,
+    ),
+    Mutant(
+        "sources: corrupt's chunk offset dropped",
+        "src/sdude/sources.py",
+        "clean = x.symbols[lo : lo + CHUNK]",
+        "clean = x.symbols[:CHUNK]",
+        ("tests/test_sources.py",),
     ),
     Mutant(
         "genie: the codes are not widened past the symbol dtype",

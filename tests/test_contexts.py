@@ -214,7 +214,7 @@ _ID_WIDTHS = {0: (2, 0), 8: (2, 4), 16: (4, 4), 24: (8, 4), 32: (4, 8)}
 def test_partition_equals_reference_around_a_sort_chunk(bits, edge, pattern):
     q, k = _ID_WIDTHS[bits]
     assert (q ** (2 * k) - 1).bit_length() == bits
-    n = contexts.SORT_CHUNK + edge + 2 * k
+    n = contexts.CHUNK + edge + 2 * k
     if pattern == "recurring":
         z = _recurring(q, n, bits)
     else:
@@ -227,6 +227,14 @@ def test_partition_equals_reference_around_a_sort_chunk(bits, edge, pattern):
 def test_partition_equals_reference_over_many_sort_chunks(monkeypatch, chunk, q, k):
     # Ids of 0 to 40 bits (one to three digits) over a few hundred positions,
     # sorted and grouped in chunks that end at every offset.
-    monkeypatch.setattr(contexts, "SORT_CHUNK", chunk)
+    monkeypatch.setattr(contexts, "CHUNK", chunk)
     for extra in range(chunk, chunk + min(chunk, 8)):
         _assert_matches_reference(_recurring(q, 2 * k + 300 + extra, chunk + extra), k)
+
+
+@pytest.mark.parametrize("k", [0, 4, 9])
+def test_partition_counts_one_context_past_int16(k):
+    # Digit counts and free slots are kept in the order's int32: one context
+    # seen more than 2^15 times, in both digits of an 18-bit id at k = 9,
+    # must not wrap them.
+    _assert_matches_reference(SymbolSequence(np.zeros(2**15 + 9 + 2 * k, dtype=np.uint8), 2), k)

@@ -47,6 +47,14 @@ class TestCumulativeLoss:
         with pytest.raises(ValidationError):
             cumulative_loss(x, SymbolSequence([0], 2), hamming2)
 
+    @pytest.mark.parametrize("start, end", [(1.5, 3), (2, 3.0), (1, "5"), ("1", None), (1.0, 4)])
+    def test_non_integer_bounds_are_refused(self, hamming2, start, end):
+        # These used to raise TypeError from the slicing or the comparison.
+        x = SymbolSequence([0, 1, 1, 0], 2)
+        with pytest.raises(RangeError):
+            cumulative_loss(x, x, hamming2, start, end)
+        assert cumulative_loss(x, x, hamming2, np.int64(2), np.uint8(4)) == 0.0
+
     def test_alphabets_beyond_the_loss_are_refused(self, hamming2):
         # Symbol 2 used to index past the 2 x 2 loss and raise IndexError.
         three, two = SymbolSequence([0, 1, 2], 3), SymbolSequence([0, 1, 1], 2)

@@ -602,7 +602,7 @@ class TestMapDenoise:
     def test_random_losses_and_exact_ties_match_the_stated_sums(self, q):
         rng = np.random.default_rng(q)
         # Past one chunk, and with rows of equal posteriors.
-        post = rng.dirichlet(np.ones(q), size=hmm.MAP_CHUNK + 500)
+        post = rng.dirichlet(np.ones(q), size=hmm.CHUNK + 500)
         post[::7] = 1.0 / q
         for recon in (q, q + 2):
             lam = rng.random((q, recon))
@@ -703,17 +703,17 @@ class TestLockStepEdgesBitwise:
 
     @pytest.mark.parametrize("chunk", [1, 2, 5, 64])
     def test_normalizer_chunks_end_at_every_offset(self, monkeypatch, chunk):
-        monkeypatch.setattr(hmm, "NORM_CHUNK", chunk)
+        monkeypatch.setattr(hmm, "CHUNK", chunk)
         for n in range(3 * BLOCK, 3 * BLOCK + min(chunk, 6)):
             assert_matches_reference(*switching_hmm_input(n, n))
 
     @pytest.mark.parametrize("edge", [-1, 0, 1])
     def test_normalizer_chunk_edge_at_full_size(self, edge):
-        assert_matches_reference(*switching_hmm_input(edge + 5, hmm.NORM_CHUNK + edge))
+        assert_matches_reference(*switching_hmm_input(edge + 5, hmm.CHUNK + edge))
 
     @pytest.mark.parametrize("chunk", [3, 64])
     def test_zero_sum_in_any_chunk_is_rejected(self, monkeypatch, chunk):
-        monkeypatch.setattr(hmm, "NORM_CHUNK", chunk)
+        monkeypatch.setattr(hmm, "CHUNK", chunk)
         n = 200
         for t in (0, chunk - 1, chunk, n - 1):
             for bad in (0.0, np.inf, np.nan):

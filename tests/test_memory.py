@@ -4,11 +4,12 @@ switching-HMM experiment.
 
 Each bound is the peak measured at n = 10^5 (numpy 2.4, Python 3.11) plus
 about 10%.  A stage that keeps a buffer alive after its last use, or symbols
-stored wider than their alphabet needs, pushes the peak past it.  A chunk of
-2^16 symbols is most of 10^5, so the stages that draw or map a chunk at a
-time are also run at 4 x 10^5: the bytes each added symbol costs there are
-what the stage holds per symbol beyond its chunks, and a whole-sequence
-temporary that comes back raises them.
+stored wider than their alphabet needs, pushes the peak past it.  The
+stages that draw or map ``core.CHUNK`` = 2^14 symbols at a time hold one
+chunk's temporaries beside their output, a fixed cost that the bound at
+10^5 spreads over every symbol, so they are also run at 4 x 10^5: the bytes
+each added symbol costs there are what the stage holds per symbol beyond its
+chunks, and a whole-sequence temporary that comes back raises them.
 """
 
 import tracemalloc
@@ -34,14 +35,14 @@ from sdude import (
 )
 
 N = 10**5
-# Measured 6.19 B per symbol: the first block's int64 path, its first state
-# included, and the uniforms it is drawn from (about 10 B for each of its
-# 5 x 10^4 symbols, less than a chunk), beside the one-byte output.
-SAMPLE_PIECEWISE_BYTES = 6.8
-# Measured 18.1 B per symbol: one chunk's uniforms, gathered CDF heads and
-# int64 draws (about 25 B for each of its 2^16 symbols), beside the one-byte
-# output.
-CORRUPT_BYTES = 20
+# Measured 3.16 B per symbol (6.19 with chunks of 2^16): one chunk's walk,
+# its uniforms, flips and int64 path (about 13 B for each of its 2^14
+# symbols), beside the one-byte output.
+SAMPLE_PIECEWISE_BYTES = 3.5
+# Measured 5.78 B per symbol (18.1 with chunks of 2^16): one chunk's
+# uniforms, gathered CDF heads and int64 draws (about 29 B for each of its
+# 2^14 symbols), beside the one-byte output.
+CORRUPT_BYTES = 6.4
 # Measured 19.3 B per symbol (24.7 while a segment's lock-step values and an
 # n-float normalizer were held): the one (n, 2) posterior array (16 B), a few
 # states per block, the lock-step's 16-step buffers and one chunk of sums.
@@ -56,10 +57,12 @@ FB_STEP_LOOP_BYTES = 21.8
 # sets the peak (28.1 B at N).  The posteriors are freed before the
 # denoisers run, and each k's outputs before the next k's solve.
 SWITCHING_HMM_BYTES = 23
-# Measured 10.7 and 13.2 B per symbol at k = 4 and 6 (14.0 and 18.0 with a
-# stable argsort's intp order and buffer): the uint8 or uint16 ids, the int32
-# order and one chunk's temporaries of the counting sort.
-BUILD_PARTITION_BYTES = {4: 11.8, 6: 14.5}
+# Measured 10.5, 12.7 and 19.5 B per symbol at k = 4, 6 and 8 (14.0, 18.0
+# and 18.0 with a stable argsort's intp order and buffer): the uint8 or
+# uint16 ids, the int32 order and one chunk's temporaries of the counting
+# sort, and at k = 8 the 2^16 digit counts and free slots, int32 like the
+# order (24.8 while they were intp).
+BUILD_PARTITION_BYTES = {4: 11.8, 6: 14.5, 8: 21.5}
 # Measured 25.2 B per symbol at k = 4, budgets (0, 1): the partition's int32
 # order (4 B) and the two assignments (2 B), plus the longest chains' batch
 # (about 0.2 n occurrences): its intp positions, codes, argmin rules and
